@@ -38,7 +38,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if not engine.HAVE_KERNEL:
-        print("compiled kernel not built; nothing to compare", file=sys.stderr)
+        print(
+            f"compiled kernel unavailable ({engine.KERNEL_ERROR}); nothing to compare",
+            file=sys.stderr,
+        )
         return 1
 
     fn = make_function(args.function, args.dimension)

@@ -1,64 +1,10 @@
-"""Build script: compiles the optional accelerator extension.
+"""Packaging shim; the metadata lives in pyproject.toml.
 
-The extension is best-effort. If no C toolchain (or Cython) is available the
-install still succeeds and the package runs on its pure-Python engine; the
-two produce bit-identical results, the extension is just much faster.
+Nothing is compiled at install time: ``plantprop._kernel`` compiles the C
+core (``src/plantprop/_ppa.c``) with ``cc`` on first import, into a per-user
+cache directory.
 """
 
-import sys
+from setuptools import setup
 
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
-
-try:
-    from setuptools.errors import CCompilerError, ExecError, PlatformError
-except ImportError:  # setuptools < 59
-    from distutils.errors import CCompilerError
-    from distutils.errors import DistutilsExecError as ExecError
-    from distutils.errors import DistutilsPlatformError as PlatformError
-
-BUILD_ERRORS = (CCompilerError, ExecError, PlatformError, ValueError)
-
-
-class OptionalBuildExt(build_ext):
-    def run(self):
-        try:
-            super().run()
-        except BUILD_ERRORS as exc:
-            self._warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except BUILD_ERRORS as exc:
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        print(
-            f"WARNING: could not build the plantprop accelerator ({exc}); "
-            "falling back to the pure-Python engine.",
-            file=sys.stderr,
-        )
-
-
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print(
-            "WARNING: Cython not available; building without the accelerator.",
-            file=sys.stderr,
-        )
-        return []
-    ext = Extension(
-        "plantprop._kernel",
-        ["src/plantprop/_kernel.pyx"],
-        # IEEE-strict: no -ffast-math, results must match the pure engine
-        # bit for bit.
-        extra_compile_args=["-O3"],
-    )
-    return cythonize([ext], compiler_directives={"language_level": "3"})
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup()

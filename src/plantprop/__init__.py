@@ -20,7 +20,7 @@ from .core import (
     run_ppa,
     steepness,
 )
-from .engine import BACKENDS, DEFAULT_BACKEND, HAVE_KERNEL, run
+from .engine import BACKENDS, DEFAULT_BACKEND, HAVE_KERNEL, KERNEL_ERROR, run
 from .rng import Xoshiro256pp, derive_subseed
 
 __version__ = "0.1.0"
@@ -34,6 +34,7 @@ __all__ = [
     "FUNCTION_NAMES",
     "HAVE_KERNEL",
     "Individual",
+    "KERNEL_ERROR",
     "PpaConfig",
     "RunResult",
     "SCALABLE_NAMES",

@@ -1,0 +1,190 @@
+"""Compiled engine: a ctypes binding to the C core in ``_ppa.c``.
+
+``_ppa.c`` mirrors rng.py, benchmarks.py and core.py operation for
+operation, so a run here is bit-identical to the pure-Python engine. This
+module validates arguments, moves numbers across the boundary and turns the
+core's status codes into exceptions.
+
+Importing the module loads the core from the per-user cache directory,
+``$XDG_CACHE_HOME/plantprop`` or else ``~/.cache/plantprop``. The library's
+file name is a hash of the source and the compiler command, so an edited
+source or changed flags get a fresh build. On a miss the source is compiled
+once with ``cc`` into a temporary file that is then renamed into place, so
+concurrent first imports are safe. Any failure raises ImportError with the
+reason, and ``engine`` runs the pure-Python engine instead.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import importlib.util
+import os
+from pathlib import Path
+
+from .benchmarks import FUNCTION_NAMES, SCALABLE_NAMES
+from .rng import MASK64
+
+_SOURCE = Path(__file__).with_name("_ppa.c")
+_CC = "cc"
+_FLAGS = ("-std=c99", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_LIBS = ("-lm",)
+_COMPILE_TIMEOUT_S = 300
+
+_INT64_MAX = 2**63 - 1
+
+# ppa_run's error codes (0 is success)
+_NONFINITE, _NOMEM = 1, 2
+
+
+class _Step(ctypes.Structure):
+    _fields_ = [("evals", ctypes.c_int64), ("value", ctypes.c_double)]
+
+
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME")
+    if base:
+        return Path(base) / "plantprop"
+    try:
+        return Path.home() / ".cache" / "plantprop"
+    except RuntimeError as exc:  # no HOME and no password entry
+        raise ImportError(f"no cache directory for the C core: {exc}") from exc
+
+
+def _compile(target: Path) -> None:
+    import subprocess
+
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    command = [_CC, *_FLAGS, "-o", str(tmp), str(_SOURCE), *_LIBS]
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run(
+            command, capture_output=True, text=True, timeout=_COMPILE_TIMEOUT_S
+        )
+        if proc.returncode != 0:
+            raise ImportError(
+                f"compiling the C core failed ({' '.join(command)}): "
+                f"{proc.stderr.strip()}"
+            )
+        os.replace(tmp, target)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise ImportError(f"cannot compile the C core with {_CC!r}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _load() -> ctypes.CDLL:
+    """The C core with every signature declared, compiled first on a miss."""
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError as exc:
+        raise ImportError(f"cannot read the C core: {exc}") from exc
+    # importlib's SipHash rather than hashlib: hashlib loads OpenSSL, which
+    # costs every process that imports plantprop about 3.5 MB of memory.
+    key = importlib.util.source_hash(
+        source + "\0".join((_CC, *_FLAGS, *_LIBS)).encode()
+    ).hex()
+    path = _cache_dir() / f"_ppa-{key}.so"
+    if not path.exists():
+        _compile(path)
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError as exc:
+        raise ImportError(f"cannot load the C core {path}: {exc}") from exc
+
+    i64, f64, u64 = ctypes.c_int64, ctypes.c_double, ctypes.c_uint64
+    f64_p = ctypes.POINTER(f64)
+    lib.ppa_run.argtypes = [
+        ctypes.c_int, i64, f64_p, f64_p,  # function id, dim, lower, upper
+        i64, i64, i64,  # pop_size, n_max, budget
+        ctypes.c_int, f64, u64,  # linear, factor, seed
+        f64_p, f64_p, ctypes.POINTER(i64),  # best value, best point, evals
+        ctypes.POINTER(ctypes.POINTER(_Step)), ctypes.POINTER(i64),  # trajectory
+        f64_p,  # the non-finite objective value
+    ]
+    lib.ppa_run.restype = ctypes.c_int
+    lib.ppa_eval.argtypes = [ctypes.c_int, i64, f64_p]
+    lib.ppa_eval.restype = f64
+    lib.ppa_rng_u64.argtypes = [u64, ctypes.c_size_t, ctypes.POINTER(u64)]
+    lib.ppa_rng_u64.restype = None
+    lib.ppa_rng_uniform.argtypes = [u64, ctypes.c_size_t, f64_p]
+    lib.ppa_rng_uniform.restype = None
+    lib.ppa_free.argtypes = [ctypes.c_void_p]
+    lib.ppa_free.restype = None
+    return lib
+
+
+_lib = _load()
+
+
+def _check_function(func_id: int, dim: int) -> None:
+    if not 0 <= func_id < len(FUNCTION_NAMES):
+        raise ValueError(f"unknown function id {func_id}")
+    scalable = func_id < len(SCALABLE_NAMES)
+    if not (2 <= dim <= _INT64_MAX if scalable else dim == 2):
+        raise ValueError(f"function id {func_id} does not take dimension {dim}")
+
+
+def _check_count(name: str, value: int, low: int) -> None:
+    if not low <= value <= _INT64_MAX:
+        raise ValueError(f"{name} must be in [{low}, 2**63 - 1], got {value}")
+
+
+def rng_u64_stream(seed: int, n: int) -> list[int]:
+    """First n raw 64-bit outputs for a seed (parity/golden-vector tests)."""
+    out = (ctypes.c_uint64 * n)()
+    _lib.ppa_rng_u64(seed & MASK64, n, out)
+    return list(out)
+
+
+def rng_uniform_stream(seed: int, n: int) -> list[float]:
+    """First n uniform doubles in [0, 1) for a seed."""
+    out = (ctypes.c_double * n)()
+    _lib.ppa_rng_uniform(seed & MASK64, n, out)
+    return list(out)
+
+
+def eval_function(func_id: int, x) -> float:
+    """Evaluate benchmark `func_id` at point x (parity tests)."""
+    n = len(x)
+    _check_function(func_id, n)
+    return _lib.ppa_eval(func_id, n, (ctypes.c_double * n)(*x))
+
+
+def run(func_id, dim, lower, upper, pop_size, n_max, budget, linear, factor, seed):
+    """Generational loop; same semantics and draw order as the pure engine.
+
+    Returns (best_value, best_point, trajectory, evaluations_used) with the
+    trajectory as a list of (evaluation_index, best_so_far) tuples.
+    """
+    _check_function(func_id, dim)
+    if len(lower) != dim or len(upper) != dim:
+        raise ValueError(f"bounds must have {dim} entries each")
+    _check_count("pop_size", pop_size, 1)
+    _check_count("n_max", n_max, 1)
+    _check_count("budget", budget, 0)
+
+    best = ctypes.c_double()
+    best_point = (ctypes.c_double * dim)()
+    evals = ctypes.c_int64()
+    steps = ctypes.POINTER(_Step)()
+    n_steps = ctypes.c_int64()
+    bad = ctypes.c_double()
+    status = _lib.ppa_run(
+        func_id, dim, (ctypes.c_double * dim)(*lower), (ctypes.c_double * dim)(*upper),
+        pop_size, n_max, budget, bool(linear), factor, seed & MASK64,
+        ctypes.byref(best), best_point, ctypes.byref(evals),
+        ctypes.byref(steps), ctypes.byref(n_steps), ctypes.byref(bad),
+    )
+    try:
+        if status == _NONFINITE:
+            raise ValueError(f"objective produced a non-finite value: {bad.value}")
+        if status == _NOMEM:
+            raise MemoryError(
+                f"cannot allocate the buffers for pop_size={pop_size}, "
+                f"n_max={n_max}, budget={budget}, dimension={dim}"
+            )
+        trajectory = [(step.evals, step.value) for step in steps[: n_steps.value]]
+    finally:
+        _lib.ppa_free(steps)
+    point = tuple(best_point) if best.value < float("inf") else ()
+    return best.value, point, trajectory, evals.value

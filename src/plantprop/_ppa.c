@@ -1,0 +1,457 @@
+/*
+ * Compiled engine of plantprop: xoshiro256++ stream, objective dispatch and
+ * the plant propagation loop, in plain C99 behind a flat ABI for ctypes.
+ *
+ * This file mirrors rng.py, benchmarks.py and core.py operation for
+ * operation (same draw order, same IEEE double expression shapes, same libm
+ * calls), so a run here is bit-identical to the pure-Python engine. Keep the
+ * four files in lockstep when touching any formula.
+ *
+ * Build without -ffast-math and with -ffp-contract=off: IEEE semantics are
+ * part of the contract, and a fused multiply-add rounds once where Python
+ * rounds twice. _kernel.py compiles and loads it, and validates every
+ * argument (function id, dimension, buffer lengths, counts >= 1) before the
+ * call; sizes derived here are checked here.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+enum {
+    PPA_OK = 0,
+    PPA_NONFINITE = 1, /* a parent's objective is inf or nan; see *bad_value */
+    PPA_NOMEM = 2      /* a buffer size overflows or an allocation failed */
+};
+
+/* exact doubles of math.pi / math.e */
+#define PI 3.141592653589793
+#define E 2.718281828459045
+#define TWO_PI (2.0 * PI)
+
+#define BRANIN_B (5.1 / (4.0 * PI * PI))
+#define BRANIN_C (5.0 / PI)
+#define BRANIN_T (1.0 / (8.0 * PI))
+
+#define GAMMA UINT64_C(0x9E3779B97F4A7C15)
+
+typedef struct {
+    uint64_t s0, s1, s2, s3;
+} rng_t;
+
+static uint64_t rotl(uint64_t x, int k)
+{
+    return (x << k) | (x >> (64 - k));
+}
+
+static uint64_t mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
+    return z ^ (z >> 31);
+}
+
+static void rng_seed(rng_t *r, uint64_t seed)
+{
+    seed += GAMMA;
+    r->s0 = mix64(seed);
+    seed += GAMMA;
+    r->s1 = mix64(seed);
+    seed += GAMMA;
+    r->s2 = mix64(seed);
+    seed += GAMMA;
+    r->s3 = mix64(seed);
+}
+
+static uint64_t rng_u64(rng_t *r)
+{
+    uint64_t s0 = r->s0, s1 = r->s1, s2 = r->s2, s3 = r->s3;
+    uint64_t result = rotl(s0 + s3, 23) + s0;
+    uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = rotl(s3, 45);
+    r->s0 = s0;
+    r->s1 = s1;
+    r->s2 = s2;
+    r->s3 = s3;
+    return result;
+}
+
+/* top 53 bits scaled by 2^-53: [0, 1) exactly */
+static double rng_uniform(rng_t *r)
+{
+    return (double)(rng_u64(r) >> 11) * 0x1.0p-53;
+}
+
+/* ids follow benchmarks.FUNCTION_NAMES order */
+static double eval(int fid, int64_t n, const double *x)
+{
+    double s = 0.0, s2 = 0.0, p = 1.0;
+    double x1, x2, a, b, t, t1, t2, u, v, d1, d2, xi;
+    int64_t i;
+
+    switch (fid) {
+    case 0: /* sphere */
+        for (i = 0; i < n; i++)
+            s += x[i] * x[i];
+        return s;
+    case 1: /* cigar */
+        for (i = 1; i < n; i++)
+            s += x[i] * x[i];
+        return x[0] * x[0] + 1.0e6 * s;
+    case 2: /* ellipse */
+        for (i = 0; i < n; i++)
+            s += pow(10.0, 6.0 * (double)i / (double)(n - 1)) * (x[i] * x[i]);
+        return s;
+    case 3: /* tablet */
+        for (i = 1; i < n; i++)
+            s += x[i] * x[i];
+        return 1.0e6 * (x[0] * x[0]) + s;
+    case 4: /* griewank */
+        for (i = 0; i < n; i++) {
+            xi = x[i];
+            s += xi * xi;
+            p *= cos(xi / sqrt((double)i + 1.0));
+        }
+        return s / 4000.0 - p + 1.0;
+    case 5: /* rosenbrock */
+        for (i = 0; i < n - 1; i++) {
+            t1 = x[i + 1] - x[i] * x[i];
+            t2 = 1.0 - x[i];
+            s += 100.0 * (t1 * t1) + t2 * t2;
+        }
+        return s;
+    case 6: /* ackley */
+        for (i = 0; i < n; i++) {
+            xi = x[i];
+            s += xi * xi;
+            s2 += cos(TWO_PI * xi);
+        }
+        return -20.0 * exp(-0.2 * sqrt(s / (double)n)) - exp(s2 / (double)n)
+               + 20.0 + E;
+    case 7: /* rastrigin */
+        for (i = 0; i < n; i++) {
+            xi = x[i];
+            s += xi * xi - 10.0 * cos(TWO_PI * xi);
+        }
+        return 10.0 * (double)n + s;
+    case 8: /* schwefel */
+        for (i = 0; i < n; i++) {
+            xi = x[i];
+            s += xi * sin(sqrt(fabs(xi)));
+        }
+        return 418.9829 * (double)n - s;
+    case 9: /* easom */
+        d1 = x[0] - PI;
+        d2 = x[1] - PI;
+        return -cos(x[0]) * cos(x[1]) * exp(-(d1 * d1 + d2 * d2));
+    case 10: /* sixhumpcamel */
+        x1 = x[0];
+        x2 = x[1];
+        a = x1 * x1;
+        b = x2 * x2;
+        return (4.0 - 2.1 * a + a * a / 3.0) * a + x1 * x2 + (-4.0 + 4.0 * b) * b;
+    case 11: /* branin */
+        x1 = x[0];
+        x2 = x[1];
+        t = x2 - BRANIN_B * (x1 * x1) + BRANIN_C * x1 - 6.0;
+        return t * t + 10.0 * (1.0 - BRANIN_T) * cos(x1) + 10.0;
+    case 12: /* goldsteinprice */
+        x1 = x[0];
+        x2 = x[1];
+        u = x1 + x2 + 1.0;
+        a = 19.0 - 14.0 * x1 + 3.0 * (x1 * x1) - 14.0 * x2 + 6.0 * (x1 * x2)
+            + 3.0 * (x2 * x2);
+        v = 2.0 * x1 - 3.0 * x2;
+        b = 18.0 - 32.0 * x1 + 12.0 * (x1 * x1) + 48.0 * x2 - 36.0 * (x1 * x2)
+            + 27.0 * (x2 * x2);
+        return (1.0 + (u * u) * a) * (30.0 + (v * v) * b);
+    default: /* martingaddy (fid == 13) */
+        t1 = x[0] - x[1];
+        t2 = (x[0] + x[1] - 10.0) / 3.0;
+        return t1 * t1 + t2 * t2;
+    }
+}
+
+typedef struct {
+    double obj;
+    size_t idx;
+} sort_item;
+
+/* lowest objective first, ties to earlier creation: a total order, so
+   qsort's instability cannot show */
+static int cmp_item(const void *pa, const void *pb)
+{
+    const sort_item *a = pa, *b = pb;
+    if (a->obj < b->obj)
+        return -1;
+    if (a->obj > b->obj)
+        return 1;
+    if (a->idx < b->idx)
+        return -1;
+    if (a->idx > b->idx)
+        return 1;
+    return 0;
+}
+
+/* rows * cols elements of elem bytes, or NULL if that overflows size_t */
+static void *alloc_array(uint64_t rows, uint64_t cols, size_t elem)
+{
+    if (cols != 0 && rows > SIZE_MAX / cols)
+        return NULL;
+    if (rows * cols > SIZE_MAX / elem)
+        return NULL;
+    return malloc((size_t)(rows * cols) * elem);
+}
+
+/* one trajectory point: evaluation index and best value so far */
+typedef struct {
+    int64_t evals;
+    double value;
+} ppa_step;
+
+typedef struct {
+    ppa_step *steps;
+    size_t len, cap;
+} trajectory_t;
+
+static int trajectory_push(trajectory_t *t, int64_t evals, double value)
+{
+    if (t->len == t->cap) {
+        size_t cap = t->cap ? 2 * t->cap : 64;
+        ppa_step *grown;
+        if (cap > SIZE_MAX / sizeof(ppa_step))
+            return 0;
+        grown = realloc(t->steps, cap * sizeof(ppa_step));
+        if (grown == NULL)
+            return 0;
+        t->steps = grown;
+        t->cap = cap;
+    }
+    t->steps[t->len].evals = evals;
+    t->steps[t->len].value = value;
+    t->len++;
+    return 1;
+}
+
+void ppa_rng_u64(uint64_t seed, size_t n, uint64_t *out)
+{
+    rng_t rng;
+    size_t i;
+    rng_seed(&rng, seed);
+    for (i = 0; i < n; i++)
+        out[i] = rng_u64(&rng);
+}
+
+void ppa_rng_uniform(uint64_t seed, size_t n, double *out)
+{
+    rng_t rng;
+    size_t i;
+    rng_seed(&rng, seed);
+    for (i = 0; i < n; i++)
+        out[i] = rng_uniform(&rng);
+}
+
+/* eval stays static so that the run loop can inline it */
+double ppa_eval(int fid, int64_t n, const double *x)
+{
+    return eval(fid, n, x);
+}
+
+void ppa_free(void *p)
+{
+    free(p);
+}
+
+/*
+ * One run; same semantics and draw order as core.run_ppa.
+ *
+ * Fills *best_value, best_point (dim doubles, written only when some value
+ * beat +inf) and *evals_used, and hands over the trajectory in
+ * *trajectory / *trajectory_len, which the caller releases with ppa_free.
+ * Returns PPA_OK, PPA_NONFINITE with the offending value in *bad_value, or
+ * PPA_NOMEM; on an error *trajectory is NULL.
+ */
+int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
+            int64_t pop_size, int64_t n_max, int64_t budget, int linear,
+            double factor, uint64_t seed, double *best_value,
+            double *best_point, int64_t *evals_used, ppa_step **trajectory,
+            int64_t *trajectory_len, double *bad_value)
+{
+    rng_t rng;
+    trajectory_t traj = {NULL, 0, 0};
+    uint64_t pop = (uint64_t)pop_size, d = (uint64_t)dim;
+    uint64_t left, slots;
+    double *pos = NULL;    /* (pop + slots) x dim, parents first */
+    double *obj = NULL;    /* pop + slots */
+    double *newpos = NULL; /* pop x dim */
+    double *newobj = NULL; /* pop */
+    double *fits = NULL;   /* pop: normalized objective, then fitness */
+    sort_item *items = NULL;
+    int64_t evals = 0, cnt, k;
+    double best = INFINITY;
+    double s, fmin, fmax, span, val, u, r, dd, xx, fi, cnt_d;
+    size_t i, j, n_off, pool, src;
+    int status = PPA_OK;
+
+    rng_seed(&rng, seed);
+
+    /* A generation makes at most pop_size * n_max offspring, and never more
+       than the budget left after the initial population. */
+    left = budget > pop_size ? (uint64_t)(budget - pop_size) : 0;
+    slots = (uint64_t)n_max > left / pop ? left : pop * (uint64_t)n_max;
+
+    pos = alloc_array(pop + slots, d, sizeof(double));
+    obj = alloc_array(pop + slots, 1, sizeof(double));
+    items = alloc_array(pop + slots, 1, sizeof(sort_item));
+    newpos = alloc_array(pop, d, sizeof(double));
+    newobj = alloc_array(pop, 1, sizeof(double));
+    fits = alloc_array(pop, 1, sizeof(double));
+    if (pos == NULL || obj == NULL || items == NULL || newpos == NULL
+        || newobj == NULL || fits == NULL) {
+        status = PPA_NOMEM;
+        goto done;
+    }
+
+    /* uniform initialization, evaluating in creation order */
+    for (i = 0; i < pop; i++) {
+        for (j = 0; j < d; j++) {
+            u = rng_uniform(&rng);
+            pos[i * d + j] = lower[j] + u * (upper[j] - lower[j]);
+        }
+        val = eval(fid, dim, &pos[i * d]);
+        evals++;
+        obj[i] = val;
+        if (val < best) {
+            best = val;
+            for (j = 0; j < d; j++)
+                best_point[j] = pos[i * d + j];
+            if (!trajectory_push(&traj, evals, val)) {
+                status = PPA_NOMEM;
+                goto done;
+            }
+        }
+    }
+
+    while (evals < budget) {
+        /* steepness from completed evaluations at generation start */
+        s = linear ? (double)evals / factor + 1.0 : 1.0;
+
+        fmin = obj[0];
+        fmax = obj[0];
+        for (i = 0; i < pop; i++) {
+            if (!isfinite(obj[i])) {
+                *bad_value = obj[i];
+                status = PPA_NONFINITE;
+                goto done;
+            }
+            if (obj[i] < fmin)
+                fmin = obj[i];
+            if (obj[i] > fmax)
+                fmax = obj[i];
+        }
+        if (fmax == fmin) {
+            for (i = 0; i < pop; i++)
+                fits[i] = 0.5;
+        } else {
+            span = fmax - fmin;
+            for (i = 0; i < pop; i++)
+                fits[i] = (fmax - obj[i]) / span;
+        }
+        for (i = 0; i < pop; i++)
+            fits[i] = 0.5 * (tanh(4.0 * s * fits[i] - 2.0 * s) + 1.0);
+
+        n_off = 0;
+        for (i = 0; i < pop; i++) {
+            if (evals >= budget)
+                break;
+            r = rng_uniform(&rng);
+            fi = fits[i];
+            cnt_d = ceil((double)n_max * fi * r);
+            if (cnt_d < 1.0) {
+                cnt = 1;
+            } else {
+                cnt = (int64_t)cnt_d;
+                if (cnt > n_max)
+                    cnt = n_max;
+            }
+            for (k = 0; k < cnt; k++) {
+                double *child;
+                if (evals >= budget)
+                    break;
+                child = &pos[(pop + n_off) * d];
+                for (j = 0; j < d; j++) {
+                    u = rng_uniform(&rng);
+                    dd = 2.0 * (u - 0.5) * (1.0 - fi);
+                    xx = pos[i * d + j] + (upper[j] - lower[j]) * dd;
+                    if (xx < lower[j])
+                        xx = lower[j];
+                    else if (xx > upper[j])
+                        xx = upper[j];
+                    child[j] = xx;
+                }
+                val = eval(fid, dim, child);
+                evals++;
+                obj[pop + n_off] = val;
+                if (val < best) {
+                    best = val;
+                    for (j = 0; j < d; j++)
+                        best_point[j] = child[j];
+                    if (!trajectory_push(&traj, evals, val)) {
+                        status = PPA_NOMEM;
+                        goto done;
+                    }
+                }
+                n_off++;
+            }
+        }
+
+        /* survivors: pop_size lowest objectives, ties to earlier creation */
+        pool = pop + n_off;
+        for (i = 0; i < pool; i++) {
+            items[i].obj = obj[i];
+            items[i].idx = i;
+        }
+        qsort(items, pool, sizeof(sort_item), cmp_item);
+        for (i = 0; i < pop; i++) {
+            src = items[i].idx;
+            newobj[i] = obj[src];
+            for (j = 0; j < d; j++)
+                newpos[i * d + j] = pos[src * d + j];
+        }
+        for (i = 0; i < pop; i++) {
+            obj[i] = newobj[i];
+            for (j = 0; j < d; j++)
+                pos[i * d + j] = newpos[i * d + j];
+        }
+    }
+
+    if (traj.len == 0 || traj.steps[traj.len - 1].evals != evals) {
+        if (!trajectory_push(&traj, evals, best)) {
+            status = PPA_NOMEM;
+            goto done;
+        }
+    }
+
+done:
+    free(pos);
+    free(obj);
+    free(items);
+    free(newpos);
+    free(newobj);
+    free(fits);
+    if (status != PPA_OK) {
+        free(traj.steps);
+        traj.steps = NULL;
+        traj.len = 0;
+    }
+    *best_value = best;
+    *evals_used = evals;
+    *trajectory = traj.steps;
+    *trajectory_len = (int64_t)traj.len;
+    return status;
+}

@@ -8,7 +8,7 @@ each registered function carries its known global optimum so results can be
 reported as error-to-optimum.
 
 Evaluation is pure scalar double arithmetic (no vectorization) so that the
-compiled accelerator, which mirrors these formulas operation for operation,
+compiled kernel, which mirrors these formulas operation for operation,
 produces bit-identical values.
 """
 
@@ -239,8 +239,8 @@ _FIXED_2D = {
 SCALABLE_NAMES = tuple(_SCALABLE)
 FIXED_2D_NAMES = tuple(_FIXED_2D)
 
-# Stable identifier order; doubles as the id assignment of the compiled
-# accelerator, so never reorder.
+# Stable identifier order; doubles as the function id of the C core
+# (_ppa.c), so never reorder.
 FUNCTION_NAMES = SCALABLE_NAMES + FIXED_2D_NAMES
 
 FUNCTION_IDS = {name: i for i, name in enumerate(FUNCTION_NAMES)}

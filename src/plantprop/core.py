@@ -9,7 +9,7 @@ linearly with the number of completed objective evaluations, which
 gradually sharpens the transform toward a step function.
 
 Everything here is scalar double arithmetic with a fixed draw order; the
-compiled engine in ``_kernel`` replicates it bit for bit.
+C core in ``_ppa.c``, loaded by ``_kernel``, replicates it bit for bit.
 """
 
 from __future__ import annotations

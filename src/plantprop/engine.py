@@ -15,10 +15,14 @@ from .benchmarks import FUNCTION_IDS, BenchmarkFunction
 from .core import PpaConfig, RunResult
 from .rng import MASK64
 
+# KERNEL_ERROR says why the compiled kernel is unavailable; None when it loaded.
 try:
     from . import _kernel
-except ImportError:  # pragma: no cover - depends on the build environment
+except ImportError as exc:  # pragma: no cover - depends on the build environment
     _kernel = None
+    KERNEL_ERROR: str | None = str(exc)
+else:
+    KERNEL_ERROR = None
 
 HAVE_KERNEL = _kernel is not None
 DEFAULT_BACKEND = "compiled" if HAVE_KERNEL else "python"
@@ -38,7 +42,7 @@ def run(
 ) -> RunResult:
     """Run one optimization with an explicit or automatically chosen backend.
 
-    `auto` picks the compiled kernel when it was built, the function is one
+    `auto` picks the compiled kernel when it loaded, the function is one
     of the registered benchmarks, and no observer is attached; otherwise it
     falls back to the Python engine. Requesting `compiled` in a situation
     the kernel cannot handle is an error rather than a silent fallback.
@@ -56,7 +60,7 @@ def run(
 
     if not HAVE_KERNEL:
         raise RuntimeError(
-            "the compiled backend is unavailable (extension not built); "
+            f"the compiled backend is unavailable ({KERNEL_ERROR}); "
             "use backend='python' or 'auto'"
         )
     if observer is not None:

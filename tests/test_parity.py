@@ -4,16 +4,26 @@ Every test asserts exact equality, not approximate: both sides are written
 to execute the same IEEE-754 operations in the same order.
 """
 
+import ctypes
+import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import plantprop
 from plantprop import engine
 from plantprop.benchmarks import (
     FUNCTION_IDS,
     FUNCTION_NAMES,
     SCALABLE_NAMES,
+    Bounds,
     make_function,
 )
 from plantprop.core import PpaConfig, SteepeningSchedule, run_ppa
@@ -22,6 +32,9 @@ from plantprop.rng import Xoshiro256pp
 _kernel = pytest.importorskip("plantprop._kernel")
 
 SEEDS = (0, 1, 42, 0xDEADBEEF, 2**64 - 1)
+
+# for subprocesses: the directory this plantprop was imported from
+SRC = str(Path(plantprop.__file__).resolve().parents[1])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -77,6 +90,123 @@ def test_longer_run_with_scalable_dimension():
     py = run_ppa(config, fn, seed=11)
     cy = engine.run(config, fn, seed=11, backend="compiled")
     assert py == cy
+
+
+@st.composite
+def run_cases(draw):
+    name = draw(st.sampled_from(FUNCTION_NAMES))
+    dim = draw(st.integers(2, 50)) if name in SCALABLE_NAMES else 2
+    pop_size = draw(st.integers(1, 40))
+    schedule = draw(
+        st.one_of(
+            st.just(SteepeningSchedule.vanilla()),
+            st.floats(0.5, 1e5).map(SteepeningSchedule.linear),
+        )
+    )
+    config = PpaConfig(
+        budget=draw(st.integers(pop_size, pop_size + 400)),
+        pop_size=pop_size,
+        n_max=draw(st.integers(1, 8)),
+        schedule=schedule,
+    )
+    return make_function(name, dim), config, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=run_cases())
+@example(case=(make_function("rastrigin", 50), PpaConfig(budget=1, pop_size=1, n_max=1), 0))
+@example(
+    case=(
+        make_function("easom"),
+        PpaConfig(
+            budget=300, pop_size=1, n_max=1, schedule=SteepeningSchedule.linear(20.0)
+        ),
+        2**64 - 1,
+    )
+)
+@example(case=(make_function("ackley", 7), PpaConfig(budget=40, pop_size=40), 5))
+def test_random_runs_are_bit_identical(case):
+    fn, config, seed = case
+    assert engine.run(config, fn, seed, backend="compiled") == run_ppa(config, fn, seed)
+
+
+def test_non_finite_objective_fails_alike():
+    huge = Bounds((-1e200, -1e200), (1e200, 1e200))
+    fn = dataclasses.replace(make_function("sphere", 2), bounds=huge)
+    config = PpaConfig(budget=100)
+    with pytest.raises(ValueError, match="non-finite") as py:
+        run_ppa(config, fn, 1)
+    with pytest.raises(ValueError, match="non-finite") as cy:
+        engine.run(config, fn, 1, backend="compiled")
+    assert str(cy.value) == str(py.value)
+
+
+def test_huge_offspring_cap_does_not_crash():
+    """pop_size * n_max used to overflow the pool size and corrupt the heap.
+
+    Runs in a subprocess so that a crash fails this test instead of
+    killing pytest.
+    """
+    code = (
+        "from plantprop import engine\n"
+        "from plantprop.benchmarks import make_function\n"
+        "from plantprop.core import PpaConfig\n"
+        "config = PpaConfig(budget=65536, pop_size=65536, n_max=65535)\n"
+        "print(repr(engine.run(config, make_function('sphere', 2), 1, "
+        "backend='compiled')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    config = PpaConfig(budget=65536, pop_size=65536, n_max=65535)
+    assert proc.stdout.strip() == repr(run_ppa(config, make_function("sphere", 2), 1))
+
+
+def test_unallocatable_run_raises_memory_error():
+    config = PpaConfig(budget=2**62, pop_size=2**61, n_max=2)
+    with pytest.raises(MemoryError):
+        engine.run(config, make_function("sphere", 2), 1, backend="compiled")
+
+
+# -- loading the C core -------------------------------------------------------
+
+
+def test_missing_compiler_is_an_import_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_kernel, "_CC", str(tmp_path / "no-such-cc"))
+    with pytest.raises(ImportError, match="no-such-cc"):
+        _kernel._load()
+    assert list((tmp_path / "plantprop").iterdir()) == []
+
+
+def test_cache_hit_starts_no_compiler(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _kernel._load()
+    assert [p.suffix for p in (tmp_path / "plantprop").iterdir()] == [".so"]
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran on a cache hit")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    lib = _kernel._load()
+    assert lib.ppa_eval(0, 2, (ctypes.c_double * 2)(3.0, 4.0)) == 25.0
+
+
+def test_concurrent_first_imports_share_the_cache(tmp_path):
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=SRC)
+    code = "from plantprop import engine; assert engine.KERNEL_ERROR is None"
+    procs = [
+        subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE)
+        for _ in range(4)
+    ]
+    errors = [proc.communicate(timeout=120)[1] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0] * 4, errors
+    assert [p.suffix for p in (tmp_path / "plantprop").iterdir()] == [".so"]
 
 
 # -- backend resolution -------------------------------------------------------
@@ -157,6 +287,14 @@ def test_auto_skips_python_engine_for_registered_functions(monkeypatch):
     assert result.evaluations_used == 60
 
 
+def test_unavailable_kernel_error_names_the_reason(monkeypatch):
+    monkeypatch.setattr(engine, "HAVE_KERNEL", False)
+    monkeypatch.setattr(engine, "KERNEL_ERROR", "cc: not found")
+    with pytest.raises(RuntimeError, match="cc: not found"):
+        engine.run(PpaConfig(budget=50), make_function("sphere", 2), 1, backend="compiled")
+
+
 def test_default_backend_reflects_build():
     assert engine.HAVE_KERNEL
+    assert engine.KERNEL_ERROR is None
     assert engine.DEFAULT_BACKEND == "compiled"
