@@ -182,14 +182,16 @@ typedef struct {
     size_t idx;
 } sort_item;
 
-/* lowest objective first, ties to earlier creation: a total order, so
-   qsort's instability cannot show */
+/* lowest objective first, nan ranked as +inf, ties to earlier creation: a
+   total order, so qsort's instability cannot show */
 static int cmp_item(const void *pa, const void *pb)
 {
     const sort_item *a = pa, *b = pb;
-    if (a->obj < b->obj)
+    double x = isnan(a->obj) ? INFINITY : a->obj;
+    double y = isnan(b->obj) ? INFINITY : b->obj;
+    if (x < y)
         return -1;
-    if (a->obj > b->obj)
+    if (x > y)
         return 1;
     if (a->idx < b->idx)
         return -1;
@@ -291,12 +293,12 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     double *newpos = NULL; /* pop x dim */
     double *newobj = NULL; /* pop */
     double *fits = NULL;   /* pop: normalized objective, then fitness */
-    sort_item *items = NULL;
+    sort_item *items = NULL; /* pop + slots: parents, then candidates */
     int64_t evals = 0, cnt, k;
     double best = INFINITY;
-    double s, fmin, fmax, span, val, u, r, dd, xx, fi, cnt_d;
-    size_t i, j, n_off, pool, src;
-    int status = PPA_OK;
+    double s, fmin, fmax, span, val, u, r, dd, xx, fi, cnt_d, worst;
+    size_t i, j, n_off, end, a, b, src;
+    int parents_sorted = 0, status = PPA_OK;
 
     rng_seed(&rng, seed);
 
@@ -410,15 +412,40 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
             }
         }
 
-        /* survivors: pop_size lowest objectives, ties to earlier creation */
-        pool = pop + n_off;
-        for (i = 0; i < pool; i++) {
+        /*
+         * Survivors: the pop_size lowest (objective, creation index) pairs,
+         * the same set and order as the full sort in core.select_survivors.
+         * After the first selection the parents already sit in that order,
+         * so only the first generation sorts them. An offspring that does
+         * not beat the worst parent can never survive (a tie goes to the
+         * parent, created earlier; nan beats nothing), so only the few
+         * below it are sorted, then merged in with parents first on ties.
+         */
+        for (i = 0; i < pop; i++) {
             items[i].obj = obj[i];
             items[i].idx = i;
         }
-        qsort(items, pool, sizeof(sort_item), cmp_item);
+        if (!parents_sorted) {
+            qsort(items, pop, sizeof(sort_item), cmp_item);
+            parents_sorted = 1;
+        }
+        worst = items[pop - 1].obj;
+        end = pop;
+        for (i = pop; i < pop + n_off; i++) {
+            if (obj[i] < worst) {
+                items[end].obj = obj[i];
+                items[end].idx = i;
+                end++;
+            }
+        }
+        qsort(items + pop, end - pop, sizeof(sort_item), cmp_item);
+        a = 0;
+        b = pop;
         for (i = 0; i < pop; i++) {
-            src = items[i].idx;
+            if (b == end || items[a].obj <= items[b].obj)
+                src = items[a++].idx;
+            else
+                src = items[b++].idx;
             newobj[i] = obj[src];
             for (j = 0; j < d; j++)
                 newpos[i * d + j] = pos[src * d + j];

@@ -245,6 +245,9 @@ FUNCTION_NAMES = SCALABLE_NAMES + FIXED_2D_NAMES
 
 FUNCTION_IDS = {name: i for i, name in enumerate(FUNCTION_NAMES)}
 
+# name -> the registered formula's callable
+FORMULAS = {name: entry[0] for name, entry in {**_SCALABLE, **_FIXED_2D}.items()}
+
 
 def make_function(name: str, dimension: int = 2) -> BenchmarkFunction:
     """Build a registered benchmark function.

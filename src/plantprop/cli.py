@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -45,18 +44,6 @@ def _env_seed() -> int | None:
         return int(raw, 0)
     except ValueError:
         raise CliError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _factor_label(factor: float) -> str:
-    if factor == math.inf:
-        return "vanilla"
-    if factor == int(factor):
-        return str(int(factor))
-    return f"{factor:g}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -196,18 +183,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if schedule.mode == "vanilla":
         label = "vanilla"
     else:
-        label = f"linear, factor {_factor_label(schedule.factor)}"
-    point = "(" + ", ".join(_fmt(v) for v in result.best_point) + ")"
+        label = f"linear, factor {report.factor_label(schedule.factor)}"
+    point = "(" + ", ".join(report.format_float(v) for v in result.best_point) + ")"
     print(f"function     {function.name} (n={function.dimension})")
     print(f"schedule     {label}")
     print(f"seed         {seed}")
-    print(f"best value   {_fmt(result.best_value)}")
+    print(f"best value   {report.format_float(result.best_value)}")
     print(f"best point   {point}")
     print(f"evaluations  {result.evaluations_used}")
 
     if args.trajectory:
         lines = ["evaluation,best_value"]
-        lines += [f"{i},{_fmt(v)}" for i, v in result.trajectory]
+        lines += [f"{i},{report.format_float(v)}" for i, v in result.trajectory]
         Path(args.trajectory).write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"trajectory   {args.trajectory}")
     return 0
@@ -264,7 +251,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return
         print(
             f"[{done:>{width}}/{count}] {cell.function:<14} "
-            f"factor {_factor_label(cell.factor):>7}  "
+            f"factor {report.factor_label(cell.factor):>7}  "
             f"median {cell.median:.6e}  ({elapsed:.1f}s)",
             flush=True,
         )

@@ -170,14 +170,27 @@ def select_survivors(
     """Keep the pop_size lowest-objective individuals from parents+offspring.
 
     Ties break toward earlier creation (parents before offspring, then
-    insertion order), which makes selection fully deterministic.
+    insertion order), which makes selection fully deterministic. A nan
+    objective ranks as +inf, so it never displaces a finite one.
+
+    This plain sort of the whole pool is the reference. The C core reaches
+    the same survivors in the same order without it: after the first
+    selection the parents are already in this order, and an offspring
+    not below the worst parent cannot survive, since a tie goes to the
+    parent. So it sorts only the offspring below the worst parent and
+    merges them into the parents, taking the parent on a tie.
     """
     pool = list(parents) + list(offspring)
     if len(pool) < pop_size:
         raise ValueError(
             f"selection pool of {len(pool)} cannot fill a population of {pop_size}"
         )
-    order = sorted(range(len(pool)), key=lambda i: (pool[i].objective, i))
+
+    def rank(i: int) -> tuple[float, int]:
+        value = pool[i].objective
+        return (math.inf if math.isnan(value) else value, i)
+
+    order = sorted(range(len(pool)), key=rank)
     return [pool[i] for i in order[:pop_size]]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from . import core
-from .benchmarks import FUNCTION_IDS, BenchmarkFunction
+from .benchmarks import FORMULAS, FUNCTION_IDS, BenchmarkFunction
 from .core import PpaConfig, RunResult
 from .rng import MASK64
 
@@ -29,8 +29,20 @@ DEFAULT_BACKEND = "compiled" if HAVE_KERNEL else "python"
 BACKENDS = ("auto", "compiled", "python")
 
 
+def _kernel_id(function: BenchmarkFunction) -> int | None:
+    """The C core's id for the function's formula; None for a custom callable.
+
+    The name alone does not decide: a function built with a registered
+    name and its own callable must not run the built-in formula.
+    """
+    func_id = FUNCTION_IDS.get(function.name)
+    if func_id is None or function._fn is not FORMULAS[function.name]:
+        return None
+    return func_id
+
+
 def _can_compile(function: BenchmarkFunction) -> bool:
-    return HAVE_KERNEL and FUNCTION_IDS.get(function.name) is not None
+    return HAVE_KERNEL and _kernel_id(function) is not None
 
 
 def run(
@@ -43,9 +55,10 @@ def run(
     """Run one optimization with an explicit or automatically chosen backend.
 
     `auto` picks the compiled kernel when it loaded, the function is one
-    of the registered benchmarks, and no observer is attached; otherwise it
-    falls back to the Python engine. Requesting `compiled` in a situation
-    the kernel cannot handle is an error rather than a silent fallback.
+    of the registered benchmarks with its built-in formula (on any bounds),
+    and no observer is attached; otherwise it falls back to the Python
+    engine. Requesting `compiled` in a situation the kernel cannot handle
+    is an error rather than a silent fallback.
     """
     if backend not in BACKENDS:
         raise ValueError(
@@ -65,11 +78,11 @@ def run(
         )
     if observer is not None:
         raise ValueError("the compiled backend does not support observers")
-    func_id = FUNCTION_IDS.get(function.name)
+    func_id = _kernel_id(function)
     if func_id is None:
         raise ValueError(
-            f"the compiled backend only handles registered benchmark "
-            f"functions, not {function.name!r}"
+            f"the compiled backend only runs registered benchmark functions "
+            f"with their built-in formula; {function.name!r} is not one"
         )
 
     linear = config.schedule.mode == "linear"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -291,6 +290,10 @@ def run_sweep(
             collected[(fidx, facidx)] = cell
             note(cell)
     else:
+        # imported here: concurrent.futures pulls in multiprocessing, which
+        # a serial sweep or a plot never needs
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_cell, args_for(key)) for key in cells]
             for future in as_completed(futures):

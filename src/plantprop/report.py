@@ -70,13 +70,13 @@ def build_table(results: Sequence[CellResult]) -> HeatmapTable:
     return HeatmapTable(functions, factors, medians, finals)
 
 
-def _fmt(value: float) -> str:
+def format_float(value: float) -> str:
     # 17 significant digits round-trip any double exactly
     return f"{value:.17g}"
 
 
 def _fmt_factor(factor: float) -> str:
-    return "inf" if factor == VANILLA else _fmt(factor)
+    return "inf" if factor == VANILLA else format_float(factor)
 
 
 def write_csv(table: HeatmapTable, path: str | Path) -> Path:
@@ -89,8 +89,8 @@ def write_csv(table: HeatmapTable, path: str | Path) -> Path:
     for function in table.functions:
         for factor in table.factors:
             key = (function, factor)
-            row = [function, _fmt_factor(factor), _fmt(table.medians[key])]
-            row += [_fmt(v) for v in table.finals[key]]
+            row = [function, _fmt_factor(factor), format_float(table.medians[key])]
+            row += [format_float(v) for v in table.finals[key]]
             lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -236,7 +236,7 @@ def _esc(text: str) -> str:
     )
 
 
-def _factor_label(factor: float) -> str:
+def factor_label(factor: float) -> str:
     if factor == VANILLA:
         return "vanilla"
     if factor == int(factor):
@@ -303,7 +303,7 @@ def _render_rows(
             f'<text x="{x}" y="{axis_y + 8}" font-family="monospace" '
             f'font-size="9" fill="#000000" text-anchor="end" '
             f'transform="rotate(-60 {x} {axis_y + 8})">'
-            f"{_factor_label(factor)}</text>"
+            f"{factor_label(factor)}</text>"
         )
     parts.append(
         f'<text x="{_LEFT}" y="{height - 10}" font-family="monospace" '

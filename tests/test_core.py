@@ -256,6 +256,16 @@ def test_select_rejects_undersized_pool():
         select_survivors(_pop([1.0]), [], 2)
 
 
+def test_select_ranks_nan_as_inf():
+    parents = _pop([1.0, 2.0, 3.0])
+    offspring = _pop([math.nan, 0.5, math.inf, math.nan, 2.5])
+    got = select_survivors(parents, offspring, 5)
+    assert [ind.objective for ind in got] == [0.5, 1.0, 2.0, 2.5, 3.0]
+    # past the finite values: +inf and nan tie, so creation order decides
+    got = select_survivors(parents, offspring, 8)
+    assert got[5:] == [offspring[0], offspring[2], offspring[3]]
+
+
 # -- run_ppa -----------------------------------------------------------------
 
 
@@ -311,6 +321,29 @@ def test_run_observer_sees_constant_population_in_bounds():
     run_ppa(config, fn, seed=5, observer=observer)
     assert seen
     assert seen[-1] == 400
+
+
+def test_run_drops_nan_offspring():
+    calls = 0
+
+    def objective(x):
+        nonlocal calls
+        calls += 1
+        if calls > 10 and calls % 3 == 0:  # some offspring, never a parent
+            return math.nan
+        return x[0] * x[0] + x[1] * x[1]
+
+    fn = make_function("sphere", 2)
+    custom = type(fn)("nan-sphere", 2, fn.bounds, 0.0, ((0.0, 0.0),), objective)
+    seen = []
+
+    def observer(evals, population):
+        seen.append(evals)
+        assert not any(math.isnan(ind.objective) for ind in population)
+
+    result = run_ppa(PpaConfig(budget=600, pop_size=10), custom, 3, observer)
+    assert seen[-1] == result.evaluations_used == 600
+    assert math.isfinite(result.best_value)
 
 
 def test_run_propagates_objective_errors():

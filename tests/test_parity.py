@@ -125,6 +125,19 @@ def run_cases(draw):
     )
 )
 @example(case=(make_function("ackley", 7), PpaConfig(budget=40, pop_size=40), 5))
+# tie-heavy selection: on easom's default box most values underflow to +-0.0
+@example(
+    case=(
+        make_function("easom"),
+        PpaConfig(budget=3000, schedule=SteepeningSchedule.linear(300.0)),
+        7,
+    )
+)
+@example(case=(make_function("easom"), PpaConfig(budget=3000, pop_size=64, n_max=40), 8))
+@example(case=(make_function("sphere", 3), PpaConfig(budget=500, pop_size=1, n_max=8), 9))
+@example(
+    case=(make_function("rastrigin", 4), PpaConfig(budget=5000, pop_size=6, n_max=1000), 3)
+)
 def test_random_runs_are_bit_identical(case):
     fn, config, seed = case
     assert engine.run(config, fn, seed, backend="compiled") == run_ppa(config, fn, seed)
@@ -240,6 +253,17 @@ def test_compiled_rejects_unregistered_function():
         engine.run(PpaConfig(budget=50), custom, 1, backend="compiled")
 
 
+def test_registered_name_with_custom_callable_is_not_compiled():
+    fn = dataclasses.replace(
+        make_function("sphere", 2), _fn=lambda x: -sum(v * v for v in x)
+    )
+    config = PpaConfig(budget=200)
+    assert engine.run(config, fn, 1) == run_ppa(config, fn, 1)
+    assert engine.run(config, fn, 1).best_value < 0.0
+    with pytest.raises(ValueError, match="sphere"):
+        engine.run(config, fn, 1, backend="compiled")
+
+
 def test_auto_uses_python_engine_for_observers(monkeypatch):
     fn = make_function("sphere", 2)
     calls = []
@@ -285,6 +309,8 @@ def test_auto_skips_python_engine_for_registered_functions(monkeypatch):
     monkeypatch.setattr(engine.core, "run_ppa", forbidden)
     result = engine.run(PpaConfig(budget=60), fn, 1)
     assert result.evaluations_used == 60
+    boxed = dataclasses.replace(fn, bounds=Bounds((-1.0, -1.0), (1.0, 1.0)))
+    assert engine.run(PpaConfig(budget=60), boxed, 1).evaluations_used == 60
 
 
 def test_unavailable_kernel_error_names_the_reason(monkeypatch):
