@@ -21,7 +21,7 @@ import importlib.util
 import os
 from pathlib import Path
 
-from .benchmarks import FUNCTION_NAMES, SCALABLE_NAMES
+from .benchmarks import FUNCTION_NAMES, SCALABLE_NAMES, check_bound_pairs
 from .rng import MASK64
 
 _SOURCE = Path(__file__).with_name("_ppa.c")
@@ -102,7 +102,7 @@ def _load() -> ctypes.CDLL:
         f64_p,  # the non-finite objective value
     ]
     lib.ppa_run.restype = ctypes.c_int
-    lib.ppa_eval.argtypes = [ctypes.c_int, i64, f64_p]
+    lib.ppa_eval.argtypes = [ctypes.c_int, i64, f64_p, f64_p]  # ..., x, scratch
     lib.ppa_eval.restype = f64
     lib.ppa_rng_u64.argtypes = [u64, ctypes.c_size_t, ctypes.POINTER(u64)]
     lib.ppa_rng_u64.restype = None
@@ -147,7 +147,8 @@ def eval_function(func_id: int, x) -> float:
     """Evaluate benchmark `func_id` at point x (parity tests)."""
     n = len(x)
     _check_function(func_id, n)
-    return _lib.ppa_eval(func_id, n, (ctypes.c_double * n)(*x))
+    vector = ctypes.c_double * n
+    return _lib.ppa_eval(func_id, n, vector(*x), vector())
 
 
 def run(func_id, dim, lower, upper, pop_size, n_max, budget, linear, factor, seed):
@@ -159,6 +160,8 @@ def run(func_id, dim, lower, upper, pop_size, n_max, budget, linear, factor, see
     _check_function(func_id, dim)
     if len(lower) != dim or len(upper) != dim:
         raise ValueError(f"bounds must have {dim} entries each")
+    # the C core's branchless clamp equals core.mutate's only when lower < upper
+    check_bound_pairs(lower, upper)
     _check_count("pop_size", pop_size, 1)
     _check_count("n_max", n_max, 1)
     _check_count("budget", budget, 0)

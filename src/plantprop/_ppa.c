@@ -7,11 +7,16 @@
  * calls), so a run here is bit-identical to the pure-Python engine. Keep the
  * four files in lockstep when touching any formula.
  *
+ * Values that stay the same for a whole run (the ellipse weights, the
+ * griewank divisors, the box widths) are computed once per run into tables
+ * instead of once per coordinate. Each table entry is the same double the
+ * Python expression computes inline, so hoisting changes no result.
+ *
  * Build without -ffast-math and with -ffp-contract=off: IEEE semantics are
  * part of the contract, and a fused multiply-add rounds once where Python
  * rounds twice. _kernel.py compiles and loads it, and validates every
- * argument (function id, dimension, buffer lengths, counts >= 1) before the
- * call; sizes derived here are checked here.
+ * argument (function id, dimension, buffer lengths, counts >= 1, every
+ * lower[j] < upper[j]) before the call; sizes derived here are checked here.
  */
 
 #include <math.h>
@@ -87,8 +92,23 @@ static double rng_uniform(rng_t *r)
     return (double)(rng_u64(r) >> 11) * 0x1.0p-53;
 }
 
-/* ids follow benchmarks.FUNCTION_NAMES order */
-static double eval(int fid, int64_t n, const double *x)
+/* the per-run constants eval reads from w: ellipse weights, griewank
+   divisors (n doubles; other functions use none) */
+static void fill_table(int fid, int64_t n, double *w)
+{
+    int64_t i;
+
+    if (fid == 2) {
+        for (i = 0; i < n; i++)
+            w[i] = pow(10.0, 6.0 * (double)i / (double)(n - 1));
+    } else if (fid == 4) {
+        for (i = 0; i < n; i++)
+            w[i] = sqrt((double)i + 1.0);
+    }
+}
+
+/* ids follow benchmarks.FUNCTION_NAMES order; w as filled by fill_table */
+static double eval(int fid, int64_t n, const double *x, const double *w)
 {
     double s = 0.0, s2 = 0.0, p = 1.0;
     double x1, x2, a, b, t, t1, t2, u, v, d1, d2, xi;
@@ -105,7 +125,7 @@ static double eval(int fid, int64_t n, const double *x)
         return x[0] * x[0] + 1.0e6 * s;
     case 2: /* ellipse */
         for (i = 0; i < n; i++)
-            s += pow(10.0, 6.0 * (double)i / (double)(n - 1)) * (x[i] * x[i]);
+            s += w[i] * (x[i] * x[i]);
         return s;
     case 3: /* tablet */
         for (i = 1; i < n; i++)
@@ -115,7 +135,7 @@ static double eval(int fid, int64_t n, const double *x)
         for (i = 0; i < n; i++) {
             xi = x[i];
             s += xi * xi;
-            p *= cos(xi / sqrt((double)i + 1.0));
+            p *= cos(xi / w[i]);
         }
         return s / 4000.0 - p + 1.0;
     case 5: /* rosenbrock */
@@ -258,10 +278,12 @@ void ppa_rng_uniform(uint64_t seed, size_t n, double *out)
         out[i] = rng_uniform(&rng);
 }
 
-/* eval stays static so that the run loop can inline it */
-double ppa_eval(int fid, int64_t n, const double *x)
+/* eval stays static so that the run loop can inline it; table is n doubles
+   of scratch for the constants, filled here as ppa_run fills its own */
+double ppa_eval(int fid, int64_t n, const double *x, double *table)
 {
-    return eval(fid, n, x);
+    fill_table(fid, n, table);
+    return eval(fid, n, x, table);
 }
 
 void ppa_free(void *p)
@@ -293,6 +315,8 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     double *newpos = NULL; /* pop x dim */
     double *newobj = NULL; /* pop */
     double *fits = NULL;   /* pop: normalized objective, then fitness */
+    double *width = NULL;  /* dim: upper - lower */
+    double *table = NULL;  /* dim: fill_table's constants */
     sort_item *items = NULL; /* pop + slots: parents, then candidates */
     int64_t evals = 0, cnt, k;
     double best = INFINITY;
@@ -313,19 +337,24 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     newpos = alloc_array(pop, d, sizeof(double));
     newobj = alloc_array(pop, 1, sizeof(double));
     fits = alloc_array(pop, 1, sizeof(double));
+    width = alloc_array(d, 1, sizeof(double));
+    table = alloc_array(d, 1, sizeof(double));
     if (pos == NULL || obj == NULL || items == NULL || newpos == NULL
-        || newobj == NULL || fits == NULL) {
+        || newobj == NULL || fits == NULL || width == NULL || table == NULL) {
         status = PPA_NOMEM;
         goto done;
     }
+    for (j = 0; j < d; j++)
+        width[j] = upper[j] - lower[j];
+    fill_table(fid, dim, table);
 
     /* uniform initialization, evaluating in creation order */
     for (i = 0; i < pop; i++) {
         for (j = 0; j < d; j++) {
             u = rng_uniform(&rng);
-            pos[i * d + j] = lower[j] + u * (upper[j] - lower[j]);
+            pos[i * d + j] = lower[j] + u * width[j];
         }
-        val = eval(fid, dim, &pos[i * d]);
+        val = eval(fid, dim, &pos[i * d], table);
         evals++;
         obj[i] = val;
         if (val < best) {
@@ -389,14 +418,15 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                 for (j = 0; j < d; j++) {
                     u = rng_uniform(&rng);
                     dd = 2.0 * (u - 0.5) * (1.0 - fi);
-                    xx = pos[i * d + j] + (upper[j] - lower[j]) * dd;
-                    if (xx < lower[j])
-                        xx = lower[j];
-                    else if (xx > upper[j])
-                        xx = upper[j];
+                    xx = pos[i * d + j] + width[j] * dd;
+                    /* the clamp of core.mutate, without a branch (minsd and
+                       maxsd); the same result as if/else if, nan included,
+                       because _kernel.run ensures lower[j] < upper[j] */
+                    xx = xx < lower[j] ? lower[j] : xx;
+                    xx = xx > upper[j] ? upper[j] : xx;
                     child[j] = xx;
                 }
-                val = eval(fid, dim, child);
+                val = eval(fid, dim, child, table);
                 evals++;
                 obj[pop + n_off] = val;
                 if (val < best) {
@@ -471,6 +501,8 @@ done:
     free(newpos);
     free(newobj);
     free(fits);
+    free(width);
+    free(table);
     if (status != PPA_OK) {
         free(traj.steps);
         traj.steps = NULL;

@@ -33,6 +33,13 @@ _SHC_F = -1.0316284534898774
 _BRANIN_F = 0.3978873577297383
 
 
+def check_bound_pairs(lower: Sequence[float], upper: Sequence[float]) -> None:
+    """Raise ValueError unless lower[j] < upper[j] for every j (nan fails)."""
+    for a, b in zip(lower, upper):
+        if not a < b:
+            raise ValueError(f"invalid bound pair [{a}, {b}]")
+
+
 @dataclass(frozen=True)
 class Bounds:
     """Per-dimension box constraints, lower strictly below upper."""
@@ -43,9 +50,7 @@ class Bounds:
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
             raise ValueError("bound vectors differ in length")
-        for a, b in zip(self.lower, self.upper):
-            if not a < b:
-                raise ValueError(f"invalid bound pair [{a}, {b}]")
+        check_bound_pairs(self.lower, self.upper)
 
     def __len__(self) -> int:
         return len(self.lower)

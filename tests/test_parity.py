@@ -55,7 +55,7 @@ def test_uniform_stream_matches(seed):
 @pytest.mark.parametrize("name", FUNCTION_NAMES)
 def test_function_values_match_to_the_bit(name):
     rnd = random.Random(FUNCTION_IDS[name] + 1)
-    dims = (2, 3, 7) if name in SCALABLE_NAMES else (2,)
+    dims = (2, 3, 7, 30) if name in SCALABLE_NAMES else (2,)
     for dim in dims:
         fn = make_function(name, dim)
         for _ in range(200):
@@ -90,6 +90,28 @@ def test_longer_run_with_scalable_dimension():
     py = run_ppa(config, fn, seed=11)
     cy = engine.run(config, fn, seed=11, backend="compiled")
     assert py == cy
+
+
+@pytest.mark.parametrize("name", SCALABLE_NAMES)
+def test_runs_at_thirty_dimensions_are_bit_identical(name):
+    fn = make_function(name, 30)
+    for schedule in (SteepeningSchedule.vanilla(), SteepeningSchedule.linear(150.0)):
+        config = PpaConfig(budget=600, schedule=schedule)
+        cy = engine.run(config, fn, 21, backend="compiled")
+        assert cy == run_ppa(config, fn, 21), (name, schedule.mode)
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    [((-1.0, 2.0), (1.0, -2.0)), ((-1.0, math.nan), (1.0, 1.0))],
+    ids=["reversed", "nan"],
+)
+def test_kernel_rejects_bounds_that_bounds_rejects(lower, upper):
+    with pytest.raises(ValueError) as expected:
+        Bounds(lower, upper)
+    with pytest.raises(ValueError) as got:
+        _kernel.run(0, 2, lower, upper, 30, 5, 100, False, 1.0, 1)
+    assert str(got.value) == str(expected.value)
 
 
 @st.composite
@@ -207,7 +229,8 @@ def test_cache_hit_starts_no_compiler(tmp_path, monkeypatch):
 
     monkeypatch.setattr(subprocess, "run", no_compiler)
     lib = _kernel._load()
-    assert lib.ppa_eval(0, 2, (ctypes.c_double * 2)(3.0, 4.0)) == 25.0
+    vector = ctypes.c_double * 2
+    assert lib.ppa_eval(0, 2, vector(3.0, 4.0), vector()) == 25.0
 
 
 def test_concurrent_first_imports_share_the_cache(tmp_path):
