@@ -19,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import importlib.util
 import os
+import struct
 from pathlib import Path
 
 from .benchmarks import FUNCTION_NAMES, SCALABLE_NAMES, check_bound_pairs
@@ -33,11 +34,10 @@ _COMPILE_TIMEOUT_S = 300
 _INT64_MAX = 2**63 - 1
 
 # ppa_run's error codes (0 is success)
-_NONFINITE, _NOMEM = 1, 2
+_NONFINITE, _NOMEM, _BADSTEEP = 1, 2, 3
 
-
-class _Step(ctypes.Structure):
-    _fields_ = [("evals", ctypes.c_int64), ("value", ctypes.c_double)]
+# _ppa.c's ppa_step: int64 evaluation index, then the double best so far
+_STEP = struct.Struct("=qd")
 
 
 def _cache_dir() -> Path:
@@ -98,8 +98,8 @@ def _load() -> ctypes.CDLL:
         i64, i64, i64,  # pop_size, n_max, budget
         ctypes.c_int, f64, u64,  # linear, factor, seed
         f64_p, f64_p, ctypes.POINTER(i64),  # best value, best point, evals
-        ctypes.POINTER(ctypes.POINTER(_Step)), ctypes.POINTER(i64),  # trajectory
-        f64_p,  # the non-finite objective value
+        ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(i64),  # trajectory
+        f64_p,  # the non-finite objective value or the bad steepness
     ]
     lib.ppa_run.restype = ctypes.c_int
     lib.ppa_eval.argtypes = [ctypes.c_int, i64, f64_p, f64_p]  # ..., x, scratch
@@ -155,7 +155,8 @@ def run(func_id, dim, lower, upper, pop_size, n_max, budget, linear, factor, see
     """Generational loop; same semantics and draw order as the pure engine.
 
     Returns (best_value, best_point, trajectory, evaluations_used) with the
-    trajectory as a list of (evaluation_index, best_so_far) tuples.
+    trajectory as a tuple of (evaluation_index, best_so_far) pairs of int
+    and float, ready for RunResult.
     """
     _check_function(func_id, dim)
     if len(lower) != dim or len(upper) != dim:
@@ -169,7 +170,7 @@ def run(func_id, dim, lower, upper, pop_size, n_max, budget, linear, factor, see
     best = ctypes.c_double()
     best_point = (ctypes.c_double * dim)()
     evals = ctypes.c_int64()
-    steps = ctypes.POINTER(_Step)()
+    steps = ctypes.c_void_p()
     n_steps = ctypes.c_int64()
     bad = ctypes.c_double()
     status = _lib.ppa_run(
@@ -181,12 +182,19 @@ def run(func_id, dim, lower, upper, pop_size, n_max, budget, linear, factor, see
     try:
         if status == _NONFINITE:
             raise ValueError(f"objective produced a non-finite value: {bad.value}")
+        if status == _BADSTEEP:
+            raise ValueError(
+                f"steepness {bad.value!r} gives a non-finite fitness: "
+                f"factor {factor!r} is too small for budget {budget}"
+            )
         if status == _NOMEM:
             raise MemoryError(
                 f"cannot allocate the buffers for pop_size={pop_size}, "
                 f"n_max={n_max}, budget={budget}, dimension={dim}"
             )
-        trajectory = [(step.evals, step.value) for step in steps[: n_steps.value]]
+        trajectory = tuple(
+            _STEP.iter_unpack(ctypes.string_at(steps, _STEP.size * n_steps.value))
+        )
     finally:
         _lib.ppa_free(steps)
     point = tuple(best_point) if best.value < float("inf") else ()

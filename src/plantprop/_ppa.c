@@ -12,6 +12,13 @@
  * instead of once per coordinate. Each table entry is the same double the
  * Python expression computes inline, so hoisting changes no result.
  *
+ * Survivor selection reaches core.select_survivors' order without sorting
+ * the whole pool (see the comment in ppa_run): an inlined Shell sort orders
+ * the few candidates without qsort's call per comparison, and the parents
+ * swap buffers with the survivors instead of copying them back. eval is
+ * forced inline into the run loop, so the objective costs no call per
+ * offspring.
+ *
  * Build without -ffast-math and with -ffp-contract=off: IEEE semantics are
  * part of the contract, and a fused multiply-add rounds once where Python
  * rounds twice. _kernel.py compiles and loads it, and validates every
@@ -26,8 +33,15 @@
 enum {
     PPA_OK = 0,
     PPA_NONFINITE = 1, /* a parent's objective is inf or nan; see *bad_value */
-    PPA_NOMEM = 2      /* a buffer size overflows or an allocation failed */
+    PPA_NOMEM = 2,     /* a buffer size overflows or an allocation failed */
+    PPA_BADSTEEP = 3   /* the steepness in *bad_value gives a nan fitness */
 };
+
+#ifdef __GNUC__
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
 
 /* exact doubles of math.pi / math.e */
 #define PI 3.141592653589793
@@ -108,7 +122,8 @@ static void fill_table(int fid, int64_t n, double *w)
 }
 
 /* ids follow benchmarks.FUNCTION_NAMES order; w as filled by fill_table */
-static double eval(int fid, int64_t n, const double *x, const double *w)
+static ALWAYS_INLINE double eval(int fid, int64_t n, const double *x,
+                                 const double *w)
 {
     double s = 0.0, s2 = 0.0, p = 1.0;
     double x1, x2, a, b, t, t1, t2, u, v, d1, d2, xi;
@@ -202,32 +217,46 @@ typedef struct {
     size_t idx;
 } sort_item;
 
-/* lowest objective first, nan ranked as +inf, ties to earlier creation: a
-   total order, so qsort's instability cannot show */
-static int cmp_item(const void *pa, const void *pb)
+/* a before b: lower objective, ties to earlier creation. ppa_run sorts no
+   nan key, so this is core.select_survivors' rank, which puts nan last. */
+static ALWAYS_INLINE int item_before(sort_item a, sort_item b)
 {
-    const sort_item *a = pa, *b = pb;
-    double x = isnan(a->obj) ? INFINITY : a->obj;
-    double y = isnan(b->obj) ? INFINITY : b->obj;
-    if (x < y)
-        return -1;
-    if (x > y)
-        return 1;
-    if (a->idx < b->idx)
-        return -1;
-    if (a->idx > b->idx)
-        return 1;
-    return 0;
+    return a.obj < b.obj || (a.obj == b.obj && a.idx < b.idx);
 }
 
-/* rows * cols elements of elem bytes, or NULL if that overflows size_t */
+/*
+ * Shell sort by item_before, with Knuth's gaps 1, 4, 13, 40, ...: on the
+ * few items a generation usually sorts it is an insertion sort (a plain one
+ * below six items) with no call per comparison, and the gaps keep a large
+ * population from costing quadratic time. The order is total, so the result
+ * is the one any correct sort gives.
+ */
+static ALWAYS_INLINE void sort_items(sort_item *v, size_t n)
+{
+    size_t gap = 1, i, k;
+    sort_item t;
+
+    while (gap < n / 3)
+        gap = 3 * gap + 1;
+    for (; gap > 0; gap /= 3) {
+        for (i = gap; i < n; i++) {
+            t = v[i];
+            for (k = i; k >= gap && item_before(t, v[k - gap]); k -= gap)
+                v[k] = v[k - gap];
+            v[k] = t;
+        }
+    }
+}
+
+/* rows * cols elements of elem bytes, or NULL if that overflows size_t; an
+   empty array gets one byte, since malloc(0) may return NULL */
 static void *alloc_array(uint64_t rows, uint64_t cols, size_t elem)
 {
     if (cols != 0 && rows > SIZE_MAX / cols)
         return NULL;
     if (rows * cols > SIZE_MAX / elem)
         return NULL;
-    return malloc((size_t)(rows * cols) * elem);
+    return malloc(rows * cols == 0 ? 1 : (size_t)(rows * cols) * elem);
 }
 
 /* one trajectory point: evaluation index and best value so far */
@@ -278,8 +307,8 @@ void ppa_rng_uniform(uint64_t seed, size_t n, double *out)
         out[i] = rng_uniform(&rng);
 }
 
-/* eval stays static so that the run loop can inline it; table is n doubles
-   of scratch for the constants, filled here as ppa_run fills its own */
+/* the exported entry to eval, for the parity tests; table is n doubles of
+   scratch for the constants, filled here as ppa_run fills its own */
 double ppa_eval(int fid, int64_t n, const double *x, double *table)
 {
     fill_table(fid, n, table);
@@ -297,7 +326,8 @@ void ppa_free(void *p)
  * Fills *best_value, best_point (dim doubles, written only when some value
  * beat +inf) and *evals_used, and hands over the trajectory in
  * *trajectory / *trajectory_len, which the caller releases with ppa_free.
- * Returns PPA_OK, PPA_NONFINITE with the offending value in *bad_value, or
+ * Returns PPA_OK, PPA_NONFINITE with the offending objective value in
+ * *bad_value, PPA_BADSTEEP with the offending steepness in *bad_value, or
  * PPA_NOMEM; on an error *trajectory is NULL.
  */
 int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
@@ -310,17 +340,20 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     trajectory_t traj = {NULL, 0, 0};
     uint64_t pop = (uint64_t)pop_size, d = (uint64_t)dim;
     uint64_t left, slots;
-    double *pos = NULL;    /* (pop + slots) x dim, parents first */
-    double *obj = NULL;    /* pop + slots */
-    double *newpos = NULL; /* pop x dim */
+    double *pos = NULL;    /* pop x dim: the parents */
+    double *obj = NULL;    /* pop */
+    double *newpos = NULL; /* pop x dim: the survivors, then swapped with pos */
     double *newobj = NULL; /* pop */
+    double *kidpos = NULL; /* slots x dim: this generation's offspring */
+    double *kidobj = NULL; /* slots */
     double *fits = NULL;   /* pop: normalized objective, then fitness */
     double *width = NULL;  /* dim: upper - lower */
     double *table = NULL;  /* dim: fill_table's constants */
     sort_item *items = NULL; /* pop + slots: parents, then candidates */
     int64_t evals = 0, cnt, k;
     double best = INFINITY;
-    double s, fmin, fmax, span, val, u, r, dd, xx, fi, cnt_d, worst;
+    double s, fmin, fmax, span, val, u, r, dd, xx, fi, cnt_d, worst, *swap;
+    const double *row;
     size_t i, j, n_off, end, a, b, src;
     int parents_sorted = 0, status = PPA_OK;
 
@@ -331,16 +364,19 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     left = budget > pop_size ? (uint64_t)(budget - pop_size) : 0;
     slots = (uint64_t)n_max > left / pop ? left : pop * (uint64_t)n_max;
 
-    pos = alloc_array(pop + slots, d, sizeof(double));
-    obj = alloc_array(pop + slots, 1, sizeof(double));
+    pos = alloc_array(pop, d, sizeof(double));
+    obj = alloc_array(pop, 1, sizeof(double));
     items = alloc_array(pop + slots, 1, sizeof(sort_item));
     newpos = alloc_array(pop, d, sizeof(double));
     newobj = alloc_array(pop, 1, sizeof(double));
+    kidpos = alloc_array(slots, d, sizeof(double));
+    kidobj = alloc_array(slots, 1, sizeof(double));
     fits = alloc_array(pop, 1, sizeof(double));
     width = alloc_array(d, 1, sizeof(double));
     table = alloc_array(d, 1, sizeof(double));
     if (pos == NULL || obj == NULL || items == NULL || newpos == NULL
-        || newobj == NULL || fits == NULL || width == NULL || table == NULL) {
+        || newobj == NULL || kidpos == NULL || kidobj == NULL || fits == NULL
+        || width == NULL || table == NULL) {
         status = PPA_NOMEM;
         goto done;
     }
@@ -393,8 +429,17 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
             for (i = 0; i < pop; i++)
                 fits[i] = (fmax - obj[i]) / span;
         }
-        for (i = 0; i < pop; i++)
-            fits[i] = 0.5 * (tanh(4.0 * s * fits[i] - 2.0 * s) + 1.0);
+        for (i = 0; i < pop; i++) {
+            fi = 0.5 * (tanh(4.0 * s * fits[i] - 2.0 * s) + 1.0);
+            /* PpaConfig rejects a schedule whose 4 * s overflows; this keeps
+               a nan away from the integer cast below whatever the caller */
+            if (isnan(fi)) {
+                *bad_value = s;
+                status = PPA_BADSTEEP;
+                goto done;
+            }
+            fits[i] = fi;
+        }
 
         n_off = 0;
         for (i = 0; i < pop; i++) {
@@ -414,7 +459,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                 double *child;
                 if (evals >= budget)
                     break;
-                child = &pos[(pop + n_off) * d];
+                child = &kidpos[n_off * d];
                 for (j = 0; j < d; j++) {
                     u = rng_uniform(&rng);
                     dd = 2.0 * (u - 0.5) * (1.0 - fi);
@@ -428,7 +473,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                 }
                 val = eval(fid, dim, child, table);
                 evals++;
-                obj[pop + n_off] = val;
+                kidobj[n_off] = val;
                 if (val < best) {
                     best = val;
                     for (j = 0; j < d; j++)
@@ -450,25 +495,29 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
          * not beat the worst parent can never survive (a tie goes to the
          * parent, created earlier; nan beats nothing), so only the few
          * below it are sorted, then merged in with parents first on ties.
+         * No key here is nan: the parents passed the check above and a
+         * candidate is below the worst of them (it may be -inf). Parent i
+         * has creation index i, offspring k has pop + k. The survivors go
+         * to newpos, which then trades places with pos.
          */
         for (i = 0; i < pop; i++) {
             items[i].obj = obj[i];
             items[i].idx = i;
         }
         if (!parents_sorted) {
-            qsort(items, pop, sizeof(sort_item), cmp_item);
+            sort_items(items, pop);
             parents_sorted = 1;
         }
         worst = items[pop - 1].obj;
         end = pop;
-        for (i = pop; i < pop + n_off; i++) {
-            if (obj[i] < worst) {
-                items[end].obj = obj[i];
-                items[end].idx = i;
+        for (i = 0; i < n_off; i++) {
+            if (kidobj[i] < worst) {
+                items[end].obj = kidobj[i];
+                items[end].idx = pop + i;
                 end++;
             }
         }
-        qsort(items + pop, end - pop, sizeof(sort_item), cmp_item);
+        sort_items(items + pop, end - pop);
         a = 0;
         b = pop;
         for (i = 0; i < pop; i++) {
@@ -476,15 +525,22 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                 src = items[a++].idx;
             else
                 src = items[b++].idx;
-            newobj[i] = obj[src];
+            if (src < pop) {
+                newobj[i] = obj[src];
+                row = &pos[src * d];
+            } else {
+                newobj[i] = kidobj[src - pop];
+                row = &kidpos[(src - pop) * d];
+            }
             for (j = 0; j < d; j++)
-                newpos[i * d + j] = pos[src * d + j];
+                newpos[i * d + j] = row[j];
         }
-        for (i = 0; i < pop; i++) {
-            obj[i] = newobj[i];
-            for (j = 0; j < d; j++)
-                pos[i * d + j] = newpos[i * d + j];
-        }
+        swap = pos;
+        pos = newpos;
+        newpos = swap;
+        swap = obj;
+        obj = newobj;
+        newobj = swap;
     }
 
     if (traj.len == 0 || traj.steps[traj.len - 1].evals != evals) {
@@ -500,6 +556,8 @@ done:
     free(items);
     free(newpos);
     free(newobj);
+    free(kidpos);
+    free(kidobj);
     free(fits);
     free(width);
     free(table);

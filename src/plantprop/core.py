@@ -34,6 +34,11 @@ class SteepeningSchedule:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.mode == "linear" and not self.factor > 0:
             raise ValueError("linear schedule requires factor > 0")
+        if self.mode == "linear" and math.isinf(self.factor):
+            raise ValueError(
+                "linear schedule requires a finite factor; for s = 1 use the "
+                "vanilla schedule (--vanilla)"
+            )
 
     @classmethod
     def vanilla(cls) -> "SteepeningSchedule":
@@ -69,6 +74,18 @@ class PpaConfig:
             raise ValueError("n_max must be >= 1")
         if self.budget < self.pop_size:
             raise ValueError("budget must cover at least the initial population")
+        if self.schedule.mode == "linear":
+            # the fitness computes 4*s*z - 2*s; once 4*s overflows it is nan
+            try:
+                s = self.budget / self.schedule.factor + 1.0
+            except OverflowError:  # a budget beyond the float range
+                s = math.inf
+            if not math.isfinite(4.0 * s):
+                raise ValueError(
+                    f"factor {self.schedule.factor!r} is too small for budget "
+                    f"{self.budget}: the steepness budget/factor + 1 = {s!r} "
+                    "overflows the fitness"
+                )
 
 
 @dataclass(frozen=True)

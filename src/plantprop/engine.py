@@ -100,8 +100,8 @@ def run(
     )
     return RunResult(
         best_value=best,
-        best_point=tuple(best_point),
-        trajectory=tuple((int(i), float(v)) for i, v in trajectory),
+        best_point=best_point,
+        trajectory=trajectory,
         evaluations_used=evals,
         seed=seed,
     )

@@ -73,8 +73,13 @@ class SweepSpec:
             raise ValueError("repeats must be >= 1")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        # delegates budget/pop_size/n_max checks
-        PpaConfig(budget=self.budget, pop_size=self.pop_size, n_max=self.n_max)
+        # delegates the budget/pop_size/n_max checks, and each factor's check
+        # against the budget, before any run
+        for factor in self.factors:
+            PpaConfig(
+                budget=self.budget, pop_size=self.pop_size, n_max=self.n_max,
+                schedule=_schedule_for(factor),
+            )
 
     @property
     def cell_count(self) -> int:
@@ -254,8 +259,6 @@ def run_sweep(
         raise ValueError("jobs must be >= 1")
     for name in spec.functions:
         make_function(name, spec.dimension)  # fail fast on bad identifiers
-    for factor in spec.factors:
-        _schedule_for(factor)
 
     seeds = cell_seeds(spec)
     cells = [

@@ -89,6 +89,12 @@ def test_run_rejects_undersized_budget(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_run_rejects_infinite_factor_and_points_to_vanilla(capsys):
+    code = main(["run", "--function", "sphere", "--factor", "inf"])
+    assert code == 1
+    assert "--vanilla" in capsys.readouterr().err
+
+
 def test_run_writes_trajectory(tmp_path, capsys):
     out_csv = tmp_path / "traj.csv"
     main(["run", "--function", "ackley", "--budget", "150", "--pop-size", "10",

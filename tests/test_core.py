@@ -91,6 +91,8 @@ def test_schedule_validation():
         SteepeningSchedule("linear", 0.0)
     with pytest.raises(ValueError):
         SteepeningSchedule("cosine", 5.0)
+    with pytest.raises(ValueError, match="--vanilla"):
+        SteepeningSchedule.linear(math.inf)
 
 
 # -- fitness -----------------------------------------------------------------
@@ -368,3 +370,18 @@ def test_config_validation():
         PpaConfig(budget=100, pop_size=0)
     with pytest.raises(ValueError):
         PpaConfig(budget=100, n_max=0)
+    # a budget beyond the float range overflows the steepness too
+    with pytest.raises(ValueError, match="too small"):
+        PpaConfig(budget=10**400, schedule=SteepeningSchedule.linear(100.0))
+
+
+@pytest.mark.parametrize("factor", [1e-320, 1e-306, 3e-306])
+def test_config_rejects_a_steepness_that_overflows_the_fitness(factor):
+    with pytest.raises(ValueError, match="too small for budget 300"):
+        PpaConfig(budget=300, schedule=SteepeningSchedule.linear(factor))
+
+
+def test_config_accepts_the_smallest_factors_that_stay_finite():
+    # 4 * (300/1e-300 + 1) is still finite
+    config = PpaConfig(budget=300, schedule=SteepeningSchedule.linear(1e-300))
+    assert run_ppa(config, make_function("sphere", 2), seed=1).evaluations_used == 300

@@ -70,6 +70,8 @@ def test_spec_scalar_field_validation():
         SweepSpec(functions=("sphere",), factors=(100.0,), dimension=0)
     with pytest.raises(ValueError):
         SweepSpec(functions=("sphere",), factors=(100.0,), budget=5, pop_size=30)
+    with pytest.raises(ValueError, match="too small for budget 300"):
+        SweepSpec(functions=("sphere",), factors=(1e-306, VANILLA), budget=300)
 
 
 def test_spec_cell_count():

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,13 @@ SEEDS = (0, 1, 42, 0xDEADBEEF, 2**64 - 1)
 
 # for subprocesses: the directory this plantprop was imported from
 SRC = str(Path(plantprop.__file__).resolve().parents[1])
+
+
+def assert_same_run(compiled, python):
+    """Equal results, and trajectories typed alike: 1 == 1.0 would hide a slip."""
+    assert compiled == python
+    for result in (compiled, python):
+        assert {tuple(map(type, step)) for step in result.trajectory} == {(int, float)}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -81,7 +89,7 @@ def test_full_runs_are_bit_identical(name):
             config = PpaConfig(budget=2_000, schedule=schedule)
             py = run_ppa(config, fn, seed)
             cy = engine.run(config, fn, seed, backend="compiled")
-            assert py == cy, (name, schedule.mode, seed)
+            assert_same_run(cy, py)
 
 
 def test_longer_run_with_scalable_dimension():
@@ -98,7 +106,7 @@ def test_runs_at_thirty_dimensions_are_bit_identical(name):
     for schedule in (SteepeningSchedule.vanilla(), SteepeningSchedule.linear(150.0)):
         config = PpaConfig(budget=600, schedule=schedule)
         cy = engine.run(config, fn, 21, backend="compiled")
-        assert cy == run_ppa(config, fn, 21), (name, schedule.mode)
+        assert_same_run(cy, run_ppa(config, fn, 21))
 
 
 @pytest.mark.parametrize(
@@ -160,9 +168,19 @@ def run_cases(draw):
 @example(
     case=(make_function("rastrigin", 4), PpaConfig(budget=5000, pop_size=6, n_max=1000), 3)
 )
+# steep at n = 30: many offspring beat the worst parent, so selection sorts
+# many candidates per generation
+@example(
+    case=(
+        make_function("sphere", 30),
+        PpaConfig(budget=3000, schedule=SteepeningSchedule.linear(1.0)),
+        4,
+    )
+)
 def test_random_runs_are_bit_identical(case):
     fn, config, seed = case
-    assert engine.run(config, fn, seed, backend="compiled") == run_ppa(config, fn, seed)
+    compiled = engine.run(config, fn, seed, backend="compiled")
+    assert_same_run(compiled, run_ppa(config, fn, seed))
 
 
 def test_non_finite_objective_fails_alike():
@@ -202,6 +220,60 @@ def test_huge_offspring_cap_does_not_crash():
     assert proc.stdout.strip() == repr(run_ppa(config, make_function("sphere", 2), 1))
 
 
+@pytest.mark.parametrize("factor", ["1e-320", "1e-306"])
+def test_tiny_factor_fails_at_once_on_both_engines_and_the_cli(factor):
+    """budget/factor + 1 overflows: the compiled engine used to loop forever.
+
+    Every call runs in a subprocess with a timeout, so a hang fails the
+    test instead of stalling pytest.
+    """
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = (
+        "from plantprop import engine\n"
+        "from plantprop.benchmarks import make_function\n"
+        "from plantprop.core import PpaConfig, SteepeningSchedule\n"
+        "for backend in ('python', 'compiled'):\n"
+        "    try:\n"
+        f"        schedule = SteepeningSchedule.linear({factor})\n"
+        "        config = PpaConfig(budget=300, schedule=schedule)\n"
+        "        engine.run(config, make_function('sphere', 2), 1, backend=backend)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    messages = proc.stdout.splitlines()
+    for backend in ("python", "compiled"):
+        cli = subprocess.run(
+            [sys.executable, "-m", "plantprop", "run", "--function", "sphere",
+             "--budget", "300", "--factor", factor, "--backend", backend],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert cli.returncode == 1, cli.stderr
+        messages.append(cli.stderr.strip().removeprefix("error: "))
+    assert len(messages) == 4 and len(set(messages)) == 1, messages
+    assert f"factor {float(factor)!r} is too small for budget 300" in messages[0]
+
+
+@pytest.mark.parametrize("factor", [1e-320, 1e-306])
+def test_kernel_stops_on_a_non_finite_fitness(factor):
+    """The C core's own guard, reached when PpaConfig is bypassed."""
+    code = (
+        "from plantprop import _kernel\n"
+        f"_kernel.run(0, 2, [-5.12] * 2, [5.12] * 2, 30, 5, 300, True, {factor!r}, 1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert "ValueError: steepness" in proc.stderr, proc.stderr
+    assert "gives a non-finite fitness" in proc.stderr
+
+
 def test_unallocatable_run_raises_memory_error():
     config = PpaConfig(budget=2**62, pop_size=2**61, n_max=2)
     with pytest.raises(MemoryError):
@@ -217,6 +289,17 @@ def test_missing_compiler_is_an_import_error(tmp_path, monkeypatch):
     with pytest.raises(ImportError, match="no-such-cc"):
         _kernel._load()
     assert list((tmp_path / "plantprop").iterdir()) == []
+
+
+def test_c_core_compiles_without_warnings(tmp_path):
+    if shutil.which(_kernel._CC) is None:
+        pytest.skip(f"no {_kernel._CC} on PATH")
+    command = [
+        _kernel._CC, *_kernel._FLAGS, "-Wall", "-Wextra", "-pedantic", "-Werror",
+        "-o", str(tmp_path / "ppa.so"), str(_kernel._SOURCE), *_kernel._LIBS,
+    ]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cache_hit_starts_no_compiler(tmp_path, monkeypatch):
