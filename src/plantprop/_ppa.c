@@ -14,10 +14,24 @@
  *
  * Survivor selection reaches core.select_survivors' order without sorting
  * the whole pool (see the comment in ppa_run): an inlined Shell sort orders
- * the few candidates without qsort's call per comparison, and the parents
- * swap buffers with the survivors instead of copying them back. eval is
- * forced inline into the run loop, so the objective costs no call per
- * offspring.
+ * the few candidates without qsort's call per comparison. eval is forced
+ * inline into the run loop, so the objective costs no call per offspring.
+ *
+ * Two shortcuts skip work whose result cannot show. Both rest on one rule:
+ * an offspring survives only if its objective is below fmax, the worst
+ * parent's, and the best value so far is at most fmin <= fmax.
+ * - Early stop (bowl_child, from n = 4). Sphere, cigar, tablet and
+ *   rosenbrock sum terms that are >= 0, and rounding is monotone, so a
+ *   partial sum never exceeds the full one. Once a child's running value reaches fmax it can neither
+ *   survive nor be the best, so it stops there. It still counts as an
+ *   evaluation, keeps a value >= fmax and takes the draws of the
+ *   coordinates it skips, so the stream and every result stay the same.
+ *   Ellipse's weighted terms grow along the coordinates, so its sum reaches
+ *   fmax late; stopping measured slower there, and it keeps the plain loop.
+ * - Row pointers. The parents are reached through pointers to their rows,
+ *   so a surviving parent's row stays where it is, and selection copies
+ *   only the surviving offspring, each into the row of a parent that
+ *   dropped out.
  *
  * Build without -ffast-math and with -ffp-contract=off: IEEE semantics are
  * part of the contract, and a fused multiply-add rounds once where Python
@@ -121,6 +135,50 @@ static void fill_table(int fid, int64_t n, double *w)
     }
 }
 
+/*
+ * Sphere (0), cigar (1), tablet (3) and rosenbrock (5) sum terms that are
+ * >= 0 or nan, one per coordinate after the first. bowl_start is the sum
+ * before the term of x[1], bowl_term the term of x[j] (xp is x[j-1]), and
+ * bowl_value the objective once the terms so far sum to s. eval adds them
+ * for every coordinate; ppa_run's early stop adds them coordinate by
+ * coordinate as a child is made. Both go through these functions, so they
+ * add the same terms in the same order.
+ */
+static ALWAYS_INLINE double bowl_start(int fid, double x0)
+{
+    return fid == 0 ? x0 * x0 : 0.0; /* 0.0 + x0 * x0 is x0 * x0 */
+}
+
+static ALWAYS_INLINE double bowl_term(int fid, double xp, double x)
+{
+    double t1, t2;
+
+    if (fid != 5)
+        return x * x;
+    t1 = x - xp * xp;
+    t2 = 1.0 - xp;
+    return 100.0 * (t1 * t1) + t2 * t2;
+}
+
+static ALWAYS_INLINE double bowl_value(int fid, double x0, double s)
+{
+    if (fid == 1)
+        return x0 * x0 + 1.0e6 * s;
+    if (fid == 3)
+        return 1.0e6 * (x0 * x0) + s;
+    return s;
+}
+
+static ALWAYS_INLINE double bowl(int fid, int64_t n, const double *x)
+{
+    double s = bowl_start(fid, x[0]);
+    int64_t j;
+
+    for (j = 1; j < n; j++)
+        s += bowl_term(fid, x[j - 1], x[j]);
+    return bowl_value(fid, x[0], s);
+}
+
 /* ids follow benchmarks.FUNCTION_NAMES order; w as filled by fill_table */
 static ALWAYS_INLINE double eval(int fid, int64_t n, const double *x,
                                  const double *w)
@@ -131,21 +189,15 @@ static ALWAYS_INLINE double eval(int fid, int64_t n, const double *x,
 
     switch (fid) {
     case 0: /* sphere */
-        for (i = 0; i < n; i++)
-            s += x[i] * x[i];
-        return s;
+        return bowl(0, n, x);
     case 1: /* cigar */
-        for (i = 1; i < n; i++)
-            s += x[i] * x[i];
-        return x[0] * x[0] + 1.0e6 * s;
+        return bowl(1, n, x);
     case 2: /* ellipse */
         for (i = 0; i < n; i++)
             s += w[i] * (x[i] * x[i]);
         return s;
     case 3: /* tablet */
-        for (i = 1; i < n; i++)
-            s += x[i] * x[i];
-        return 1.0e6 * (x[0] * x[0]) + s;
+        return bowl(3, n, x);
     case 4: /* griewank */
         for (i = 0; i < n; i++) {
             xi = x[i];
@@ -154,12 +206,7 @@ static ALWAYS_INLINE double eval(int fid, int64_t n, const double *x,
         }
         return s / 4000.0 - p + 1.0;
     case 5: /* rosenbrock */
-        for (i = 0; i < n - 1; i++) {
-            t1 = x[i + 1] - x[i] * x[i];
-            t2 = 1.0 - x[i];
-            s += 100.0 * (t1 * t1) + t2 * t2;
-        }
-        return s;
+        return bowl(5, n, x);
     case 6: /* ackley */
         for (i = 0; i < n; i++) {
             xi = x[i];
@@ -320,6 +367,59 @@ void ppa_free(void *p)
     free(p);
 }
 
+/* core.mutate for one coordinate of parent value p in the box [lo, hi] of
+   width w, where om = 1 - fitness. The clamp has no branch (minsd and
+   maxsd) and gives core.mutate's if/else if result, nan included, because
+   _kernel.run ensures lo < hi. */
+static ALWAYS_INLINE double mutate_coord(rng_t *rng, double p, double lo,
+                                         double hi, double w, double om)
+{
+    double xx = p + w * (2.0 * (rng_uniform(rng) - 0.5) * om);
+
+    xx = xx < lo ? lo : xx;
+    return xx > hi ? hi : xx;
+}
+
+/*
+ * One child of a bowl, made coordinate by coordinate while its terms are
+ * summed as in bowl; it stops once the running value reaches fmax (see the
+ * header) and takes the draws of the coordinates it skips. A stop is tried
+ * from the second coordinate on, while two or more are left: skipping one
+ * saves less than a mispredicted branch costs, and the first coordinate
+ * alone (cigar's x0^2) stopped offspring too erratically to pay at n = 3
+ * and 4. Returns the objective, or the running value (>= fmax) at which the
+ * child stopped; a nan is never >= fmax, so a child that meets one is made
+ * and evaluated in full.
+ */
+static ALWAYS_INLINE double bowl_child(int fid, rng_t *rng, size_t d,
+                                       const double *parent, double *child,
+                                       const double *lower,
+                                       const double *upper,
+                                       const double *width, double om,
+                                       double fmax)
+{
+    double x, xp, x0, s, value = 0.0;
+    size_t j;
+
+    x0 = mutate_coord(rng, parent[0], lower[0], upper[0], width[0], om);
+    child[0] = x0;
+    s = bowl_start(fid, x0);
+    xp = x0;
+    for (j = 1; j < d; j++) {
+        x = mutate_coord(rng, parent[j], lower[j], upper[j], width[j], om);
+        child[j] = x;
+        s += bowl_term(fid, xp, x);
+        xp = x;
+        value = bowl_value(fid, x0, s);
+        if (j + 2 < d && value >= fmax) {
+            while (++j < d)
+                rng_u64(rng);
+            break;
+        }
+    }
+    return value;
+}
+
 /*
  * One run; same semantics and draw order as core.run_ppa.
  *
@@ -340,9 +440,10 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     trajectory_t traj = {NULL, 0, 0};
     uint64_t pop = (uint64_t)pop_size, d = (uint64_t)dim;
     uint64_t left, slots;
-    double *pos = NULL;    /* pop x dim: the parents */
+    double *pos = NULL;    /* pop x dim: the parents' rows, in any order */
+    double **row = NULL;   /* pop: parent i's row in pos */
+    double **newrow = NULL; /* pop: the survivors' rows, then swapped with row */
     double *obj = NULL;    /* pop */
-    double *newpos = NULL; /* pop x dim: the survivors, then swapped with pos */
     double *newobj = NULL; /* pop */
     double *kidpos = NULL; /* slots x dim: this generation's offspring */
     double *kidobj = NULL; /* slots */
@@ -352,10 +453,16 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     sort_item *items = NULL; /* pop + slots: parents, then candidates */
     int64_t evals = 0, cnt, k;
     double best = INFINITY;
-    double s, fmin, fmax, span, val, u, r, dd, xx, fi, cnt_d, worst, *swap;
-    const double *row;
+    double s, fmin, fmax, span, val, u, r, om, fi, cnt_d, worst, **swap;
+    double *swapobj, *dst;
+    const double *parent, *kid;
     size_t i, j, n_off, end, a, b, src;
     int parents_sorted = 0, status = PPA_OK;
+    /* the bowl whose offspring may stop early, else -1 for the plain loop;
+       below n = 4 bowl_child would never stop (see there) */
+    int stop_fid = d > 3 && (fid == 0 || fid == 1 || fid == 3 || fid == 5)
+                       ? fid
+                       : -1;
 
     rng_seed(&rng, seed);
 
@@ -365,18 +472,19 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     slots = (uint64_t)n_max > left / pop ? left : pop * (uint64_t)n_max;
 
     pos = alloc_array(pop, d, sizeof(double));
+    row = alloc_array(pop, 1, sizeof(double *));
+    newrow = alloc_array(pop, 1, sizeof(double *));
     obj = alloc_array(pop, 1, sizeof(double));
     items = alloc_array(pop + slots, 1, sizeof(sort_item));
-    newpos = alloc_array(pop, d, sizeof(double));
     newobj = alloc_array(pop, 1, sizeof(double));
     kidpos = alloc_array(slots, d, sizeof(double));
     kidobj = alloc_array(slots, 1, sizeof(double));
     fits = alloc_array(pop, 1, sizeof(double));
     width = alloc_array(d, 1, sizeof(double));
     table = alloc_array(d, 1, sizeof(double));
-    if (pos == NULL || obj == NULL || items == NULL || newpos == NULL
-        || newobj == NULL || kidpos == NULL || kidobj == NULL || fits == NULL
-        || width == NULL || table == NULL) {
+    if (pos == NULL || row == NULL || newrow == NULL || obj == NULL
+        || newobj == NULL || items == NULL || kidpos == NULL || kidobj == NULL
+        || fits == NULL || width == NULL || table == NULL) {
         status = PPA_NOMEM;
         goto done;
     }
@@ -386,17 +494,18 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
 
     /* uniform initialization, evaluating in creation order */
     for (i = 0; i < pop; i++) {
+        row[i] = &pos[i * d];
         for (j = 0; j < d; j++) {
             u = rng_uniform(&rng);
-            pos[i * d + j] = lower[j] + u * width[j];
+            row[i][j] = lower[j] + u * width[j];
         }
-        val = eval(fid, dim, &pos[i * d], table);
+        val = eval(fid, dim, row[i], table);
         evals++;
         obj[i] = val;
         if (val < best) {
             best = val;
             for (j = 0; j < d; j++)
-                best_point[j] = pos[i * d + j];
+                best_point[j] = row[i][j];
             if (!trajectory_push(&traj, evals, val)) {
                 status = PPA_NOMEM;
                 goto done;
@@ -455,23 +564,31 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                 if (cnt > n_max)
                     cnt = n_max;
             }
+            parent = row[i];
+            om = 1.0 - fi;
             for (k = 0; k < cnt; k++) {
                 double *child;
                 if (evals >= budget)
                     break;
                 child = &kidpos[n_off * d];
-                for (j = 0; j < d; j++) {
-                    u = rng_uniform(&rng);
-                    dd = 2.0 * (u - 0.5) * (1.0 - fi);
-                    xx = pos[i * d + j] + width[j] * dd;
-                    /* the clamp of core.mutate, without a branch (minsd and
-                       maxsd); the same result as if/else if, nan included,
-                       because _kernel.run ensures lower[j] < upper[j] */
-                    xx = xx < lower[j] ? lower[j] : xx;
-                    xx = xx > upper[j] ? upper[j] : xx;
-                    child[j] = xx;
+                if (stop_fid < 0) {
+                    for (j = 0; j < d; j++)
+                        child[j] = mutate_coord(&rng, parent[j], lower[j],
+                                                upper[j], width[j], om);
+                    val = eval(fid, dim, child, table);
+                } else if (stop_fid == 0) {
+                    val = bowl_child(0, &rng, d, parent, child, lower, upper,
+                                     width, om, fmax);
+                } else if (stop_fid == 1) {
+                    val = bowl_child(1, &rng, d, parent, child, lower, upper,
+                                     width, om, fmax);
+                } else if (stop_fid == 3) {
+                    val = bowl_child(3, &rng, d, parent, child, lower, upper,
+                                     width, om, fmax);
+                } else {
+                    val = bowl_child(5, &rng, d, parent, child, lower, upper,
+                                     width, om, fmax);
                 }
-                val = eval(fid, dim, child, table);
                 evals++;
                 kidobj[n_off] = val;
                 if (val < best) {
@@ -497,8 +614,12 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
          * below it are sorted, then merged in with parents first on ties.
          * No key here is nan: the parents passed the check above and a
          * candidate is below the worst of them (it may be -inf). Parent i
-         * has creation index i, offspring k has pop + k. The survivors go
-         * to newpos, which then trades places with pos.
+         * has creation index i, offspring k has pop + k.
+         *
+         * A surviving parent keeps its row; only its pointer moves. As many
+         * parents drop out as offspring survive, and they are the worst
+         * ones, so the m-th surviving offspring is copied into the row of
+         * the m-th worst parent, which the merge never takes.
          */
         for (i = 0; i < pop; i++) {
             items[i].obj = obj[i];
@@ -521,26 +642,27 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
         a = 0;
         b = pop;
         for (i = 0; i < pop; i++) {
-            if (b == end || items[a].obj <= items[b].obj)
+            if (b == end || items[a].obj <= items[b].obj) {
                 src = items[a++].idx;
-            else
-                src = items[b++].idx;
-            if (src < pop) {
                 newobj[i] = obj[src];
-                row = &pos[src * d];
+                newrow[i] = row[src];
             } else {
-                newobj[i] = kidobj[src - pop];
-                row = &kidpos[(src - pop) * d];
+                src = items[b].idx - pop;
+                dst = row[items[pop - 1 - (b - pop)].idx];
+                b++;
+                kid = &kidpos[src * d];
+                for (j = 0; j < d; j++)
+                    dst[j] = kid[j];
+                newobj[i] = kidobj[src];
+                newrow[i] = dst;
             }
-            for (j = 0; j < d; j++)
-                newpos[i * d + j] = row[j];
         }
-        swap = pos;
-        pos = newpos;
-        newpos = swap;
-        swap = obj;
+        swap = row;
+        row = newrow;
+        newrow = swap;
+        swapobj = obj;
         obj = newobj;
-        newobj = swap;
+        newobj = swapobj;
     }
 
     if (traj.len == 0 || traj.steps[traj.len - 1].evals != evals) {
@@ -552,9 +674,10 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
 
 done:
     free(pos);
+    free(row);
+    free(newrow);
     free(obj);
     free(items);
-    free(newpos);
     free(newobj);
     free(kidpos);
     free(kidobj);

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from . import engine
@@ -102,17 +102,7 @@ class SweepSpec:
     def from_config_dict(cls, data: dict) -> "SweepSpec":
         if not isinstance(data, dict):
             raise ValueError("sweep config must be a JSON object")
-        known = {
-            "functions",
-            "dimension",
-            "factors",
-            "repeats",
-            "budget",
-            "pop_size",
-            "n_max",
-            "base_seed",
-        }
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
         for required in ("functions", "factors"):
@@ -163,13 +153,6 @@ class CellResult:
     finals: tuple[float, ...]
     median: float
     seeds: tuple[int, ...]
-
-
-def median(values: Sequence[float]) -> float:
-    """Exact order-statistic median; even counts average the two middle values."""
-    if not values:
-        raise ValueError("median of an empty sequence")
-    return statistics.median(values)
 
 
 def default_sweep_a(
@@ -235,7 +218,7 @@ def _run_cell(args: tuple) -> tuple[int, int, "CellResult"]:
         function=name,
         factor=factor,
         finals=finals,
-        median=median(finals),
+        median=statistics.median(finals),
         seeds=tuple(seeds),
     )
     return fidx, facidx, cell

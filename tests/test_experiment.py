@@ -2,6 +2,7 @@
 
 import math
 import random
+import statistics
 
 import pytest
 
@@ -13,7 +14,6 @@ from plantprop.experiment import (
     cell_seeds,
     default_sweep_a,
     default_sweep_b,
-    median,
     run_sweep,
 )
 
@@ -118,21 +118,6 @@ def test_from_config_type_errors():
         )
 
 
-# -- median --------------------------------------------------------------------
-
-
-def test_median_examples():
-    assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
-    assert median([7.0]) == 7.0
-    assert median([float(i) for i in range(10)]) == 4.5
-    assert median([5.0, 1.0, 3.0]) == 3.0
-
-
-def test_median_rejects_empty():
-    with pytest.raises(ValueError):
-        median([])
-
-
 # -- default grids ---------------------------------------------------------------
 
 
@@ -190,7 +175,7 @@ def test_run_sweep_shape_and_order():
     for cell in results:
         assert len(cell.finals) == 3
         assert len(cell.seeds) == 3
-        assert cell.median == median(cell.finals)
+        assert cell.median == statistics.median(cell.finals)
         assert all(math.isfinite(v) for v in cell.finals)
 
 

@@ -109,6 +109,33 @@ def test_runs_at_thirty_dimensions_are_bit_identical(name):
         assert_same_run(cy, run_ppa(config, fn, 21))
 
 
+BOWL_NAMES = ("sphere", "cigar", "tablet", "rosenbrock")
+
+
+def narrow_box(name, dim):
+    """`name` on [2, 3]^dim: the optimum lies outside, so clamping is common."""
+    return dataclasses.replace(
+        make_function(name, dim), bounds=Bounds((2.0,) * dim, (3.0,) * dim)
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 30])
+@pytest.mark.parametrize("name", BOWL_NAMES)
+def test_runs_on_a_narrow_box_are_bit_identical(name, dim):
+    """The functions whose offspring the C core stops early from n = 4 on.
+
+    Clamping puts many offspring on the corner (2, ..., 2): 4-19% of them
+    tie the worst parent exactly at n = 2 and 3, and up to 8 of 970 at
+    n = 4. At n = 30 none do, but many coordinates are clamped before a
+    stop.
+    """
+    fn = narrow_box(name, dim)
+    for schedule in (SteepeningSchedule.vanilla(), SteepeningSchedule.linear(150.0)):
+        config = PpaConfig(budget=1_000, schedule=schedule)
+        cy = engine.run(config, fn, 5, backend="compiled")
+        assert_same_run(cy, run_ppa(config, fn, 5))
+
+
 @pytest.mark.parametrize(
     "lower, upper",
     [((-1.0, 2.0), (1.0, -2.0)), ((-1.0, math.nan), (1.0, 1.0))],
@@ -175,6 +202,23 @@ def run_cases(draw):
         make_function("sphere", 30),
         PpaConfig(budget=3000, schedule=SteepeningSchedule.linear(1.0)),
         4,
+    )
+)
+# default sizes at n = 30, where the C core stops most offspring early
+@example(case=(make_function("cigar", 30), PpaConfig(budget=2000), 6))
+@example(
+    case=(
+        make_function("tablet", 30),
+        PpaConfig(budget=2000, schedule=SteepeningSchedule.linear(1000.0)),
+        7,
+    )
+)
+@example(case=(make_function("rosenbrock", 30), PpaConfig(budget=2000), 8))
+@example(
+    case=(
+        narrow_box("sphere", 30),
+        PpaConfig(budget=2000, schedule=SteepeningSchedule.linear(1000.0)),
+        9,
     )
 )
 def test_random_runs_are_bit_identical(case):
@@ -300,6 +344,66 @@ def test_c_core_compiles_without_warnings(tmp_path):
     ]
     proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def sanitizer_cases():
+    """(fid, dim, lower, upper, pop_size, n_max, budget, linear, factor, seed)."""
+    cases = []
+    for name in FUNCTION_NAMES:
+        dims = (2, 30, 50) if name in SCALABLE_NAMES else (2,)
+        for dim in dims:
+            for linear in (0, 1):
+                cases.append((FUNCTION_IDS[name], dim, -5.0, 5.0, 30, 5, 600, linear, 150.0, 7))
+    for name in (*BOWL_NAMES, "ellipse"):
+        fid = FUNCTION_IDS[name]
+        cases += [
+            (fid, 30, 2.0, 3.0, 30, 5, 600, 0, 1.0, 1),  # clamped box
+            (fid, 4, 2.0, 3.0, 30, 5, 600, 1, 1.0, 2),
+            (fid, 2, -5.0, 5.0, 1, 1, 200, 1, 50.0, 3),  # pop_size 1, n_max 1
+            (fid, 30, -5.0, 5.0, 1, 8, 300, 0, 1.0, 4),
+            (fid, 50, -5.0, 5.0, 30, 5, 30, 1, 9.0, 5),  # budget == pop_size
+            (fid, 4, -5.0, 5.0, 64, 40, 2000, 1, 100.0, 2**64 - 1),
+        ]
+    return cases
+
+
+def test_c_core_runs_clean_under_sanitizers(tmp_path):
+    """Edge sizes under ASan and UBSan, with the same results as the kernel."""
+    cc = shutil.which(_kernel._CC)
+    if cc is None:
+        pytest.skip(f"no {_kernel._CC} on PATH")
+    sanitize = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g"]
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    built = subprocess.run(
+        [cc, *sanitize, "-o", str(tmp_path / "probe"), str(probe)],
+        capture_output=True, text=True, timeout=120,
+    )
+    if built.returncode != 0 or subprocess.run([tmp_path / "probe"]).returncode != 0:
+        pytest.skip(f"no sanitizer runtime for {cc}: {built.stderr.strip()}")
+
+    runner = tmp_path / "runner"
+    flags = [f for f in _kernel._FLAGS if f not in ("-shared", "-fPIC")]
+    command = [
+        cc, *flags, *sanitize, "-o", str(runner),
+        str(Path(__file__).with_name("ppa_runner.c")), str(_kernel._SOURCE), *_kernel._LIBS,
+    ]
+    built = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert built.returncode == 0, built.stderr
+    cases = sanitizer_cases()
+    proc = subprocess.run(
+        [runner], input="".join(" ".join(map(repr, case)) + "\n" for case in cases),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(cases)
+    for case, line in zip(cases, lines):
+        fid, dim, lower, upper, *rest = case
+        best, _, trajectory, evals = _kernel.run(fid, dim, [lower] * dim, [upper] * dim, *rest)
+        status, got_evals, got_best, steps = line.split()
+        assert (status, int(got_evals), int(steps)) == ("0", evals, len(trajectory)), case
+        assert float.fromhex(got_best).hex() == best.hex(), case
 
 
 def test_cache_hit_starts_no_compiler(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import statistics
 
 import pytest
 
@@ -10,7 +11,6 @@ from plantprop.experiment import (
     CellResult,
     SweepSpec,
     default_sweep_b,
-    median,
 )
 from plantprop.report import (
     MANIFEST_FORMAT,
@@ -29,7 +29,7 @@ def _cell(function, factor, finals, seeds=(1, 2, 3)):
         function=function,
         factor=factor,
         finals=tuple(finals),
-        median=median(finals),
+        median=statistics.median(finals),
         seeds=tuple(seeds),
     )
 
