@@ -10,8 +10,11 @@ Importing the module loads the core from the per-user cache directory,
 file name is a hash of the source and the compiler command, so an edited
 source or changed flags get a fresh build. On a miss the source is compiled
 once with ``cc`` into a temporary file that is then renamed into place, so
-concurrent first imports are safe. Any failure raises ImportError with the
-reason, and ``engine`` runs the pure-Python engine instead.
+concurrent first imports are safe; then all but the ``_KEEP`` most recently
+modified libraries in the directory are deleted, so builds of older sources
+do not pile up. A hit neither lists nor changes the directory. Any failure
+raises ImportError with the reason, and ``engine`` runs the pure-Python
+engine instead.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ _CC = "cc"
 _FLAGS = ("-std=c99", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _LIBS = ("-lm",)
 _COMPILE_TIMEOUT_S = 300
+_KEEP = 4  # compiled libraries left in the cache after a miss, the new one included
 
 _INT64_MAX = 2**63 - 1
 
@@ -72,6 +76,24 @@ def _compile(target: Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _prune(keep: Path) -> None:
+    """Delete the _ppa-*.so files beside `keep` but it and the _KEEP - 1 newest.
+
+    Best effort: it gives up if another process deletes a library meanwhile.
+    A ``*.tmp`` file, another process's build in progress, never matches.
+    """
+    try:
+        libs = sorted(
+            (lib for lib in keep.parent.glob("_ppa-*.so") if lib != keep),
+            key=lambda lib: lib.stat().st_mtime,
+            reverse=True,
+        )
+        for lib in libs[_KEEP - 1:]:
+            lib.unlink(missing_ok=True)
+    except OSError:
+        pass
+
+
 def _load() -> ctypes.CDLL:
     """The C core with every signature declared, compiled first on a miss."""
     try:
@@ -86,6 +108,7 @@ def _load() -> ctypes.CDLL:
     path = _cache_dir() / f"_ppa-{key}.so"
     if not path.exists():
         _compile(path)
+        _prune(path)
     try:
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
@@ -104,6 +127,8 @@ def _load() -> ctypes.CDLL:
     lib.ppa_run.restype = ctypes.c_int
     lib.ppa_eval.argtypes = [ctypes.c_int, i64, f64_p, f64_p]  # ..., x, scratch
     lib.ppa_eval.restype = f64
+    lib.ppa_bound.argtypes = [ctypes.c_int, i64, f64_p]  # griewank, ackley, rastrigin
+    lib.ppa_bound.restype = f64
     lib.ppa_rng_u64.argtypes = [u64, ctypes.c_size_t, ctypes.POINTER(u64)]
     lib.ppa_rng_u64.restype = None
     lib.ppa_rng_uniform.argtypes = [u64, ctypes.c_size_t, f64_p]

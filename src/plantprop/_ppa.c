@@ -17,9 +17,9 @@
  * the few candidates without qsort's call per comparison. eval is forced
  * inline into the run loop, so the objective costs no call per offspring.
  *
- * Two shortcuts skip work whose result cannot show. Both rest on one rule:
- * an offspring survives only if its objective is below fmax, the worst
- * parent's, and the best value so far is at most fmin <= fmax.
+ * Three shortcuts skip work whose result cannot show. The first two rest on
+ * one rule: an offspring survives only if its objective is below fmax, the
+ * worst parent's, and the best value so far is at most fmin <= fmax.
  * - Early stop (bowl_child, from n = 4). Sphere, cigar, tablet and
  *   rosenbrock sum terms that are >= 0, and rounding is monotone, so a
  *   partial sum never exceeds the full one. Once a child's running value reaches fmax it can neither
@@ -28,6 +28,20 @@
  *   coordinates it skips, so the stream and every result stay the same.
  *   Ellipse's weighted terms grow along the coordinates, so its sum reaches
  *   fmax late; stopping measured slower there, and it keeps the plain loop.
+ * - Lower bound (bounded_eval). Griewank, ackley and rastrigin spend most
+ *   of their time in cos. Before any cos call, a child's objective is
+ *   bounded from below by eval's own expression with the cos term replaced
+ *   by a constant on its far side: griewank s / 4000.0 - 2.0 + 1.0 (the
+ *   product of cosines is at most 1), ackley A - 3.0 + 20.0 + E with A the
+ *   exp term of s exactly as eval computes it (exp(s2 / n) is at most
+ *   e < 3), rastrigin 10.0 * n + the sum of (x * x - 11.0) in eval's order
+ *   (10 * cos is at most 10). The constants leave room for libm's rounding,
+ *   and rounding is monotone, so the bound never exceeds eval's value. A
+ *   child whose bound reaches fmax keeps it as its value, still counts as an
+ *   evaluation and was made in full, so the draws are the same. Schwefel's
+ *   only cheap bound, x * sin(sqrt(|x|)) <= min(|x|, 419) per coordinate,
+ *   lies thousands below a typical value and would almost never reject, so
+ *   it keeps the plain loop.
  * - Row pointers. The parents are reached through pointers to their rows,
  *   so a surviving parent's row stays where it is, and selection copies
  *   only the surviving offspring, each into the row of a parent that
@@ -259,6 +273,38 @@ static ALWAYS_INLINE double eval(int fid, int64_t n, const double *x,
     }
 }
 
+/*
+ * A lower bound on the objective of griewank (4), ackley (6) or rastrigin (7)
+ * at x, made without a cos call (see the header): eval's expression with the
+ * cos term swapped for a constant that bounds it from the safe side.
+ */
+static ALWAYS_INLINE double cos_bound(int fid, int64_t n, const double *x)
+{
+    double s = 0.0;
+    int64_t i;
+
+    if (fid == 7) {
+        for (i = 0; i < n; i++)
+            s += x[i] * x[i] - 11.0;
+        return 10.0 * (double)n + s;
+    }
+    for (i = 0; i < n; i++)
+        s += x[i] * x[i];
+    if (fid == 4)
+        return s / 4000.0 - 2.0 + 1.0;
+    return -20.0 * exp(-0.2 * sqrt(s / (double)n)) - 3.0 + 20.0 + E;
+}
+
+/* eval of griewank, ackley or rastrigin, or its lower bound (>= fmax) when
+   that alone shows the child cannot survive */
+static ALWAYS_INLINE double bounded_eval(int fid, int64_t n, const double *x,
+                                         const double *w, double fmax)
+{
+    double low = cos_bound(fid, n, x);
+
+    return low >= fmax ? low : eval(fid, n, x, w);
+}
+
 typedef struct {
     double obj;
     size_t idx;
@@ -362,6 +408,12 @@ double ppa_eval(int fid, int64_t n, const double *x, double *table)
     return eval(fid, n, x, table);
 }
 
+/* the exported entry to cos_bound, for the tests; fid is 4, 6 or 7 */
+double ppa_bound(int fid, int64_t n, const double *x)
+{
+    return cos_bound(fid, n, x);
+}
+
 void ppa_free(void *p)
 {
     free(p);
@@ -458,11 +510,14 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     const double *parent, *kid;
     size_t i, j, n_off, end, a, b, src;
     int parents_sorted = 0, status = PPA_OK;
-    /* the bowl whose offspring may stop early, else -1 for the plain loop;
-       below n = 4 bowl_child would never stop (see there) */
+    /* the bowl whose offspring may stop early, else -1; below n = 4
+       bowl_child would never stop (see there) */
     int stop_fid = d > 3 && (fid == 0 || fid == 1 || fid == 3 || fid == 5)
                        ? fid
                        : -1;
+    /* griewank, ackley or rastrigin, whose offspring are bounded before
+       eval, else -1; with stop_fid also -1, the plain loop */
+    int bound_fid = fid == 4 || fid == 6 || fid == 7 ? fid : -1;
 
     rng_seed(&rng, seed);
 
@@ -575,7 +630,14 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                     for (j = 0; j < d; j++)
                         child[j] = mutate_coord(&rng, parent[j], lower[j],
                                                 upper[j], width[j], om);
-                    val = eval(fid, dim, child, table);
+                    if (bound_fid < 0)
+                        val = eval(fid, dim, child, table);
+                    else if (bound_fid == 4)
+                        val = bounded_eval(4, dim, child, table, fmax);
+                    else if (bound_fid == 6)
+                        val = bounded_eval(6, dim, child, table, fmax);
+                    else
+                        val = bounded_eval(7, dim, child, table, fmax);
                 } else if (stop_fid == 0) {
                     val = bowl_child(0, &rng, d, parent, child, lower, upper,
                                      width, om, fmax);

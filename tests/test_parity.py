@@ -110,6 +110,8 @@ def test_runs_at_thirty_dimensions_are_bit_identical(name):
 
 
 BOWL_NAMES = ("sphere", "cigar", "tablet", "rosenbrock")
+# the functions whose offspring the C core rejects by a lower bound
+BOUNDED_NAMES = ("griewank", "ackley", "rastrigin")
 
 
 def narrow_box(name, dim):
@@ -120,20 +122,75 @@ def narrow_box(name, dim):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 30])
-@pytest.mark.parametrize("name", BOWL_NAMES)
+@pytest.mark.parametrize("name", BOWL_NAMES + BOUNDED_NAMES)
 def test_runs_on_a_narrow_box_are_bit_identical(name, dim):
-    """The functions whose offspring the C core stops early from n = 4 on.
+    """The functions whose offspring the C core stops early from n = 4 on,
+    or rejects by a lower bound.
 
-    Clamping puts many offspring on the corner (2, ..., 2): 4-19% of them
-    tie the worst parent exactly at n = 2 and 3, and up to 8 of 970 at
-    n = 4. At n = 30 none do, but many coordinates are clamped before a
-    stop.
+    Clamping puts many offspring on the corner (2, ..., 2): 4-19% of a
+    bowl's offspring tie the worst parent exactly at n = 2 and 3, and up to
+    8 of 970 at n = 4. At n = 30 none do, but many coordinates are clamped
+    before a stop. Rastrigin's cosines are exactly 1 on the corner.
     """
     fn = narrow_box(name, dim)
     for schedule in (SteepeningSchedule.vanilla(), SteepeningSchedule.linear(150.0)):
         config = PpaConfig(budget=1_000, schedule=schedule)
         cy = engine.run(config, fn, 5, backend="compiled")
         assert_same_run(cy, run_ppa(config, fn, 5))
+
+
+def cos_bound(name, x):
+    """The C core's lower bound on `name` at x, checked before any cos call."""
+    vector = ctypes.c_double * len(x)
+    return _kernel._lib.ppa_bound(FUNCTION_IDS[name], len(x), vector(*x))
+
+
+@st.composite
+def bound_points(draw):
+    """A bounded function and a point in, at the edge of or far outside its box."""
+    name = draw(st.sampled_from(BOUNDED_NAMES))
+    dim = draw(st.one_of(st.sampled_from((2, 50)), st.integers(2, 50)))
+    box = make_function(name, dim).bounds
+    low, high = box.lower[0], box.upper[0]
+    coordinate = st.one_of(
+        st.floats(low, high),
+        st.sampled_from((low, high, 0.0, -0.0)),
+        st.integers(-10, 10).map(lambda k: k / 2),  # rastrigin's cos is +-1
+        st.floats(1e150, 1e308),
+        st.floats(-1e308, -1e150),
+    )
+    return name, draw(st.lists(coordinate, min_size=dim, max_size=dim))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=bound_points())
+@example(case=("griewank", [0.0] * 2))
+@example(case=("griewank", [0.0] * 50))
+@example(case=("ackley", [0.0] * 2))
+@example(case=("ackley", [0.0] * 50))
+@example(case=("rastrigin", [0.0] * 2))
+@example(case=("rastrigin", [-0.0] * 50))
+@example(case=("rastrigin", [2.0, -3.0, 5.0]))
+@example(case=("rastrigin", [0.5, -1.5, 4.5]))
+@example(case=("rastrigin", [-5.12, 5.12]))
+@example(case=("griewank", [600.0, -600.0] * 25))
+@example(case=("ackley", [32.768] * 50))
+@example(case=("griewank", [1e200, 0.0]))
+@example(case=("ackley", [1e200] * 50))
+@example(case=("rastrigin", [-1e300, 1.0]))
+@example(case=("ackley", [0.0, 2.9e307]))
+def test_cos_bound_never_exceeds_the_objective(case):
+    """A child whose bound reaches the worst parent is rejected unevaluated.
+
+    At the origin every cos is 1 and rastrigin's cos is +-1 at half
+    integers, where the objective comes closest to the bound; beyond
+    |x| ~ 1.3e154 the sum of squares is inf. Beyond |x| ~ 2.9e307 the cos
+    argument 2 pi x is inf and the objective nan, which never survives
+    either, so there the bound need not be below it.
+    """
+    name, x = case
+    value = _kernel.eval_function(FUNCTION_IDS[name], x)
+    assert cos_bound(name, x) <= value or math.isnan(value)
 
 
 @pytest.mark.parametrize(
@@ -354,7 +411,7 @@ def sanitizer_cases():
         for dim in dims:
             for linear in (0, 1):
                 cases.append((FUNCTION_IDS[name], dim, -5.0, 5.0, 30, 5, 600, linear, 150.0, 7))
-    for name in (*BOWL_NAMES, "ellipse"):
+    for name in (*BOWL_NAMES, "ellipse", *BOUNDED_NAMES):
         fid = FUNCTION_IDS[name]
         cases += [
             (fid, 30, 2.0, 3.0, 30, 5, 600, 0, 1.0, 1),  # clamped box
@@ -418,6 +475,29 @@ def test_cache_hit_starts_no_compiler(tmp_path, monkeypatch):
     lib = _kernel._load()
     vector = ctypes.c_double * 2
     assert lib.ppa_eval(0, 2, vector(3.0, 4.0), vector()) == 25.0
+
+
+def test_a_miss_keeps_only_the_newest_libraries(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "plantprop"
+    cache.mkdir()
+    fakes = [cache / f"_ppa-{i}.so" for i in range(6)]
+    building = cache / "_ppa-7.so.123.tmp"
+    other = cache / "notes.txt"
+    for age, path in enumerate([*fakes, building, other]):
+        path.write_bytes(b"")
+        os.utime(path, (1000 - age, 1000 - age))  # _ppa-0.so is the newest fake
+    _kernel._load()
+    left = {p.name for p in cache.iterdir()}
+    built = left - {p.name for p in [*fakes, building, other]}
+    assert len(built) == 1
+    assert left == {"_ppa-0.so", "_ppa-1.so", "_ppa-2.so", *built, building.name, other.name}
+
+    # a hit deletes nothing, however many libraries there are
+    for path in fakes:
+        path.write_bytes(b"")
+    _kernel._load()
+    assert len(list(cache.glob("_ppa-*.so"))) == 7
 
 
 def test_concurrent_first_imports_share_the_cache(tmp_path):
