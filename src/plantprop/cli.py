@@ -259,15 +259,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         results = run_sweep(spec, jobs=jobs, backend=args.backend, progress=progress)
-    except (KeyError, ValueError, RuntimeError) as exc:
-        raise CliError(
-            exc.args[0] if isinstance(exc, KeyError) else str(exc)
-        ) from None
+    except RuntimeError as exc:
+        raise CliError(str(exc)) from None
     elapsed = time.perf_counter() - started
 
-    backend = args.backend
-    if backend == "auto":
-        backend = "compiled" if engine.HAVE_KERNEL else "python"
+    backend = engine.DEFAULT_BACKEND if args.backend == "auto" else args.backend
 
     table = report.build_table(results)
     csv_path = report.write_csv(table, out_dir / "results.csv")
@@ -333,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

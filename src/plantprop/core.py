@@ -190,23 +190,8 @@ def select_survivors(
     insertion order), which makes selection fully deterministic. A nan
     objective ranks as +inf, so it never displaces a finite one.
 
-    This plain sort of the whole pool is the reference. The C core reaches
-    the same survivors in the same order without it: after the first
-    selection the parents are already in this order, and an offspring
-    not below the worst parent cannot survive, since a tie goes to the
-    parent. So it sorts only the offspring below the worst parent and
-    merges them into the parents, taking the parent on a tie. It keeps the
-    parents' rows in place and copies only a surviving offspring, into the
-    row of a parent that dropped out.
-
-    The same rule lets the C core stop making an offspring of sphere,
-    cigar, tablet or rosenbrock once the terms summed so far reach the
-    worst parent's objective. The terms are >= 0 and rounding never makes
-    a sum of such terms smaller than a partial sum, so the full objective
-    could not be below the worst parent either: the offspring cannot
-    survive, and cannot be the best so far. It still counts as an
-    evaluation and its remaining draws are still taken, so the results
-    stay bit-identical to this reference.
+    This plain sort of the whole pool is the reference; the header of
+    _ppa.c says how the C core reaches the same survivors without it.
     """
     pool = list(parents) + list(offspring)
     if len(pool) < pop_size:

@@ -2,13 +2,11 @@
 
 Both backends produce bit-identical results for the built-in benchmark
 functions (same RNG stream, same double arithmetic); the compiled one is
-just faster. Custom objective callables and observers always go through
-the Python engine.
+just faster. Custom objective callables always go through the Python
+engine; observers are a feature of the reference, core.run_ppa.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from . import core
 from .benchmarks import FORMULAS, FUNCTION_IDS, BenchmarkFunction
@@ -41,44 +39,35 @@ def _kernel_id(function: BenchmarkFunction) -> int | None:
     return func_id
 
 
-def _can_compile(function: BenchmarkFunction) -> bool:
-    return HAVE_KERNEL and _kernel_id(function) is not None
-
-
 def run(
     config: PpaConfig,
     function: BenchmarkFunction,
     seed: int,
     backend: str = "auto",
-    observer: Callable | None = None,
 ) -> RunResult:
     """Run one optimization with an explicit or automatically chosen backend.
 
-    `auto` picks the compiled kernel when it loaded, the function is one
-    of the registered benchmarks with its built-in formula (on any bounds),
-    and no observer is attached; otherwise it falls back to the Python
-    engine. Requesting `compiled` in a situation the kernel cannot handle
-    is an error rather than a silent fallback.
+    `auto` picks the compiled kernel when it loaded and the function is one
+    of the registered benchmarks with its built-in formula (on any bounds);
+    otherwise it falls back to the Python engine. Requesting `compiled` in
+    a situation the kernel cannot handle is an error rather than a silent
+    fallback.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
         )
+    func_id = _kernel_id(function)
     if backend == "auto":
-        backend = (
-            "compiled" if (_can_compile(function) and observer is None) else "python"
-        )
+        backend = "compiled" if HAVE_KERNEL and func_id is not None else "python"
     if backend == "python":
-        return core.run_ppa(config, function, seed, observer=observer)
+        return core.run_ppa(config, function, seed)
 
     if not HAVE_KERNEL:
         raise RuntimeError(
             f"the compiled backend is unavailable ({KERNEL_ERROR}); "
             "use backend='python' or 'auto'"
         )
-    if observer is not None:
-        raise ValueError("the compiled backend does not support observers")
-    func_id = _kernel_id(function)
     if func_id is None:
         raise ValueError(
             f"the compiled backend only runs registered benchmark functions "

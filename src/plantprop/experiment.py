@@ -71,8 +71,11 @@ class SweepSpec:
             raise ValueError("the vanilla column must come last")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        for name in self.functions:
+            try:
+                make_function(name, self.dimension)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
         # delegates the budget/pop_size/n_max checks, and each factor's check
         # against the budget, before any run
         for factor in self.factors:
@@ -126,22 +129,13 @@ class SweepSpec:
                     f"factors must be numbers or the token \"vanilla\", got {raw!r}"
                 )
 
-        def integer(key: str, default: int) -> int:
-            value = data.get(key, default)
+        integers = {
+            k: v for k, v in data.items() if k not in ("functions", "factors")
+        }
+        for key, value in integers.items():
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
-            return value
-
-        return cls(
-            functions=tuple(functions),
-            factors=tuple(factors),
-            repeats=integer("repeats", 10),
-            budget=integer("budget", 10_000),
-            pop_size=integer("pop_size", 30),
-            n_max=integer("n_max", 5),
-            base_seed=integer("base_seed", DEFAULT_BASE_SEED),
-            dimension=integer("dimension", 2),
-        )
+        return cls(functions=tuple(functions), factors=tuple(factors), **integers)
 
 
 @dataclass(frozen=True)
@@ -202,26 +196,29 @@ def _schedule_for(factor: float) -> SteepeningSchedule:
     return SteepeningSchedule.linear(factor)
 
 
-def _run_cell(args: tuple) -> tuple[int, int, "CellResult"]:
-    (fidx, facidx, name, dimension, factor, budget, pop_size, n_max, seeds,
-     backend) = args
-    function = make_function(name, dimension)
+def _run_cell(
+    spec: SweepSpec, key: tuple[int, int], seeds: tuple[int, ...], backend: str
+) -> CellResult:
+    fidx, facidx = key
+    name, factor = spec.functions[fidx], spec.factors[facidx]
+    function = make_function(name, spec.dimension)
     config = PpaConfig(
-        budget=budget, pop_size=pop_size, n_max=n_max,
+        budget=spec.budget, pop_size=spec.pop_size, n_max=spec.n_max,
         schedule=_schedule_for(factor),
     )
+    # engine.run is looked up on the module at each call, so a wrapper
+    # installed there (a per-run probe, a counting test) sees every run
     finals = tuple(
         engine.run(config, function, seed, backend=backend).best_value
         for seed in seeds
     )
-    cell = CellResult(
+    return CellResult(
         function=name,
         factor=factor,
         finals=finals,
         median=statistics.median(finals),
-        seeds=tuple(seeds),
+        seeds=seeds,
     )
-    return fidx, facidx, cell
 
 
 def run_sweep(
@@ -235,14 +232,11 @@ def run_sweep(
 
     Canonical order is (function name ascending, factor ascending) with the
     vanilla column last; it does not depend on `jobs` or `_cell_order` (a
-    test seam that permutes execution order). Any unknown function
-    identifier fails here, before any run starts.
+    test seam that permutes execution order). At most one worker process
+    runs per cell, and a single worker runs in this process.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    for name in spec.functions:
-        make_function(name, spec.dimension)  # fail fast on bad identifiers
-
     seeds = cell_seeds(spec)
     cells = [
         (fidx, facidx)
@@ -254,38 +248,33 @@ def run_sweep(
             raise ValueError("_cell_order must be a permutation of the grid")
         cells = list(_cell_order)
 
-    def args_for(key: tuple[int, int]) -> tuple:
-        fidx, facidx = key
-        return (
-            fidx, facidx, spec.functions[fidx], spec.dimension,
-            spec.factors[facidx], spec.budget, spec.pop_size, spec.n_max,
-            seeds[key], backend,
-        )
-
     started = time.perf_counter()
     collected: dict[tuple[int, int], CellResult] = {}
     total = len(cells)
 
-    def note(cell: CellResult) -> None:
+    def collect(key: tuple[int, int], cell: CellResult) -> None:
+        collected[key] = cell
         if progress is not None:
             progress(cell, len(collected), total, time.perf_counter() - started)
 
-    if jobs == 1:
+    # the fork start method starts every worker at the first submit, so a
+    # pool wider than the grid would fork processes that get no cell
+    workers = min(jobs, total)
+    if workers == 1:
         for key in cells:
-            fidx, facidx, cell = _run_cell(args_for(key))
-            collected[(fidx, facidx)] = cell
-            note(cell)
+            collect(key, _run_cell(spec, key, seeds[key], backend))
     else:
         # imported here: concurrent.futures pulls in multiprocessing, which
         # a serial sweep or a plot never needs
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_cell, args_for(key)) for key in cells]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {
+                pool.submit(_run_cell, spec, key, seeds[key], backend): key
+                for key in cells
+            }
             for future in as_completed(futures):
-                fidx, facidx, cell = future.result()
-                collected[(fidx, facidx)] = cell
-                note(cell)
+                collect(futures[future], future.result())
 
     if len(collected) != spec.cell_count:
         raise RuntimeError(

@@ -109,6 +109,13 @@ def test_run_writes_trajectory(tmp_path, capsys):
     )
 
 
+def test_run_trajectory_into_a_directory_is_an_error(tmp_path, capsys):
+    code = main(["run", "--function", "sphere", "--budget", "60",
+                 "--pop-size", "10", "--trajectory", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_seed_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("PPA_SEED", "77")
     main(["run", "--function", "sphere", "--budget", "60", "--pop-size", "10"])
@@ -215,6 +222,26 @@ def test_sweep_bad_config_fails_with_diagnostic(tmp_path, capsys):
     assert "factors" in err and "spec.json" in err
 
 
+def test_sweep_unknown_function_fails_before_creating_out(tmp_path, capsys):
+    config = _config_file(tmp_path, functions=["sphere", "nosuch"])
+    out_dir = tmp_path / "o"
+    code = main(["sweep", "--config", str(config), "--out", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "nosuch" in err and "rastrigin" in err
+    assert not out_dir.exists()
+
+
+def test_sweep_out_on_an_existing_file_is_an_error(tmp_path, capsys):
+    config = _config_file(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    code = main(["sweep", "--config", str(config), "--out", str(taken),
+                 "--jobs", "1", "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_sweep_no_vanilla_requires_preset(tmp_path, capsys):
     config = _config_file(tmp_path)
     code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o"),
@@ -254,6 +281,18 @@ def test_plot_combined_and_custom_out(tmp_path):
           "--combined"])
     assert (plots / "heatmap_combined.svg").exists()
     assert not (plots / "sphere.svg").exists()
+
+
+def test_plot_out_on_an_existing_file_is_an_error(tmp_path, capsys):
+    config = _config_file(tmp_path)
+    out_dir = tmp_path / "out"
+    main(["sweep", "--config", str(config), "--out", str(out_dir),
+          "--jobs", "1", "--quiet"])
+    capsys.readouterr()
+    code = main(["plot", str(out_dir / "results.csv"),
+                 "--out", str(out_dir / "results.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_plot_malformed_csv_fails_with_location(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Sweep specification, seed derivation, and grid execution tests."""
 
+import concurrent.futures
 import math
 import random
 import statistics
 
 import pytest
 
+from plantprop import engine
+from plantprop.benchmarks import FUNCTION_NAMES
 from plantprop.experiment import (
     DEFAULT_BASE_SEED,
     DEFAULT_FACTORS,
@@ -74,6 +77,17 @@ def test_spec_scalar_field_validation():
         SweepSpec(functions=("sphere",), factors=(1e-306, VANILLA), budget=300)
 
 
+def test_spec_rejects_unknown_function_listing_known_names():
+    with pytest.raises(ValueError, match="nosuch") as exc:
+        SweepSpec(functions=("sphere", "nosuch"), factors=(100.0,))
+    assert all(name in str(exc.value) for name in FUNCTION_NAMES)
+
+
+def test_spec_rejects_fixed_2d_function_at_other_dimension():
+    with pytest.raises(ValueError, match="branin is two-dimensional only"):
+        SweepSpec(functions=("branin",), factors=(100.0,), dimension=3)
+
+
 def test_spec_cell_count():
     assert TINY.cell_count == 2
     assert default_sweep_a().cell_count == 9 * 41
@@ -91,6 +105,11 @@ def test_config_dict_round_trip():
 def test_config_dict_serializes_vanilla_token():
     data = TINY.to_config_dict()
     assert data["factors"] == [200.0, "vanilla"]
+
+
+def test_from_config_takes_defaults_from_the_dataclass():
+    spec = SweepSpec.from_config_dict({"functions": ["sphere"], "factors": [100]})
+    assert spec == SweepSpec(("sphere",), (100.0,))
 
 
 def test_from_config_rejects_unknown_keys():
@@ -214,12 +233,47 @@ def test_run_sweep_rejects_bad_jobs():
         run_sweep(TINY, jobs=0)
 
 
-def test_run_sweep_fails_fast_on_unknown_function():
-    spec = SweepSpec(functions=("sphere", "nosuch"), factors=(100.0,))
+def test_run_sweep_caps_the_pool_at_the_cell_count(monkeypatch):
+    widths = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records its width, runs inline."""
+
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert run_sweep(TINY, jobs=64) == run_sweep(TINY, jobs=1)
+    assert widths == [2]
+    one_cell = SweepSpec(functions=("sphere",), factors=(100.0,), repeats=2,
+                         budget=60, pop_size=10)
+    run_sweep(one_cell, jobs=8)
+    assert widths == [2]
+
+
+def test_run_sweep_calls_engine_run_once_per_repeat(monkeypatch):
     calls = []
-    with pytest.raises(KeyError, match="nosuch"):
-        run_sweep(spec, progress=lambda *a: calls.append(a))
-    assert calls == []
+    real = engine.run
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run", counting)
+    results = run_sweep(TINY)
+    assert len(calls) == TINY.cell_count * TINY.repeats
+    assert sorted(calls) == sorted(s for cell in results for s in cell.seeds)
 
 
 def test_run_sweep_progress_reporting():

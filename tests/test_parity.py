@@ -521,14 +521,6 @@ def test_unknown_backend_rejected():
         engine.run(PpaConfig(budget=50), fn, 1, backend="fortran")
 
 
-def test_compiled_rejects_observer():
-    fn = make_function("sphere", 2)
-    with pytest.raises(ValueError, match="observer"):
-        engine.run(
-            PpaConfig(budget=50), fn, 1, backend="compiled", observer=lambda *a: None
-        )
-
-
 def test_compiled_rejects_unregistered_function():
     base = make_function("sphere", 2)
     custom = type(base)(
@@ -552,20 +544,6 @@ def test_registered_name_with_custom_callable_is_not_compiled():
     assert engine.run(config, fn, 1).best_value < 0.0
     with pytest.raises(ValueError, match="sphere"):
         engine.run(config, fn, 1, backend="compiled")
-
-
-def test_auto_uses_python_engine_for_observers(monkeypatch):
-    fn = make_function("sphere", 2)
-    calls = []
-    real = engine.core.run_ppa
-
-    def spy(*args, **kwargs):
-        calls.append(True)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine.core, "run_ppa", spy)
-    engine.run(PpaConfig(budget=60), fn, 1, observer=lambda *a: None)
-    assert calls
 
 
 def test_auto_uses_python_engine_for_custom_functions(monkeypatch):
