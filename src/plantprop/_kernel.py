@@ -119,7 +119,7 @@ def _load() -> ctypes.CDLL:
     lib.ppa_run.argtypes = [
         ctypes.c_int, i64, f64_p, f64_p,  # function id, dim, lower, upper
         i64, i64, i64,  # pop_size, n_max, budget
-        ctypes.c_int, f64, u64,  # linear, factor, seed
+        f64, u64,  # factor (inf for vanilla), seed
         f64_p, f64_p, ctypes.POINTER(i64),  # best value, best point, evals
         ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(i64),  # trajectory
         f64_p,  # the non-finite objective value or the bad steepness
@@ -176,8 +176,10 @@ def eval_function(func_id: int, x) -> float:
     return _lib.ppa_eval(func_id, n, vector(*x), vector())
 
 
-def run(func_id, dim, lower, upper, pop_size, n_max, budget, linear, factor, seed):
+def run(func_id, dim, lower, upper, pop_size, n_max, budget, factor, seed):
     """Generational loop; same semantics and draw order as the pure engine.
+
+    The steepness is evals/factor + 1, so factor = inf runs vanilla PPA.
 
     Returns (best_value, best_point, trajectory, evaluations_used) with the
     trajectory as a tuple of (evaluation_index, best_so_far) pairs of int
@@ -200,7 +202,7 @@ def run(func_id, dim, lower, upper, pop_size, n_max, budget, linear, factor, see
     bad = ctypes.c_double()
     status = _lib.ppa_run(
         func_id, dim, (ctypes.c_double * dim)(*lower), (ctypes.c_double * dim)(*upper),
-        pop_size, n_max, budget, bool(linear), factor, seed & MASK64,
+        pop_size, n_max, budget, factor, seed & MASK64,
         ctypes.byref(best), best_point, ctypes.byref(evals),
         ctypes.byref(steps), ctypes.byref(n_steps), ctypes.byref(bad),
     )

@@ -473,7 +473,8 @@ static ALWAYS_INLINE double bowl_child(int fid, rng_t *rng, size_t d,
 }
 
 /*
- * One run; same semantics and draw order as core.run_ppa.
+ * One run; same semantics and draw order as core.run_ppa. The steepness is
+ * evals / factor + 1, so factor = +inf runs vanilla PPA.
  *
  * Fills *best_value, best_point (dim doubles, written only when some value
  * beat +inf) and *evals_used, and hands over the trajectory in
@@ -483,9 +484,9 @@ static ALWAYS_INLINE double bowl_child(int fid, rng_t *rng, size_t d,
  * PPA_NOMEM; on an error *trajectory is NULL.
  */
 int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
-            int64_t pop_size, int64_t n_max, int64_t budget, int linear,
-            double factor, uint64_t seed, double *best_value,
-            double *best_point, int64_t *evals_used, ppa_step **trajectory,
+            int64_t pop_size, int64_t n_max, int64_t budget, double factor,
+            uint64_t seed, double *best_value, double *best_point,
+            int64_t *evals_used, ppa_step **trajectory,
             int64_t *trajectory_len, double *bad_value)
 {
     rng_t rng;
@@ -569,8 +570,9 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     }
 
     while (evals < budget) {
-        /* steepness from completed evaluations at generation start */
-        s = linear ? (double)evals / factor + 1.0 : 1.0;
+        /* steepness from completed evaluations at generation start; with
+           factor = +inf, evals / factor is +0.0 and s is exactly 1.0 */
+        s = (double)evals / factor + 1.0;
 
         fmin = obj[0];
         fmax = obj[0];

@@ -180,10 +180,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     result = engine.run(config, function, seed, backend=args.backend)
 
-    if schedule.mode == "vanilla":
-        label = "vanilla"
-    else:
-        label = f"linear, factor {report.factor_label(schedule.factor)}"
+    label = report.factor_label(schedule.factor)
+    if label != "vanilla":
+        label = f"linear, factor {label}"
     point = "(" + ", ".join(report.format_float(v) for v in result.best_point) + ")"
     print(f"function     {function.name} (n={function.dimension})")
     print(f"schedule     {label}")
@@ -329,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

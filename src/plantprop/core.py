@@ -4,9 +4,10 @@ The optimizer keeps a fixed-size population. Each generation the objective
 values are normalized to [0, 1] (best -> 1), pushed through a tanh sigmoid
 to get fitness, and every individual spawns offspring: fit individuals many
 offspring with small mutations, unfit ones few offspring with large
-mutations. The sigmoid's steepness can stay fixed at 1 ("vanilla") or grow
-linearly with the number of completed objective evaluations, which
-gradually sharpens the transform toward a step function.
+mutations. The sigmoid's steepness s = evals/factor + 1 grows linearly with
+the number of completed objective evaluations, which gradually sharpens the
+transform toward a step function. Vanilla PPA is the limit factor = inf,
+where s is exactly 1 for every evaluation count.
 
 Everything here is scalar double arithmetic with a fixed draw order; the
 C core in ``_ppa.c``, loaded by ``_kernel``, replicates it bit for bit.
@@ -24,37 +25,33 @@ from .rng import Xoshiro256pp
 
 @dataclass(frozen=True)
 class SteepeningSchedule:
-    """Steepness control: constant 1 (vanilla) or s = evals/factor + 1."""
+    """Steepness s = evals/factor + 1; the default factor inf is vanilla, s = 1."""
 
-    mode: str
     factor: float = math.inf
 
     def __post_init__(self):
-        if self.mode not in ("vanilla", "linear"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.mode == "linear" and not self.factor > 0:
+        if not self.factor > 0:
             raise ValueError("linear schedule requires factor > 0")
-        if self.mode == "linear" and math.isinf(self.factor):
+
+    @classmethod
+    def vanilla(cls) -> "SteepeningSchedule":
+        return cls()
+
+    @classmethod
+    def linear(cls, factor: float) -> "SteepeningSchedule":
+        factor = float(factor)
+        if factor == math.inf:
             raise ValueError(
                 "linear schedule requires a finite factor; for s = 1 use the "
                 "vanilla schedule (--vanilla)"
             )
-
-    @classmethod
-    def vanilla(cls) -> "SteepeningSchedule":
-        return cls("vanilla")
-
-    @classmethod
-    def linear(cls, factor: float) -> "SteepeningSchedule":
-        return cls("linear", float(factor))
+        return cls(factor)
 
 
 def steepness(evals: int, schedule: SteepeningSchedule) -> float:
     """Sigmoid steepness after `evals` completed objective evaluations."""
     if evals < 0:
         raise ValueError("evaluation count must be non-negative")
-    if schedule.mode == "vanilla":
-        return 1.0
     return evals / schedule.factor + 1.0
 
 
@@ -74,7 +71,8 @@ class PpaConfig:
             raise ValueError("n_max must be >= 1")
         if self.budget < self.pop_size:
             raise ValueError("budget must cover at least the initial population")
-        if self.schedule.mode == "linear":
+        # inf is vanilla, s = 1, and 10**400 / inf would raise OverflowError
+        if math.isfinite(self.schedule.factor):
             # the fitness computes 4*s*z - 2*s; once 4*s overflows it is nan
             try:
                 s = self.budget / self.schedule.factor + 1.0

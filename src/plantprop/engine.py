@@ -74,7 +74,6 @@ def run(
             f"with their built-in formula; {function.name!r} is not one"
         )
 
-    linear = config.schedule.mode == "linear"
     best, best_point, trajectory, evals = _kernel.run(
         func_id,
         function.dimension,
@@ -83,8 +82,7 @@ def run(
         config.pop_size,
         config.n_max,
         config.budget,
-        linear,
-        config.schedule.factor if linear else 1.0,
+        config.schedule.factor,
         seed & MASK64,
     )
     return RunResult(

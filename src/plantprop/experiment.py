@@ -20,8 +20,8 @@ from .benchmarks import FIXED_2D_NAMES, SCALABLE_NAMES, make_function
 from .core import PpaConfig, SteepeningSchedule
 from .rng import derive_subseed
 
-# factor token for the schedule-off baseline column; sorts after every
-# numeric factor, which is exactly where the column belongs
+# the factor of the vanilla baseline column: evals/inf + 1 is exactly 1, and
+# inf sorts after every numeric factor, which is where the column belongs
 VANILLA = math.inf
 
 DEFAULT_FACTORS = tuple(float(f) for f in range(100, 4001, 100))
@@ -29,6 +29,12 @@ DEFAULT_FACTORS = tuple(float(f) for f in range(100, 4001, 100))
 # chosen by scanning candidate seeds for clean low-error bands on every
 # multimodal function under the default grids; see tests/test_acceptance.py
 DEFAULT_BASE_SEED = 101
+
+
+def factor_to_json(factor: float) -> float | str:
+    """A factor as written to config and manifest JSON: vanilla is "vanilla"."""
+    return "vanilla" if factor == VANILLA else factor
+
 
 ProgressCallback = Callable[["CellResult", int, int, float], None]
 
@@ -55,20 +61,17 @@ class SweepSpec:
         if not self.factors:
             raise ValueError("a sweep needs at least one factor")
         for f in self.factors:
-            if not isinstance(f, (int, float)) or isinstance(f, bool):
+            if isinstance(f, bool) or not isinstance(f, (int, float)) or not f > 0:
                 raise ValueError(f"factors must be positive reals, got {f!r}")
-        object.__setattr__(self, "factors", tuple(float(f) for f in self.factors))
-        numeric = [f for f in self.factors if f != VANILLA]
-        for f in numeric:
-            if math.isnan(f) or not f > 0:
-                raise ValueError(f"factors must be positive reals, got {f!r}")
-        if any(b <= a for a, b in zip(numeric, numeric[1:])):
-            raise ValueError("numeric factors must be strictly increasing")
-        n_vanilla = len(self.factors) - len(numeric)
-        if n_vanilla > 1:
-            raise ValueError("at most one vanilla column per sweep")
-        if n_vanilla == 1 and self.factors[-1] != VANILLA:
-            raise ValueError("the vanilla column must come last")
+        factors = tuple(float(f) for f in self.factors)
+        object.__setattr__(self, "factors", factors)
+        # vanilla (inf) exceeds every numeric factor, so this one check
+        # also allows at most one vanilla column and puts it last
+        if any(b <= a for a, b in zip(factors, factors[1:])):
+            raise ValueError(
+                "factors must be strictly increasing, with at most one "
+                "vanilla column, last"
+            )
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         for name in self.functions:
@@ -81,7 +84,7 @@ class SweepSpec:
         for factor in self.factors:
             PpaConfig(
                 budget=self.budget, pop_size=self.pop_size, n_max=self.n_max,
-                schedule=_schedule_for(factor),
+                schedule=SteepeningSchedule(factor),
             )
 
     @property
@@ -93,7 +96,7 @@ class SweepSpec:
         return {
             "functions": list(self.functions),
             "dimension": self.dimension,
-            "factors": ["vanilla" if math.isinf(f) else f for f in self.factors],
+            "factors": [factor_to_json(f) for f in self.factors],
             "repeats": self.repeats,
             "budget": self.budget,
             "pop_size": self.pop_size,
@@ -190,12 +193,6 @@ def cell_seeds(spec: SweepSpec) -> dict[tuple[int, int], tuple[int, ...]]:
     return seeds
 
 
-def _schedule_for(factor: float) -> SteepeningSchedule:
-    if math.isinf(factor):
-        return SteepeningSchedule.vanilla()
-    return SteepeningSchedule.linear(factor)
-
-
 def _run_cell(
     spec: SweepSpec, key: tuple[int, int], seeds: tuple[int, ...], backend: str
 ) -> CellResult:
@@ -204,7 +201,7 @@ def _run_cell(
     function = make_function(name, spec.dimension)
     config = PpaConfig(
         budget=spec.budget, pop_size=spec.pop_size, n_max=spec.n_max,
-        schedule=_schedule_for(factor),
+        schedule=SteepeningSchedule(factor),
     )
     # engine.run is looked up on the module at each call, so a wrapper
     # installed there (a per-run probe, a counting test) sees every run

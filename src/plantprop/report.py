@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import __version__
 from .benchmarks import FUNCTION_NAMES, make_function
-from .experiment import VANILLA, CellResult, SweepSpec
+from .experiment import VANILLA, CellResult, SweepSpec, factor_to_json
 
 MANIFEST_FORMAT = "plantprop-manifest-1"
 
@@ -75,10 +75,6 @@ def format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _fmt_factor(factor: float) -> str:
-    return "inf" if factor == VANILLA else format_float(factor)
-
-
 def write_csv(table: HeatmapTable, path: str | Path) -> Path:
     """Write the table; row order is deterministic (see build_table)."""
     path = Path(path)
@@ -89,7 +85,7 @@ def write_csv(table: HeatmapTable, path: str | Path) -> Path:
     for function in table.functions:
         for factor in table.factors:
             key = (function, factor)
-            row = [function, _fmt_factor(factor), format_float(table.medians[key])]
+            row = [function, format_float(factor), format_float(table.medians[key])]
             row += [format_float(v) for v in table.finals[key]]
             lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -183,7 +179,7 @@ def write_manifest(
         cells.append(
             {
                 "function": cell.function,
-                "factor": "vanilla" if cell.factor == VANILLA else cell.factor,
+                "factor": factor_to_json(cell.factor),
                 "seeds": list(cell.seeds),
                 "median": cell.median,
             }
@@ -321,7 +317,8 @@ def render_heatmaps(
 ) -> list[Path]:
     """Render the table to SVG files in out_dir and return their paths.
 
-    Default: one file per function. combined=True: a single grid with all
+    Default: one file per function, named after it, so every name must be
+    one plain path component. combined=True: a single grid with all
     functions. Error coloring (the default) needs every function name to be
     a registered benchmark; raw=True colors by the median value itself and
     works for any names.
@@ -336,6 +333,14 @@ def render_heatmaps(
                 f"no known optimum for {', '.join(unknown)}; "
                 f"use raw mode or one of: {', '.join(FUNCTION_NAMES)}"
             )
+    if not combined:
+        for function in table.functions:
+            # Path(name).name drops any directory part and is "" for "."
+            if function in ("", "..") or Path(function).name != function:
+                raise ValueError(
+                    f"function name {function!r} is not a plain file name; "
+                    "use combined mode"
+                )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -1,12 +1,14 @@
 /*
  * Runs ppa_run on the cases read from stdin, one per line:
  *
- *     fid dim lower upper pop_size n_max budget linear factor seed
+ *     fid dim lower upper pop_size n_max budget factor seed
  *
- * with the box [lower, upper] in every coordinate, and prints one line per
- * case: status, evaluations used, best value as a hex float and trajectory
- * length. tests/test_parity.py links it with _ppa.c under the address and
- * undefined-behaviour sanitizers and compares the lines with _kernel.run.
+ * with the box [lower, upper] in every coordinate and factor inf for vanilla
+ * (scanf parses "inf"), and prints one line per case: status, evaluations
+ * used, best value as a hex float and trajectory length. tests/test_parity.py
+ * links it with _ppa.c under the address and undefined-behaviour sanitizers
+ * and compares the lines with _kernel.run, and once more under -flto, where a
+ * prototype below that no longer matches _ppa.c's fails the link.
  */
 #include <inttypes.h>
 #include <stdint.h>
@@ -19,23 +21,23 @@ typedef struct {
 } ppa_step;
 
 int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
-            int64_t pop_size, int64_t n_max, int64_t budget, int linear,
-            double factor, uint64_t seed, double *best_value,
-            double *best_point, int64_t *evals_used, ppa_step **trajectory,
+            int64_t pop_size, int64_t n_max, int64_t budget, double factor,
+            uint64_t seed, double *best_value, double *best_point,
+            int64_t *evals_used, ppa_step **trajectory,
             int64_t *trajectory_len, double *bad_value);
 void ppa_free(void *p);
 
 int main(void)
 {
-    int fid, linear;
+    int fid;
     int64_t dim, pop, n_max, budget, i;
     double lo, hi, factor;
     uint64_t seed;
 
     while (scanf("%d %" SCNd64 " %lf %lf %" SCNd64 " %" SCNd64 " %" SCNd64
-                 " %d %lf %" SCNu64,
-                 &fid, &dim, &lo, &hi, &pop, &n_max, &budget, &linear,
-                 &factor, &seed) == 10) {
+                 " %lf %" SCNu64,
+                 &fid, &dim, &lo, &hi, &pop, &n_max, &budget, &factor,
+                 &seed) == 9) {
         double *lower = malloc((size_t)dim * sizeof(double));
         double *upper = malloc((size_t)dim * sizeof(double));
         double *point = malloc((size_t)dim * sizeof(double));
@@ -50,9 +52,8 @@ int main(void)
             lower[i] = lo;
             upper[i] = hi;
         }
-        status = ppa_run(fid, dim, lower, upper, pop, n_max, budget, linear,
-                         factor, seed, &best, point, &evals, &steps, &len,
-                         &bad);
+        status = ppa_run(fid, dim, lower, upper, pop, n_max, budget, factor,
+                         seed, &best, point, &evals, &steps, &len, &bad);
         printf("%d %" PRId64 " %a %" PRId64 "\n", status, evals, best, len);
         ppa_free(steps);
         free(lower);

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from plantprop import engine
 from plantprop.benchmarks import FUNCTION_NAMES
 from plantprop.cli import main
 
@@ -114,6 +115,15 @@ def test_run_trajectory_into_a_directory_is_an_error(tmp_path, capsys):
                  "--pop-size", "10", "--trajectory", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.skipif(not engine.HAVE_KERNEL, reason="needs the compiled kernel")
+def test_run_unallocatable_sizes_are_an_error(capsys):
+    # the C core's size_t overflow check fails before any allocation
+    code = main(["run", "--function", "sphere", "--budget", str(2**62),
+                 "--pop-size", str(2**62), "--backend", "compiled"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cannot allocate")
 
 
 def test_run_seed_from_environment(monkeypatch, capsys):
@@ -293,6 +303,19 @@ def test_plot_out_on_an_existing_file_is_an_error(tmp_path, capsys):
                  "--out", str(out_dir / "results.csv")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_plot_rejects_a_function_name_that_leaves_out(tmp_path, capsys):
+    csv_dir = tmp_path / "csvdir"
+    csv_dir.mkdir()
+    csv = csv_dir / "results.csv"
+    csv.write_text(
+        "function,factor,median,run_final_1\n../escaped,100,1,1\n", encoding="utf-8"
+    )
+    code = main(["plot", str(csv), "--raw", "--out", str(csv_dir / "plots")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["csvdir", "results.csv"]
 
 
 def test_plot_malformed_csv_fails_with_location(tmp_path, capsys):

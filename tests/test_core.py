@@ -87,12 +87,20 @@ def test_steepness_rejects_negative_evals():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        SteepeningSchedule("linear", 0.0)
-    with pytest.raises(ValueError):
-        SteepeningSchedule("cosine", 5.0)
+    for bad in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="factor > 0"):
+            SteepeningSchedule(bad)
+        with pytest.raises(ValueError, match="factor > 0"):
+            SteepeningSchedule.linear(bad)
     with pytest.raises(ValueError, match="--vanilla"):
         SteepeningSchedule.linear(math.inf)
+
+
+def test_vanilla_is_the_infinite_factor():
+    vanilla = SteepeningSchedule.vanilla()
+    assert vanilla == SteepeningSchedule(math.inf)
+    for evals in (0, 1, 2**53, 2**63 - 1):
+        assert steepness(evals, vanilla) == 1.0
 
 
 # -- fitness -----------------------------------------------------------------
@@ -373,6 +381,8 @@ def test_config_validation():
     # a budget beyond the float range overflows the steepness too
     with pytest.raises(ValueError, match="too small"):
         PpaConfig(budget=10**400, schedule=SteepeningSchedule.linear(100.0))
+    # but not vanilla's, which never divides the budget by inf
+    assert PpaConfig(budget=10**400).schedule == SteepeningSchedule.vanilla()
 
 
 @pytest.mark.parametrize("factor", [1e-320, 1e-306, 3e-306])

@@ -202,7 +202,7 @@ def test_kernel_rejects_bounds_that_bounds_rejects(lower, upper):
     with pytest.raises(ValueError) as expected:
         Bounds(lower, upper)
     with pytest.raises(ValueError) as got:
-        _kernel.run(0, 2, lower, upper, 30, 5, 100, False, 1.0, 1)
+        _kernel.run(0, 2, lower, upper, 30, 5, 100, math.inf, 1)
     assert str(got.value) == str(expected.value)
 
 
@@ -362,7 +362,7 @@ def test_kernel_stops_on_a_non_finite_fitness(factor):
     """The C core's own guard, reached when PpaConfig is bypassed."""
     code = (
         "from plantprop import _kernel\n"
-        f"_kernel.run(0, 2, [-5.12] * 2, [5.12] * 2, 30, 5, 300, True, {factor!r}, 1)\n"
+        f"_kernel.run(0, 2, [-5.12] * 2, [5.12] * 2, 30, 5, 300, {factor!r}, 1)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -404,49 +404,66 @@ def test_c_core_compiles_without_warnings(tmp_path):
 
 
 def sanitizer_cases():
-    """(fid, dim, lower, upper, pop_size, n_max, budget, linear, factor, seed)."""
+    """(fid, dim, lower, upper, pop_size, n_max, budget, factor, seed)."""
     cases = []
     for name in FUNCTION_NAMES:
         dims = (2, 30, 50) if name in SCALABLE_NAMES else (2,)
         for dim in dims:
-            for linear in (0, 1):
-                cases.append((FUNCTION_IDS[name], dim, -5.0, 5.0, 30, 5, 600, linear, 150.0, 7))
+            for factor in (math.inf, 150.0):
+                cases.append((FUNCTION_IDS[name], dim, -5.0, 5.0, 30, 5, 600, factor, 7))
     for name in (*BOWL_NAMES, "ellipse", *BOUNDED_NAMES):
         fid = FUNCTION_IDS[name]
         cases += [
-            (fid, 30, 2.0, 3.0, 30, 5, 600, 0, 1.0, 1),  # clamped box
-            (fid, 4, 2.0, 3.0, 30, 5, 600, 1, 1.0, 2),
-            (fid, 2, -5.0, 5.0, 1, 1, 200, 1, 50.0, 3),  # pop_size 1, n_max 1
-            (fid, 30, -5.0, 5.0, 1, 8, 300, 0, 1.0, 4),
-            (fid, 50, -5.0, 5.0, 30, 5, 30, 1, 9.0, 5),  # budget == pop_size
-            (fid, 4, -5.0, 5.0, 64, 40, 2000, 1, 100.0, 2**64 - 1),
+            (fid, 30, 2.0, 3.0, 30, 5, 600, math.inf, 1),  # clamped box
+            (fid, 4, 2.0, 3.0, 30, 5, 600, 1.0, 2),
+            (fid, 2, -5.0, 5.0, 1, 1, 200, 50.0, 3),  # pop_size 1, n_max 1
+            (fid, 30, -5.0, 5.0, 1, 8, 300, math.inf, 4),
+            (fid, 50, -5.0, 5.0, 30, 5, 30, 9.0, 5),  # budget == pop_size
+            (fid, 4, -5.0, 5.0, 64, 40, 2000, 100.0, 2**64 - 1),
         ]
     return cases
 
 
-def test_c_core_runs_clean_under_sanitizers(tmp_path):
-    """Edge sizes under ASan and UBSan, with the same results as the kernel."""
+def build_runner(tmp_path, extra_flags):
+    """tests/ppa_runner.c linked with the C core under extra_flags.
+
+    Skips when there is no compiler or it cannot build and run an empty
+    program with those flags.
+    """
     cc = shutil.which(_kernel._CC)
     if cc is None:
         pytest.skip(f"no {_kernel._CC} on PATH")
-    sanitize = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g"]
     probe = tmp_path / "probe.c"
     probe.write_text("int main(void) { return 0; }\n")
     built = subprocess.run(
-        [cc, *sanitize, "-o", str(tmp_path / "probe"), str(probe)],
+        [cc, *extra_flags, "-o", str(tmp_path / "probe"), str(probe)],
         capture_output=True, text=True, timeout=120,
     )
     if built.returncode != 0 or subprocess.run([tmp_path / "probe"]).returncode != 0:
-        pytest.skip(f"no sanitizer runtime for {cc}: {built.stderr.strip()}")
+        pytest.skip(f"{cc} cannot build with {' '.join(extra_flags)}: {built.stderr.strip()}")
 
     runner = tmp_path / "runner"
     flags = [f for f in _kernel._FLAGS if f not in ("-shared", "-fPIC")]
     command = [
-        cc, *flags, *sanitize, "-o", str(runner),
+        cc, *flags, *extra_flags, "-o", str(runner),
         str(Path(__file__).with_name("ppa_runner.c")), str(_kernel._SOURCE), *_kernel._LIBS,
     ]
     built = subprocess.run(command, capture_output=True, text=True, timeout=300)
     assert built.returncode == 0, built.stderr
+    return runner
+
+
+def test_runner_prototype_matches_the_c_core(tmp_path):
+    """ppa_runner.c restates ppa_run's prototype by hand. A plain link takes a
+    stale copy silently; link-time optimization compares the two and fails."""
+    build_runner(tmp_path, ["-flto", "-Wall", "-Wextra", "-Werror"])
+
+
+def test_c_core_runs_clean_under_sanitizers(tmp_path):
+    """Edge sizes under ASan and UBSan, with the same results as the kernel."""
+    runner = build_runner(
+        tmp_path, ["-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g"]
+    )
     cases = sanitizer_cases()
     proc = subprocess.run(
         [runner], input="".join(" ".join(map(repr, case)) + "\n" for case in cases),

@@ -243,6 +243,19 @@ def test_render_error_mode_needs_known_functions(tmp_path):
     assert [p.name for p in written] == ["custom.svg"]
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "{tmp}/abs", "", ".", ".."])
+def test_render_rejects_names_that_are_not_plain_file_names(tmp_path, name):
+    # an absolute name inside tmp_path, so a faulty check writes nowhere else
+    name = name.replace("{tmp}", str(tmp_path))
+    results = [_cell("sphere", 100.0, (1.0, 2.0, 3.0)), _cell(name, 100.0, (1.0, 2.0, 3.0))]
+    out_dir = tmp_path / "a" / "out"
+    with pytest.raises(ValueError, match="not a plain file name"):
+        render_heatmaps(build_table(results), out_dir, raw=True)
+    assert list(tmp_path.rglob("*")) == []
+    written = render_heatmaps(build_table(results), out_dir, combined=True, raw=True)
+    assert [p.name for p in written] == ["heatmap_combined.svg"]
+
+
 def test_render_rejects_non_finite_medians(tmp_path):
     results = [_cell("sphere", 100.0, (math.inf, math.inf, math.inf))]
     with pytest.raises(ValueError, match="non-finite"):
