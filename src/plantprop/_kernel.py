@@ -127,7 +127,7 @@ def _load() -> ctypes.CDLL:
     lib.ppa_run.restype = ctypes.c_int
     lib.ppa_eval.argtypes = [ctypes.c_int, i64, f64_p, f64_p]  # ..., x, scratch
     lib.ppa_eval.restype = f64
-    lib.ppa_bound.argtypes = [ctypes.c_int, i64, f64_p]  # griewank, ackley, rastrigin
+    lib.ppa_bound.argtypes = [ctypes.c_int, i64, f64_p, f64, f64_p]  # ..., x, fmax, scratch
     lib.ppa_bound.restype = f64
     lib.ppa_rng_u64.argtypes = [u64, ctypes.c_size_t, ctypes.POINTER(u64)]
     lib.ppa_rng_u64.restype = None

@@ -28,20 +28,50 @@
  *   coordinates it skips, so the stream and every result stay the same.
  *   Ellipse's weighted terms grow along the coordinates, so its sum reaches
  *   fmax late; stopping measured slower there, and it keeps the plain loop.
- * - Lower bound (bounded_eval). Griewank, ackley and rastrigin spend most
- *   of their time in cos. Before any cos call, a child's objective is
- *   bounded from below by eval's own expression with the cos term replaced
- *   by a constant on its far side: griewank s / 4000.0 - 2.0 + 1.0 (the
- *   product of cosines is at most 1), ackley A - 3.0 + 20.0 + E with A the
- *   exp term of s exactly as eval computes it (exp(s2 / n) is at most
- *   e < 3), rastrigin 10.0 * n + the sum of (x * x - 11.0) in eval's order
- *   (10 * cos is at most 10). The constants leave room for libm's rounding,
- *   and rounding is monotone, so the bound never exceeds eval's value. A
- *   child whose bound reaches fmax keeps it as its value, still counts as an
- *   evaluation and was made in full, so the draws are the same. Schwefel's
- *   only cheap bound, x * sin(sqrt(|x|)) <= min(|x|, 419) per coordinate,
- *   lies thousands below a typical value and would almost never reject, so
- *   it keeps the plain loop.
+ * - Lower bound (bounded_eval). Griewank, ackley, rastrigin and schwefel
+ *   spend most of their time in cos or sin. A child is made in full (so the
+ *   draws are the same), then its objective is bounded from below: eval's
+ *   own partial result, plus a bound on the terms still to come. Once that
+ *   reaches fmax, the child stops with fmax as its value and still counts
+ *   as an evaluation. The check runs before the first libm term and, except
+ *   for rastrigin, again after each one. Below, u = 2^-53; libm's cos and
+ *   sin stay in [-1, 1], which holds for any libm whose error is below one
+ *   ulp, since +-1 are doubles; rounding is monotone.
+ *   - Griewank: |p| never grows as factors of size <= 1 are multiplied in,
+ *     so with eval's sum s and partial product p, s / 4000.0 - fabs(p) + 1.0
+ *     rounds to at most eval's value. No slack is needed.
+ *   - Rastrigin: one check, 10.0 * n + the sum of (x * x - 11.0) in eval's
+ *     order, since 10 * cos is at most 10 < 11.
+ *   - Ackley: every cos term is at most 1, so with k terms summed into s2,
+ *     eval's final s2 is at most s2 + (n - k) up to reordering, which costs
+ *     at most 1.01 u n^2. First, exp(s2 / n) is at most e < 2.72, so a child
+ *     with A - 2.72 + 20.0 + E >= fmax stops at once (A is eval's exp term
+ *     of s, exactly as eval computes it; the check is exact, as griewank's).
+ *     Otherwise one log per child gives lim = n * (log(A + 20.0 + E - fmax -
+ *     1e-9) - 1e-9), and the child stops once s2 + (n - k) <= lim. The
+ *     n * 1e-9 in lim covers the reordering, libm's exp and log (one ulp
+ *     each, |log| <= 745) and the roundings of s2 / n, s2 + (n - k) and lim,
+ *     at most 1.2e-16 n^2 + 3.4e-13 n in all, while n <= BOUND_MAX_DIM =
+ *     2^20. So eval's exp(s2 / n) is below A + 20.0 + E - fmax - 1e-9 +
+ *     6e-14, where 6e-14 bounds the roundings in forming that difference,
+ *     and the 1e-9 left covers those of A - exp(..) + 20.0 + E (under 1e-14).
+ *     Both bounds hold where fmax >= -100; below that every value, at least
+ *     -1e-14, is >= fmax anyway.
+ *   - Schwefel, when every coordinate lies in [-500, 500] and n <= 2^20: a
+ *     term x * sin(sqrt(|x|)) is at most |x| and at most 418.9829 (its
+ *     largest magnitude there is 418.98288727, at |x| = 420.9687), so
+ *     w[k], the suffix sum of min(|x|, 418.9829) from k on, bounds the
+ *     terms still to come. The child stops once s + w[k] <= lim = 418.9829
+ *     * n - fmax - 1e-10 * n * n. Eval's sum from s on, the suffix sum and
+ *     s + w[k] differ from exact sums by at most 420 u n^2, 420 u n^2 and
+ *     840 u n, and lim's roundings by 2000 u n where it can be reached
+ *     (|lim| <= 1000 n); so eval's sum is at most 418.9829 * n - fmax and
+ *     its value at least fmax. Beyond +-500 a term can pass 418.9829, and
+ *     the plain loop runs.
+ *   bound_applies makes these choices per run from the box and n. At n =
+ *   30 on the default boxes, 62-95% of schwefel's offspring stop, after
+ *   13-19 of their 30 sin calls on average; a single check before the first
+ *   sin would stop under 1%.
  * - Row pointers. The parents are reached through pointers to their rows,
  *   so a surviving parent's row stays where it is, and selection copies
  *   only the surviving offspring, each into the row of a parent that
@@ -75,6 +105,11 @@ enum {
 #define PI 3.141592653589793
 #define E 2.718281828459045
 #define TWO_PI (2.0 * PI)
+
+/* bounded_eval's limits (see the header): the largest n at which ackley
+   and schwefel may stop, and a bound on |x sin(sqrt(|x|))| for |x| <= 500 */
+#define BOUND_MAX_DIM (INT64_C(1) << 20)
+#define SCHWEFEL_TERM 418.9829
 
 #define BRANIN_B (5.1 / (4.0 * PI * PI))
 #define BRANIN_C (5.0 / PI)
@@ -274,35 +309,84 @@ static ALWAYS_INLINE double eval(int fid, int64_t n, const double *x,
 }
 
 /*
- * A lower bound on the objective of griewank (4), ackley (6) or rastrigin (7)
- * at x, made without a cos call (see the header): eval's expression with the
- * cos term swapped for a constant that bounds it from the safe side.
+ * Whether bounded_eval's stop is proved for fid on the box [lower, upper]
+ * (see the header): always for griewank and rastrigin, up to n =
+ * BOUND_MAX_DIM for ackley, and for schwefel also only inside [-500, 500].
  */
-static ALWAYS_INLINE double cos_bound(int fid, int64_t n, const double *x)
+static int bound_applies(int fid, int64_t n, const double *lower,
+                         const double *upper)
 {
-    double s = 0.0;
-    int64_t i;
+    int64_t j;
 
-    if (fid == 7) {
-        for (i = 0; i < n; i++)
-            s += x[i] * x[i] - 11.0;
-        return 10.0 * (double)n + s;
-    }
-    for (i = 0; i < n; i++)
-        s += x[i] * x[i];
-    if (fid == 4)
-        return s / 4000.0 - 2.0 + 1.0;
-    return -20.0 * exp(-0.2 * sqrt(s / (double)n)) - 3.0 + 20.0 + E;
+    if (fid == 4 || fid == 7)
+        return 1;
+    if ((fid != 6 && fid != 8) || n > BOUND_MAX_DIM)
+        return 0;
+    if (fid == 8)
+        for (j = 0; j < n; j++)
+            if (!(lower[j] >= -500.0 && upper[j] <= 500.0))
+                return 0;
+    return 1;
 }
 
-/* eval of griewank, ackley or rastrigin, or its lower bound (>= fmax) when
-   that alone shows the child cannot survive */
+/*
+ * eval of griewank (4), ackley (6), rastrigin (7) or schwefel (8) at x, or
+ * fmax once a lower bound on that value reaches fmax (see the header), where
+ * bound_applies holds for a box that contains x. The sums and the product
+ * are eval's own, term for term, so a value that is not stopped is eval's.
+ * Schwefel overwrites w (n doubles, unused by its eval) with its suffix
+ * sums.
+ */
 static ALWAYS_INLINE double bounded_eval(int fid, int64_t n, const double *x,
-                                         const double *w, double fmax)
+                                         double *w, double fmax)
 {
-    double low = cos_bound(fid, n, x);
+    double s = 0.0, s2 = 0.0, p = 1.0, left = (double)n, rest = 0.0;
+    double a, b, lim, xi;
+    int64_t i;
 
-    return low >= fmax ? low : eval(fid, n, x, w);
+    switch (fid) {
+    case 4: /* griewank */
+        for (i = 0; i < n; i++)
+            s += x[i] * x[i];
+        s = s / 4000.0;
+        for (i = 0; i < n; i++) {
+            if (s - fabs(p) + 1.0 >= fmax)
+                return fmax;
+            p *= cos(x[i] / w[i]);
+        }
+        return s - p + 1.0;
+    case 6: /* ackley */
+        for (i = 0; i < n; i++)
+            s += x[i] * x[i];
+        a = -20.0 * exp(-0.2 * sqrt(s / (double)n));
+        if (a - 2.72 + 20.0 + E >= fmax)
+            return fmax;
+        lim = (double)n * (log(a + 20.0 + E - fmax - 1e-9) - 1e-9);
+        for (i = 0; i < n; i++, left -= 1.0) {
+            if (s2 + left <= lim)
+                return fmax;
+            s2 += cos(TWO_PI * x[i]);
+        }
+        return a - exp(s2 / (double)n) + 20.0 + E;
+    case 7: /* rastrigin */
+        for (i = 0; i < n; i++)
+            s += x[i] * x[i] - 11.0;
+        return 10.0 * (double)n + s >= fmax ? fmax : eval(7, n, x, w);
+    default: /* schwefel (8) */
+        for (i = n - 1; i >= 0; i--) {
+            b = fabs(x[i]);
+            rest += b < SCHWEFEL_TERM ? b : SCHWEFEL_TERM;
+            w[i] = rest;
+        }
+        lim = 418.9829 * (double)n - fmax - 1e-10 * (double)n * (double)n;
+        for (i = 0; i < n; i++) {
+            if (s + w[i] <= lim)
+                return fmax;
+            xi = x[i];
+            s += xi * sin(sqrt(fabs(xi)));
+        }
+        return 418.9829 * (double)n - s;
+    }
 }
 
 typedef struct {
@@ -408,10 +492,15 @@ double ppa_eval(int fid, int64_t n, const double *x, double *table)
     return eval(fid, n, x, table);
 }
 
-/* the exported entry to cos_bound, for the tests; fid is 4, 6 or 7 */
-double ppa_bound(int fid, int64_t n, const double *x)
+/* what ppa_run gives an offspring at x when the worst parent's value is
+   fmax, for the tests: bounded_eval where bound_applies to the box [x, x],
+   else eval. table is n doubles of scratch, as for ppa_eval. */
+double ppa_bound(int fid, int64_t n, const double *x, double fmax,
+                 double *table)
 {
-    return cos_bound(fid, n, x);
+    fill_table(fid, n, table);
+    return bound_applies(fid, n, x, x) ? bounded_eval(fid, n, x, table, fmax)
+                                       : eval(fid, n, x, table);
 }
 
 void ppa_free(void *p)
@@ -502,7 +591,8 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     double *kidobj = NULL; /* slots */
     double *fits = NULL;   /* pop: normalized objective, then fitness */
     double *width = NULL;  /* dim: upper - lower */
-    double *table = NULL;  /* dim: fill_table's constants */
+    double *table = NULL;  /* dim: fill_table's constants, or schwefel's
+                              suffix sums */
     sort_item *items = NULL; /* pop + slots: parents, then candidates */
     int64_t evals = 0, cnt, k;
     double best = INFINITY;
@@ -516,9 +606,10 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     int stop_fid = d > 3 && (fid == 0 || fid == 1 || fid == 3 || fid == 5)
                        ? fid
                        : -1;
-    /* griewank, ackley or rastrigin, whose offspring are bounded before
-       eval, else -1; with stop_fid also -1, the plain loop */
-    int bound_fid = fid == 4 || fid == 6 || fid == 7 ? fid : -1;
+    /* griewank, ackley, rastrigin or schwefel where their offspring may
+       stop on a lower bound, else -1; with stop_fid also -1, the plain
+       loop */
+    int bound_fid = bound_applies(fid, dim, lower, upper) ? fid : -1;
 
     rng_seed(&rng, seed);
 
@@ -638,8 +729,10 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                         val = bounded_eval(4, dim, child, table, fmax);
                     else if (bound_fid == 6)
                         val = bounded_eval(6, dim, child, table, fmax);
-                    else
+                    else if (bound_fid == 7)
                         val = bounded_eval(7, dim, child, table, fmax);
+                    else
+                        val = bounded_eval(8, dim, child, table, fmax);
                 } else if (stop_fid == 0) {
                     val = bowl_child(0, &rng, d, parent, child, lower, upper,
                                      width, om, fmax);

@@ -107,7 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--from-manifest",
         metavar="MANIFEST.JSON",
-        help="re-run the sweep recorded in a manifest",
+        help="re-run the sweep recorded in a manifest and exit 1 if a cell's "
+        "seeds or median differ from it (not checked when the seed is "
+        "overridden)",
     )
     p_sweep.add_argument(
         "--out", required=True, metavar="DIR", help="output directory"
@@ -199,7 +201,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_sweep_spec(args: argparse.Namespace) -> SweepSpec:
+def _resolve_sweep_spec(
+    args: argparse.Namespace,
+) -> tuple[SweepSpec, report.ManifestCells | None]:
+    """The spec to run, and with --from-manifest the manifest's cells to
+    compare the rerun with (None when the seed was overridden)."""
+    recorded = None
     if args.preset is not None:
         include_vanilla = not args.no_vanilla
         if args.preset == "sweep-a":
@@ -221,20 +228,21 @@ def _resolve_sweep_spec(args: argparse.Namespace) -> SweepSpec:
                 raise CliError(f"{path}: {exc}") from None
         else:
             try:
-                spec = report.load_manifest(args.from_manifest)
+                spec, recorded = report.read_manifest(args.from_manifest)
             except (OSError, ValueError) as exc:
                 raise CliError(str(exc)) from None
 
     seed = args.base_seed
     if seed is None:
         seed = _env_seed()
-    if seed is not None:
+    if seed is not None and seed != spec.base_seed:
         spec = replace(spec, base_seed=seed)
-    return spec
+        recorded = None
+    return spec, recorded
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _resolve_sweep_spec(args)
+    spec, recorded = _resolve_sweep_spec(args)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
         raise CliError("--jobs must be >= 1")
@@ -273,6 +281,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"wrote {csv_path} ({len(results)} cells) and {manifest_path.name} "
         f"in {elapsed:.1f}s"
     )
+    if recorded is not None:
+        mismatches = report.cell_mismatches(recorded, results)
+        if mismatches:
+            raise CliError(
+                f"{len(mismatches)} cell(s) differ from {args.from_manifest}:\n  "
+                + "\n  ".join(mismatches)
+            )
     return 0
 
 

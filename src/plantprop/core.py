@@ -57,7 +57,11 @@ def steepness(evals: int, schedule: SteepeningSchedule) -> float:
 
 @dataclass(frozen=True)
 class PpaConfig:
-    """Run parameters: population size, offspring cap, budget, schedule."""
+    """Run parameters: population size, offspring cap, budget, schedule.
+
+    No size is capped here, and the Python engine checks none; see
+    ``engine.run`` for what the compiled engine checks.
+    """
 
     budget: int
     pop_size: int = 30

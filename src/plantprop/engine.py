@@ -52,6 +52,13 @@ def run(
     otherwise it falls back to the Python engine. Requesting `compiled` in
     a situation the kernel cannot handle is an error rather than a silent
     fallback.
+
+    Only the compiled engine checks sizes: it raises MemoryError before a
+    run whose buffers overflow or cannot be allocated, which the CLI
+    reports as an ``error: ...`` line. The Python engine has no size limit.
+    It builds ``pop_size`` individuals and each generation's offspring as
+    Python objects, so a size that does not fit in memory fails however the
+    interpreter runs out of it.
     """
     if backend not in BACKENDS:
         raise ValueError(

@@ -197,8 +197,12 @@ def write_manifest(
     return path
 
 
-def load_manifest(path: str | Path) -> SweepSpec:
-    """Recover the sweep spec from a manifest written by write_manifest."""
+# a manifest's cells: {(function, factor as in the JSON): (seeds, median)}
+ManifestCells = dict[tuple[str, float | str], tuple[tuple[int, ...], float]]
+
+
+def read_manifest(path: str | Path) -> tuple[SweepSpec, ManifestCells]:
+    """The sweep spec and the cells of a manifest written by write_manifest."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -212,7 +216,48 @@ def load_manifest(path: str | Path) -> SweepSpec:
         )
     if "spec" not in doc:
         raise ValueError(f"{path}: manifest is missing its 'spec' entry")
-    return SweepSpec.from_config_dict(doc["spec"])
+    spec = SweepSpec.from_config_dict(doc["spec"])
+    try:
+        cells = {
+            (cell["function"], cell["factor"]): (
+                tuple(int(seed) for seed in cell["seeds"]),
+                float(cell["median"]),
+            )
+            for cell in doc.get("cells", ())
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed 'cells' entry: {exc!r}") from None
+    return spec, cells
+
+
+def load_manifest(path: str | Path) -> SweepSpec:
+    """Recover the sweep spec from a manifest written by write_manifest."""
+    return read_manifest(path)[0]
+
+
+def cell_mismatches(recorded: ManifestCells, results: Sequence[CellResult]) -> list[str]:
+    """One line per cell whose seeds or median differ between a manifest's
+    cells (as read_manifest returns them) and `results`, or that only one
+    of the two has."""
+    lines = []
+    left = dict(recorded)
+    for cell in sorted(results, key=lambda c: (c.function, c.factor)):
+        name = f"{cell.function} factor {factor_label(cell.factor)}"
+        expected = left.pop((cell.function, factor_to_json(cell.factor)), None)
+        if expected is None:
+            lines.append(f"{name}: not in the manifest")
+            continue
+        seeds, median = expected
+        if seeds != cell.seeds:
+            lines.append(f"{name}: seeds differ from the manifest's")
+        if median != cell.median:
+            lines.append(
+                f"{name}: median {format_float(cell.median)}, "
+                f"manifest {format_float(median)}"
+            )
+    for function, factor in left:
+        lines.append(f"{function} factor {factor}: missing from the rerun")
+    return lines
 
 
 # -- SVG rendering ----------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from plantprop import engine
+from plantprop import engine, report
 from plantprop.benchmarks import FUNCTION_NAMES
 from plantprop.cli import main
 
@@ -219,6 +219,56 @@ def test_sweep_rerun_from_manifest_is_identical(tmp_path):
     main(["sweep", "--from-manifest", str(tmp_path / "a/manifest.json"),
           "--out", str(tmp_path / "b"), "--jobs", "1", "--quiet"])
     assert (tmp_path / "a/results.csv").read_bytes() == (
+        tmp_path / "b/results.csv"
+    ).read_bytes()
+
+
+def test_sweep_rerun_from_manifest_reports_a_changed_median(tmp_path, capsys):
+    config = _config_file(tmp_path)
+    main(["sweep", "--config", str(config), "--out", str(tmp_path / "a"),
+          "--jobs", "1", "--quiet"])
+    path = tmp_path / "a/manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    cell = manifest["cells"][1]
+    assert cell["function"] == "sphere" and cell["factor"] == "vanilla"
+    cell["median"] *= 2.0
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+
+    code = main(["sweep", "--from-manifest", str(path), "--out", str(tmp_path / "b"),
+                 "--jobs", "1", "--quiet"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "wrote" in out
+    lines = err.splitlines()
+    assert lines[0] == f"error: 1 cell(s) differ from {path}:"
+    assert lines[1:] == [
+        f"  sphere factor vanilla: median {report.format_float(cell['median'] / 2.0)}, "
+        f"manifest {report.format_float(cell['median'])}"
+    ]
+    # the rerun's outputs are still written, for inspection
+    assert (tmp_path / "a/results.csv").read_bytes() == (
+        tmp_path / "b/results.csv"
+    ).read_bytes()
+
+
+def test_sweep_rerun_from_manifest_is_silent_when_it_matches(tmp_path, capsys):
+    config = _config_file(tmp_path)
+    main(["sweep", "--config", str(config), "--out", str(tmp_path / "a"),
+          "--jobs", "1", "--quiet"])
+    capsys.readouterr()
+    code = main(["sweep", "--from-manifest", str(tmp_path / "a/manifest.json"),
+                 "--out", str(tmp_path / "a"), "--jobs", "1", "--quiet"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert out.startswith(f"wrote {tmp_path / 'a/results.csv'} (")
+
+    # another base seed is another sweep: nothing to compare
+    code = main(["sweep", "--from-manifest", str(tmp_path / "a/manifest.json"),
+                 "--out", str(tmp_path / "b"), "--jobs", "1", "--quiet",
+                 "--base-seed", "6"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert (tmp_path / "a/results.csv").read_bytes() != (
         tmp_path / "b/results.csv"
     ).read_bytes()
 

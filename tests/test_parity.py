@@ -110,8 +110,8 @@ def test_runs_at_thirty_dimensions_are_bit_identical(name):
 
 
 BOWL_NAMES = ("sphere", "cigar", "tablet", "rosenbrock")
-# the functions whose offspring the C core rejects by a lower bound
-BOUNDED_NAMES = ("griewank", "ackley", "rastrigin")
+# the functions whose offspring the C core stops on a lower bound
+BOUNDED_NAMES = ("griewank", "ackley", "rastrigin", "schwefel")
 
 
 def narrow_box(name, dim):
@@ -125,7 +125,7 @@ def narrow_box(name, dim):
 @pytest.mark.parametrize("name", BOWL_NAMES + BOUNDED_NAMES)
 def test_runs_on_a_narrow_box_are_bit_identical(name, dim):
     """The functions whose offspring the C core stops early from n = 4 on,
-    or rejects by a lower bound.
+    or on a lower bound.
 
     Clamping puts many offspring on the corner (2, ..., 2): 4-19% of a
     bowl's offspring tie the worst parent exactly at n = 2 and 3, and up to
@@ -139,15 +139,17 @@ def test_runs_on_a_narrow_box_are_bit_identical(name, dim):
         assert_same_run(cy, run_ppa(config, fn, 5))
 
 
-def cos_bound(name, x):
-    """The C core's lower bound on `name` at x, checked before any cos call."""
+def bounded_value(name, x, fmax):
+    """What the C core gives an offspring of `name` at x when the worst
+    parent's value is fmax: the objective, or a value >= fmax if it stopped."""
     vector = ctypes.c_double * len(x)
-    return _kernel._lib.ppa_bound(FUNCTION_IDS[name], len(x), vector(*x))
+    return _kernel._lib.ppa_bound(FUNCTION_IDS[name], len(x), vector(*x), fmax, vector())
 
 
 @st.composite
 def bound_points(draw):
-    """A bounded function and a point in, at the edge of or far outside its box."""
+    """A bounded function, a point in, at the edge of or far outside its box,
+    and a far value for the worst parent."""
     name = draw(st.sampled_from(BOUNDED_NAMES))
     dim = draw(st.one_of(st.sampled_from((2, 50)), st.integers(2, 50)))
     box = make_function(name, dim).bounds
@@ -159,38 +161,63 @@ def bound_points(draw):
         st.floats(1e150, 1e308),
         st.floats(-1e308, -1e150),
     )
-    return name, draw(st.lists(coordinate, min_size=dim, max_size=dim))
+    x = draw(st.lists(coordinate, min_size=dim, max_size=dim))
+    return name, x, draw(st.floats(-1e308, 1e308))
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(case=bound_points())
-@example(case=("griewank", [0.0] * 2))
-@example(case=("griewank", [0.0] * 50))
-@example(case=("ackley", [0.0] * 2))
-@example(case=("ackley", [0.0] * 50))
-@example(case=("rastrigin", [0.0] * 2))
-@example(case=("rastrigin", [-0.0] * 50))
-@example(case=("rastrigin", [2.0, -3.0, 5.0]))
-@example(case=("rastrigin", [0.5, -1.5, 4.5]))
-@example(case=("rastrigin", [-5.12, 5.12]))
-@example(case=("griewank", [600.0, -600.0] * 25))
-@example(case=("ackley", [32.768] * 50))
-@example(case=("griewank", [1e200, 0.0]))
-@example(case=("ackley", [1e200] * 50))
-@example(case=("rastrigin", [-1e300, 1.0]))
-@example(case=("ackley", [0.0, 2.9e307]))
-def test_cos_bound_never_exceeds_the_objective(case):
-    """A child whose bound reaches the worst parent is rejected unevaluated.
+@example(case=("griewank", [0.0] * 2, 1.0))
+@example(case=("griewank", [0.0] * 50, -1.0))
+@example(case=("ackley", [0.0] * 2, 1.0))
+@example(case=("ackley", [0.0] * 50, -1.0))
+@example(case=("rastrigin", [0.0] * 2, 1.0))
+@example(case=("rastrigin", [-0.0] * 50, -1.0))
+@example(case=("rastrigin", [2.0, -3.0, 5.0], 1e3))
+@example(case=("rastrigin", [0.5, -1.5, 4.5], 0.0))
+@example(case=("rastrigin", [-5.12, 5.12], 1e308))
+@example(case=("griewank", [600.0, -600.0] * 25, 1e3))
+@example(case=("ackley", [32.768] * 50, 1e3))
+@example(case=("griewank", [1e200, 0.0], -1e308))
+@example(case=("ackley", [1e200] * 50, 1e308))
+@example(case=("rastrigin", [-1e300, 1.0], 0.0))
+@example(case=("ackley", [0.0, 2.9e307], 1.0))
+@example(case=("schwefel", [420.9687] * 2, 1.0))
+@example(case=("schwefel", [420.9687] * 50, -1.0))
+@example(case=("schwefel", [-420.9687] * 50, 1e5))
+@example(case=("schwefel", [500.0, -500.0] * 25, 1e4))
+@example(case=("schwefel", [500.0, 420.9687, -500.0], 1e3))
+@example(case=("schwefel", [1e300, 420.9687], -1e308))
+def test_bounded_value_is_the_objective_or_no_survivor(case):
+    """An offspring that stops on its lower bound keeps a value >= fmax, the
+    worst parent's; it must be one whose objective is >= fmax too.
 
+    fmax is the objective itself, its neighbours and a far value: a stop at
+    fmax = nextafter(value, inf) would reject an offspring that survives.
     At the origin every cos is 1 and rastrigin's cos is +-1 at half
-    integers, where the objective comes closest to the bound; beyond
-    |x| ~ 1.3e154 the sum of squares is inf. Beyond |x| ~ 2.9e307 the cos
-    argument 2 pi x is inf and the objective nan, which never survives
-    either, so there the bound need not be below it.
+    integers; schwefel's terms are largest at +-420.9687, and beyond +-500
+    it runs its plain loop. Beyond |x| ~ 1.3e154 a sum of squares is inf,
+    and beyond |x| ~ 2.9e307 the cos argument 2 pi x is inf and the
+    objective nan, which never survives either.
     """
-    name, x = case
+    name, x, far = case
     value = _kernel.eval_function(FUNCTION_IDS[name], x)
-    assert cos_bound(name, x) <= value or math.isnan(value)
+    near = (value, math.nextafter(value, math.inf), math.nextafter(value, -math.inf))
+    for fmax in (*near, far) if math.isfinite(value) else (far,):
+        got = bounded_value(name, x, fmax)
+        assert got.hex() == value.hex() or (got >= fmax and not value < fmax), fmax
+
+
+@pytest.mark.parametrize("name", ["ackley", "schwefel"])
+def test_bound_stops_only_up_to_its_dimension_cap(name):
+    """Past n = 2**20 ackley and schwefel run their plain loops: the slack
+    that covers reordered sums is proved only up to there."""
+    fid = FUNCTION_IDS[name]
+    for dim, stops in ((2**20, True), (2**20 + 1, False)):
+        x, scratch = (ctypes.c_double * dim)(), (ctypes.c_double * dim)()
+        value = _kernel._lib.ppa_eval(fid, dim, x, scratch)
+        got = _kernel._lib.ppa_bound(fid, dim, x, -1.0, scratch)
+        assert got == (-1.0 if stops else value) and value > 0.0
 
 
 @pytest.mark.parametrize(
@@ -276,6 +303,13 @@ def run_cases(draw):
         narrow_box("sphere", 30),
         PpaConfig(budget=2000, schedule=SteepeningSchedule.linear(1000.0)),
         9,
+    )
+)
+@example(
+    case=(
+        make_function("schwefel", 30),
+        PpaConfig(budget=2000, schedule=SteepeningSchedule.linear(1000.0)),
+        10,
     )
 )
 def test_random_runs_are_bit_identical(case):
@@ -421,6 +455,8 @@ def sanitizer_cases():
             (fid, 50, -5.0, 5.0, 30, 5, 30, 9.0, 5),  # budget == pop_size
             (fid, 4, -5.0, 5.0, 64, 40, 2000, 100.0, 2**64 - 1),
         ]
+    # beyond +-500 schwefel's terms exceed 418.9829, so it runs its plain loop
+    cases.append((FUNCTION_IDS["schwefel"], 30, -1000.0, 1000.0, 30, 5, 600, 150.0, 6))
     return cases
 
 
