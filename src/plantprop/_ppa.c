@@ -37,41 +37,85 @@
  *   for rastrigin, again after each one. Below, u = 2^-53; libm's cos and
  *   sin stay in [-1, 1], which holds for any libm whose error is below one
  *   ulp, since +-1 are doubles; rounding is monotone.
+ *   - Term tables. Ackley, rastrigin and schwefel bound a term still to come
+ *     by an entry of a table that ppa_run fills once per run (fill_bounds).
+ *     For ackley and rastrigin, entry k bounds cos(TWO_PI * x) from above
+ *     where frac(x) lies in bucket k of COS_BUCKETS = 256; for schwefel, it
+ *     bounds the term x * sin(sqrt(fabs(x))) where x lies in bucket k of
+ *     SCHWEFEL_BUCKETS = 1024 over [-500, 500]. An entry is f(mid) + L (h +
+ *     1e-6) + 1e-9, capped, where mid is the bucket's midpoint, h half its
+ *     width and L a bound on |f'| there: 2 pi for the cosine, and 1 +
+ *     sqrt(m) / 2 for schwefel's term, whose slope is sin(r) + r cos(r) / 2
+ *     at r = sqrt(|x|), with m = |mid| + h + 1e-6. Entry k bounds eval's
+ *     rounded term at every double x whose computed index is k:
+ *     - The index needs no libm call. Its rounding puts x within 3e-13 of
+ *       bucket k for schwefel (x + 500.0 and the product with 1.024 round)
+ *       and within 1.2e-10 for the cosine (x + 2^20 rounds by at most
+ *       2^-33 where |x| <= COS_BOX = 2^16, the product with 256 is exact,
+ *       and it is positive, so the cast floors it). Both lie well inside
+ *       the 1e-6 widening, so x lies in [mid - h - 1e-6, mid + h + 1e-6]
+ *       modulo the period, where f(x) <= f(mid) + L (h + 1e-6).
+ *     - Eval's term differs from f(x) by at most 6.3e-11 for the cosine:
+ *       TWO_PI * x is within |x| 9.5e-16 <= 6.3e-11 of 2 pi x (TWO_PI's own
+ *       error and the product's rounding), and libm's cos adds one ulp. For
+ *       schwefel it differs by at most 1.4e-12: the rounded sqrt moves the
+ *       sin argument by at most 2.5e-15, libm's sin adds one ulp, and the
+ *       product with |x| <= 500 rounds.
+ *     - The entry's f(mid) is computed as eval computes it, so within 1e-15
+ *       (mid in [0, 1]) or 1.4e-12 of f(mid), and forming the entry rounds
+ *       by less than 1e-12.
+ *     These add up to under 1e-10, below the 1e-9 added. The caps hold for
+ *     eval's term everywhere: 1 for the cosine; m, since |x sin(..)| rounds
+ *     to at most |x|, and 418.9829 (the term's largest magnitude on [-500,
+ *     500] is 418.98288727, at |x| = 420.9687) for schwefel. So an entry,
+ *     like a term, lies in [-1, 1] or in [-418.9829, 418.9829], and the
+ *     reordering slacks below, which rest only on those magnitudes, hold.
+ *     The proof needs the widening and the 1e-9; in practice the entries
+ *     hold without them. Below its cap an entry exceeds every term of its
+ *     bucket by at least 3e-7 (cosine) or 0.27 (schwefel), and a capped one
+ *     by at least 2.4e-7, except the cosine's cap 1, which cos meets at
+ *     integers and never passes.
  *   - Griewank: |p| never grows as factors of size <= 1 are multiplied in,
  *     so with eval's sum s and partial product p, s / 4000.0 - fabs(p) + 1.0
- *     rounds to at most eval's value. No slack is needed.
- *   - Rastrigin: one check, 10.0 * n + the sum of (x * x - 11.0) in eval's
- *     order, since 10 * cos is at most 10 < 11.
- *   - Ackley: every cos term is at most 1, so with k terms summed into s2,
- *     eval's final s2 is at most s2 + (n - k) up to reordering, which costs
- *     at most 1.01 u n^2. First, exp(s2 / n) is at most e < 2.72, so a child
+ *     rounds to at most eval's value. No slack is needed. Bounding the
+ *     factors still to come as well, by suffix products of a table of
+ *     |cos| bounds, measured 1.02-1.18 of this time at n = 2 to 30.
+ *   - Rastrigin, when every coordinate lies in [-2^16, 2^16]: one check,
+ *     10.0 * n + the sum of (x * x - 10.0 * T) in eval's order, with T the
+ *     cosine's entry. Each such term rounds to at most eval's, since 10.0 *
+ *     T is at least 10.0 * cos, and so does each partial sum; so the check
+ *     needs no slack. A running check against suffix sums made up to 12%
+ *     fewer cos calls but took 1-6% longer at n = 2 to 30.
+ *   - Ackley, when every coordinate lies in [-2^16, 2^16] and n <= 2^20:
+ *     with k terms summed into s2, eval's final s2 is at most s2 + w[k],
+ *     w[k] the suffix sum of the cosine's entries from k on, up to
+ *     reordering and the suffix sum's rounding, which cost at most 1.01 u
+ *     n^2 and 0.5 u n^2. First, exp(s2 / n) is at most e < 2.72, so a child
  *     with A - 2.72 + 20.0 + E >= fmax stops at once (A is eval's exp term
  *     of s, exactly as eval computes it; the check is exact, as griewank's).
  *     Otherwise one log per child gives lim = n * (log(A + 20.0 + E - fmax -
- *     1e-9) - 1e-9), and the child stops once s2 + (n - k) <= lim. The
- *     n * 1e-9 in lim covers the reordering, libm's exp and log (one ulp
- *     each, |log| <= 745) and the roundings of s2 / n, s2 + (n - k) and lim,
- *     at most 1.2e-16 n^2 + 3.4e-13 n in all, while n <= BOUND_MAX_DIM =
- *     2^20. So eval's exp(s2 / n) is below A + 20.0 + E - fmax - 1e-9 +
- *     6e-14, where 6e-14 bounds the roundings in forming that difference,
- *     and the 1e-9 left covers those of A - exp(..) + 20.0 + E (under 1e-14).
- *     Both bounds hold where fmax >= -100; below that every value, at least
- *     -1e-14, is >= fmax anyway.
- *   - Schwefel, when every coordinate lies in [-500, 500] and n <= 2^20: a
- *     term x * sin(sqrt(|x|)) is at most |x| and at most 418.9829 (its
- *     largest magnitude there is 418.98288727, at |x| = 420.9687), so
- *     w[k], the suffix sum of min(|x|, 418.9829) from k on, bounds the
- *     terms still to come. The child stops once s + w[k] <= lim = 418.9829
- *     * n - fmax - 1e-10 * n * n. Eval's sum from s on, the suffix sum and
- *     s + w[k] differ from exact sums by at most 420 u n^2, 420 u n^2 and
- *     840 u n, and lim's roundings by 2000 u n where it can be reached
- *     (|lim| <= 1000 n); so eval's sum is at most 418.9829 * n - fmax and
- *     its value at least fmax. Beyond +-500 a term can pass 418.9829, and
- *     the plain loop runs.
- *   bound_applies makes these choices per run from the box and n. At n =
- *   30 on the default boxes, 62-95% of schwefel's offspring stop, after
- *   13-19 of their 30 sin calls on average; a single check before the first
- *   sin would stop under 1%.
+ *     1e-9) - 1e-9), and the child stops once s2 + w[k] <= lim. The n *
+ *     1e-9 in lim covers the reordering, the suffix sums, libm's exp and
+ *     log (one ulp each, |log| <= 745) and the roundings of s2 / n, s2 +
+ *     w[k] and lim, at most 1.8e-16 n^2 + 3.4e-13 n in all, while n <=
+ *     BOUND_MAX_DIM = 2^20. So eval's exp(s2 / n) is below A + 20.0 + E -
+ *     fmax - 1e-9 + 6e-14, where 6e-14 bounds the roundings in forming that
+ *     difference, and the 1e-9 left covers those of A - exp(..) + 20.0 + E
+ *     (under 1e-14). Both bounds hold where fmax >= -100; below that every
+ *     value, at least -1e-14, is >= fmax anyway.
+ *   - Schwefel, when every coordinate lies in [-500, 500] and n <= 2^20:
+ *     w[k], the suffix sum of the entries from k on, bounds the terms still
+ *     to come. The child stops once s + w[k] <= lim = 418.9829 * n - fmax -
+ *     1e-10 * n * n. Eval's sum from s on, the suffix sum and s + w[k]
+ *     differ from exact sums by at most 420 u n^2, 420 u n^2 and 840 u n,
+ *     and lim's roundings by 2000 u n where it can be reached (|lim| <=
+ *     1000 n); so eval's sum is at most 418.9829 * n - fmax and its value
+ *     at least fmax.
+ *   bound_applies makes these choices per run from the box and n; beyond
+ *   them the plain loop runs. At n = 30 on the default boxes an evaluation
+ *   of schwefel, rastrigin or ackley makes 1.3-2.9 sin or cos calls on
+ *   average under vanilla PPA and 10.6-11.5 under factor 1000, of the 30
+ *   that eval makes.
  * - Row pointers. The parents are reached through pointers to their rows,
  *   so a surviving parent's row stays where it is, and selection copies
  *   only the surviving offspring, each into the row of a parent that
@@ -107,9 +151,15 @@ enum {
 #define TWO_PI (2.0 * PI)
 
 /* bounded_eval's limits (see the header): the largest n at which ackley
-   and schwefel may stop, and a bound on |x sin(sqrt(|x|))| for |x| <= 500 */
+   and schwefel may stop, the box beyond which ackley and rastrigin run
+   their plain loops, and a bound on |x sin(sqrt(|x|))| for |x| <= 500 */
 #define BOUND_MAX_DIM (INT64_C(1) << 20)
+#define COS_BOX 0x1p16
 #define SCHWEFEL_TERM 418.9829
+/* buckets of bounded_eval's term bounds: schwefel's over [-500, 500], the
+   cosine's over one period of frac(x); a run's table holds the larger */
+#define SCHWEFEL_BUCKETS 1024
+#define COS_BUCKETS 256
 
 #define BRANIN_B (5.1 / (4.0 * PI * PI))
 #define BRANIN_C (5.0 / PI)
@@ -310,38 +360,89 @@ static ALWAYS_INLINE double eval(int fid, int64_t n, const double *x,
 
 /*
  * Whether bounded_eval's stop is proved for fid on the box [lower, upper]
- * (see the header): always for griewank and rastrigin, up to n =
- * BOUND_MAX_DIM for ackley, and for schwefel also only inside [-500, 500].
+ * (see the header): always for griewank; inside [-COS_BOX, COS_BOX] for
+ * rastrigin, and for ackley also only up to n = BOUND_MAX_DIM; up to n =
+ * BOUND_MAX_DIM and inside [-500, 500] for schwefel.
  */
 static int bound_applies(int fid, int64_t n, const double *lower,
                          const double *upper)
 {
+    double box = fid == 8 ? 500.0 : COS_BOX;
     int64_t j;
 
-    if (fid == 4 || fid == 7)
+    if (fid == 4)
         return 1;
-    if ((fid != 6 && fid != 8) || n > BOUND_MAX_DIM)
+    if ((fid != 6 && fid != 7 && fid != 8) || (fid != 7 && n > BOUND_MAX_DIM))
         return 0;
-    if (fid == 8)
-        for (j = 0; j < n; j++)
-            if (!(lower[j] >= -500.0 && upper[j] <= 500.0))
-                return 0;
+    for (j = 0; j < n; j++)
+        if (!(lower[j] >= -box && upper[j] <= box))
+            return 0;
     return 1;
+}
+
+/*
+ * Fills tb, bounded_eval's term bounds, for ackley (6), rastrigin (7) or
+ * schwefel (8): for schwefel a bound on x * sin(sqrt(fabs(x))) over each
+ * bucket of [-500, 500], for the other two a bound on cos(TWO_PI * x) over
+ * each bucket of frac(x). Each entry is the libm value at the bucket's
+ * midpoint, plus a Lipschitz constant times half the bucket's width
+ * widened by 1e-6, plus 1e-9, capped at a bound that holds everywhere.
+ * Bucket edges and midpoints are exact doubles.
+ */
+static void fill_bounds(int fid, double *tb)
+{
+    const double half = 500.0 / SCHWEFEL_BUCKETS;
+    double mid, m, v;
+    int k;
+
+    if (fid == 8) {
+        for (k = 0; k < SCHWEFEL_BUCKETS; k++) {
+            mid = -500.0 + (2 * k + 1) * half;
+            m = fabs(mid) + half + 1e-6; /* the widened bucket's largest |x| */
+            v = mid * sin(sqrt(fabs(mid)))
+                + (1.0 + sqrt(m) / 2.0) * (half + 1e-6) + 1e-9;
+            v = v < m ? v : m;
+            tb[k] = v < SCHWEFEL_TERM ? v : SCHWEFEL_TERM;
+        }
+        return;
+    }
+    for (k = 0; k < COS_BUCKETS; k++) {
+        mid = (k + 0.5) / COS_BUCKETS;
+        v = cos(TWO_PI * mid) + TWO_PI * (0.5 / COS_BUCKETS + 1e-6) + 1e-9;
+        tb[k] = v < 1.0 ? v : 1.0;
+    }
+}
+
+/* schwefel's entry for x in [-500, 500], with no libm call; the clamp puts
+   x = 500 in the last bucket */
+static ALWAYS_INLINE double schwefel_bound(const double *tb, double x)
+{
+    int k = (int)((x + 500.0) * (SCHWEFEL_BUCKETS / 1000.0));
+
+    return tb[k < SCHWEFEL_BUCKETS ? k : SCHWEFEL_BUCKETS - 1];
+}
+
+/* the cosine's entry for |x| <= COS_BOX: x + 2^20 is positive, so the cast
+   floors it, and the mask keeps the bucket of its fractional part */
+static ALWAYS_INLINE double cos_bound(const double *tb, double x)
+{
+    return tb[(int64_t)((x + 0x1p20) * COS_BUCKETS) & (COS_BUCKETS - 1)];
 }
 
 /*
  * eval of griewank (4), ackley (6), rastrigin (7) or schwefel (8) at x, or
  * fmax once a lower bound on that value reaches fmax (see the header), where
- * bound_applies holds for a box that contains x. The sums and the product
- * are eval's own, term for term, so a value that is not stopped is eval's.
- * Schwefel overwrites w (n doubles, unused by its eval) with its suffix
- * sums.
+ * bound_applies holds for a box that contains x and fill_bounds filled tb
+ * for fid. The sums and the product are eval's own, term for term, so a value
+ * that is not stopped is eval's. Ackley and schwefel overwrite w (n
+ * doubles, unused by their eval) with suffix sums of term bounds.
  */
 static ALWAYS_INLINE double bounded_eval(int fid, int64_t n, const double *x,
-                                         double *w, double fmax)
+                                         double *w, const double *tb,
+                                         double fmax)
 {
-    double s = 0.0, s2 = 0.0, p = 1.0, left = (double)n, rest = 0.0;
-    double a, b, lim, xi;
+    double s = 0.0, s2 = 0.0, p = 1.0, rest = 0.0;
+    double a, lim, xi;
     int64_t i;
 
     switch (fid) {
@@ -361,21 +462,26 @@ static ALWAYS_INLINE double bounded_eval(int fid, int64_t n, const double *x,
         a = -20.0 * exp(-0.2 * sqrt(s / (double)n));
         if (a - 2.72 + 20.0 + E >= fmax)
             return fmax;
+        for (i = n - 1; i >= 0; i--) {
+            rest += cos_bound(tb, x[i]);
+            w[i] = rest;
+        }
         lim = (double)n * (log(a + 20.0 + E - fmax - 1e-9) - 1e-9);
-        for (i = 0; i < n; i++, left -= 1.0) {
-            if (s2 + left <= lim)
+        for (i = 0; i < n; i++) {
+            if (s2 + w[i] <= lim)
                 return fmax;
             s2 += cos(TWO_PI * x[i]);
         }
         return a - exp(s2 / (double)n) + 20.0 + E;
     case 7: /* rastrigin */
-        for (i = 0; i < n; i++)
-            s += x[i] * x[i] - 11.0;
+        for (i = 0; i < n; i++) {
+            xi = x[i];
+            s += xi * xi - 10.0 * cos_bound(tb, xi);
+        }
         return 10.0 * (double)n + s >= fmax ? fmax : eval(7, n, x, w);
     default: /* schwefel (8) */
         for (i = n - 1; i >= 0; i--) {
-            b = fabs(x[i]);
-            rest += b < SCHWEFEL_TERM ? b : SCHWEFEL_TERM;
+            rest += schwefel_bound(tb, x[i]);
             w[i] = rest;
         }
         lim = 418.9829 * (double)n - fmax - 1e-10 * (double)n * (double)n;
@@ -493,14 +599,19 @@ double ppa_eval(int fid, int64_t n, const double *x, double *table)
 }
 
 /* what ppa_run gives an offspring at x when the worst parent's value is
-   fmax, for the tests: bounded_eval where bound_applies to the box [x, x],
-   else eval. table is n doubles of scratch, as for ppa_eval. */
+   fmax, for the tests: bounded_eval, with the tables ppa_run fills, where
+   bound_applies to the box [x, x], else eval. table is n doubles of
+   scratch, as for ppa_eval. */
 double ppa_bound(int fid, int64_t n, const double *x, double fmax,
                  double *table)
 {
+    double tb[SCHWEFEL_BUCKETS];
+
     fill_table(fid, n, table);
-    return bound_applies(fid, n, x, x) ? bounded_eval(fid, n, x, table, fmax)
-                                       : eval(fid, n, x, table);
+    if (!bound_applies(fid, n, x, x))
+        return eval(fid, n, x, table);
+    fill_bounds(fid, tb);
+    return bounded_eval(fid, n, x, table, tb, fmax);
 }
 
 void ppa_free(void *p)
@@ -591,8 +702,9 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     double *kidobj = NULL; /* slots */
     double *fits = NULL;   /* pop: normalized objective, then fitness */
     double *width = NULL;  /* dim: upper - lower */
-    double *table = NULL;  /* dim: fill_table's constants, or schwefel's
-                              suffix sums */
+    double *table = NULL;  /* dim: fill_table's constants, or the suffix
+                              sums of bounded_eval */
+    double *bounds = NULL; /* SCHWEFEL_BUCKETS: bounded_eval's term bounds */
     sort_item *items = NULL; /* pop + slots: parents, then candidates */
     int64_t evals = 0, cnt, k;
     double best = INFINITY;
@@ -629,15 +741,18 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     fits = alloc_array(pop, 1, sizeof(double));
     width = alloc_array(d, 1, sizeof(double));
     table = alloc_array(d, 1, sizeof(double));
+    bounds = alloc_array(SCHWEFEL_BUCKETS, 1, sizeof(double));
     if (pos == NULL || row == NULL || newrow == NULL || obj == NULL
         || newobj == NULL || items == NULL || kidpos == NULL || kidobj == NULL
-        || fits == NULL || width == NULL || table == NULL) {
+        || fits == NULL || width == NULL || table == NULL || bounds == NULL) {
         status = PPA_NOMEM;
         goto done;
     }
     for (j = 0; j < d; j++)
         width[j] = upper[j] - lower[j];
     fill_table(fid, dim, table);
+    if (bound_fid == 6 || bound_fid == 7 || bound_fid == 8)
+        fill_bounds(fid, bounds);
 
     /* uniform initialization, evaluating in creation order */
     for (i = 0; i < pop; i++) {
@@ -726,13 +841,13 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                     if (bound_fid < 0)
                         val = eval(fid, dim, child, table);
                     else if (bound_fid == 4)
-                        val = bounded_eval(4, dim, child, table, fmax);
+                        val = bounded_eval(4, dim, child, table, bounds, fmax);
                     else if (bound_fid == 6)
-                        val = bounded_eval(6, dim, child, table, fmax);
+                        val = bounded_eval(6, dim, child, table, bounds, fmax);
                     else if (bound_fid == 7)
-                        val = bounded_eval(7, dim, child, table, fmax);
+                        val = bounded_eval(7, dim, child, table, bounds, fmax);
                     else
-                        val = bounded_eval(8, dim, child, table, fmax);
+                        val = bounded_eval(8, dim, child, table, bounds, fmax);
                 } else if (stop_fid == 0) {
                     val = bowl_child(0, &rng, d, parent, child, lower, upper,
                                      width, om, fmax);
@@ -841,6 +956,7 @@ done:
     free(fits);
     free(width);
     free(table);
+    free(bounds);
     if (status != PPA_OK) {
         free(traj.steps);
         traj.steps = NULL;

@@ -248,6 +248,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError("--jobs must be >= 1")
 
     out_dir = Path(args.out)
+    written = out_dir / "manifest.json"
+    if args.from_manifest is not None and written.exists() and written.samefile(
+        args.from_manifest
+    ):
+        raise CliError(
+            f"--out {out_dir} would overwrite {args.from_manifest}, the manifest "
+            "this sweep reruns; choose another --out"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
 
     total = spec.cell_count

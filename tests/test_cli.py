@@ -258,10 +258,10 @@ def test_sweep_rerun_from_manifest_is_silent_when_it_matches(tmp_path, capsys):
           "--jobs", "1", "--quiet"])
     capsys.readouterr()
     code = main(["sweep", "--from-manifest", str(tmp_path / "a/manifest.json"),
-                 "--out", str(tmp_path / "a"), "--jobs", "1", "--quiet"])
+                 "--out", str(tmp_path / "c"), "--jobs", "1", "--quiet"])
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
-    assert out.startswith(f"wrote {tmp_path / 'a/results.csv'} (")
+    assert out.startswith(f"wrote {tmp_path / 'c/results.csv'} (")
 
     # another base seed is another sweep: nothing to compare
     code = main(["sweep", "--from-manifest", str(tmp_path / "a/manifest.json"),
@@ -271,6 +271,29 @@ def test_sweep_rerun_from_manifest_is_silent_when_it_matches(tmp_path, capsys):
     assert (tmp_path / "a/results.csv").read_bytes() != (
         tmp_path / "b/results.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("base_seed", [[], ["--base-seed", "6"]])
+def test_sweep_rerun_from_manifest_never_overwrites_it(tmp_path, capsys, base_seed):
+    config = _config_file(tmp_path)
+    main(["sweep", "--config", str(config), "--out", str(tmp_path / "a"),
+          "--jobs", "1", "--quiet"])
+    path = tmp_path / "a/manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["cells"][1]["median"] *= 2.0
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    recorded = path.read_bytes()
+    results = (tmp_path / "a/results.csv").read_bytes()
+    capsys.readouterr()
+
+    # the same directory, spelled another way
+    code = main(["sweep", "--from-manifest", str(path), "--out", str(tmp_path / "a/../a"),
+                 "--jobs", "1", "--quiet", *base_seed])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: --out {tmp_path / 'a/../a'} would overwrite {path}")
+    assert path.read_bytes() == recorded
+    assert (tmp_path / "a/results.csv").read_bytes() == results
 
 
 def test_sweep_bad_config_fails_with_diagnostic(tmp_path, capsys):

@@ -12,6 +12,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,44 @@ def bounded_value(name, x, fmax):
     return _kernel._lib.ppa_bound(FUNCTION_IDS[name], len(x), vector(*x), fmax, vector())
 
 
+# the C core's term-bound buckets: schwefel's split [-500, 500], the
+# cosine's (ackley, rastrigin) split each period of frac(x)
+SCHWEFEL_BUCKETS, COS_BUCKETS = 1024, 256
+
+
+def around(x):
+    """x and its two float neighbours."""
+    return (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))
+
+
+def bucket_edge_cases():
+    """Points with one coordinate on a bucket edge or a float next to it,
+    and the other where its entry is tight: 420.9687 for schwefel (the cap
+    418.9829) and 0.0 for the cosine (the cap 1). Every 8th of schwefel's
+    edges, and every 4th of the cosine's at the offsets 0, -3 and 7."""
+    cases = []
+    for k in range(0, SCHWEFEL_BUCKETS + 1, 8):
+        for x in around(-500.0 + k * 1000.0 / SCHWEFEL_BUCKETS):
+            if abs(x) <= 500.0:
+                cases.append(("schwefel", [x, 420.9687], 1e300))
+    for k in range(0, COS_BUCKETS, 4):
+        for offset in (0, -3, 7):
+            for x in around(offset + k / COS_BUCKETS):
+                cases += [("ackley", [x, 0.0], -1e300), ("rastrigin", [0.0, x], 1e300)]
+    return cases
+
+
+def with_examples(cases):
+    """@example(case=...) for each case."""
+
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+
+    return decorate
+
+
 @st.composite
 def bound_points(draw):
     """A bounded function, a point in, at the edge of or far outside its box,
@@ -188,6 +227,7 @@ def bound_points(draw):
 @example(case=("schwefel", [500.0, -500.0] * 25, 1e4))
 @example(case=("schwefel", [500.0, 420.9687, -500.0], 1e3))
 @example(case=("schwefel", [1e300, 420.9687], -1e308))
+@with_examples(bucket_edge_cases())
 def test_bounded_value_is_the_objective_or_no_survivor(case):
     """An offspring that stops on its lower bound keeps a value >= fmax, the
     worst parent's; it must be one whose objective is >= fmax too.
@@ -218,6 +258,34 @@ def test_bound_stops_only_up_to_its_dimension_cap(name):
         value = _kernel._lib.ppa_eval(fid, dim, x, scratch)
         got = _kernel._lib.ppa_bound(fid, dim, x, -1.0, scratch)
         assert got == (-1.0 if stops else value) and value > 0.0
+
+
+@pytest.mark.parametrize(
+    "name, x, gap",
+    [("ackley", [0.0, 0.0], 1e-3), ("rastrigin", [0.0, 0.0], 1e-3),
+     ("schwefel", [420.9687] * 2, 1e-3), ("schwefel", [420.9687, 2.9], 0.1)],
+)
+def test_term_bounds_are_capped(name, x, gap):
+    """Where a term comes close to its entry's cap, the cap makes the bound
+    tight: cos is 1 at integers, schwefel's largest term is 418.98288727 at
+    420.9687 (cap 418.9829), and its term at 2.9 is 2.8755 (cap 2.9297,
+    the largest |x| in its bucket). So an offspring `gap` above the worst
+    parent stops; the uncapped entries would let it run. The capped term
+    comes last, where no exact term summed before it can make up for it."""
+    value = _kernel.eval_function(FUNCTION_IDS[name], x)
+    assert bounded_value(name, x, value - gap) == value - gap
+
+
+@pytest.mark.parametrize("name, edge", [("ackley", 2.0**16), ("rastrigin", 2.0**16),
+                                        ("schwefel", 500.0)])
+def test_bound_stops_only_inside_its_box(name, edge):
+    """Beyond the box where its tables are proved (|x| <= 2**16 for the
+    cosine's, |x| <= 500 for schwefel's), the plain loop runs."""
+    beyond = math.nextafter(edge, math.inf)
+    for x, stops in (([edge, -edge], True), ([beyond, 0.0], False), ([-1e6, 1e6], False)):
+        value = _kernel.eval_function(FUNCTION_IDS[name], x)
+        got = bounded_value(name, x, -1.0)
+        assert got == (-1.0 if stops else value) and value > 0.0, x
 
 
 @pytest.mark.parametrize(
@@ -316,6 +384,33 @@ def test_random_runs_are_bit_identical(case):
     fn, config, seed = case
     compiled = engine.run(config, fn, seed, backend="compiled")
     assert_same_run(compiled, run_ppa(config, fn, seed))
+
+
+def test_concurrent_kernel_runs_match_serial_ones():
+    """ctypes releases the GIL during ppa_run, so two threads run the C core
+    at once; each run keeps its own buffers and tables."""
+    cases = []
+    for name in ("schwefel", "rastrigin", "ackley"):
+        box = make_function(name, 30).bounds
+        for factor, seed in ((1000.0, 1), (math.inf, 2)):
+            cases.append((FUNCTION_IDS[name], 30, box.lower, box.upper, 30, 5, 10_000, factor, seed))
+    serial = [_kernel.run(*case) for case in cases]
+    results = [[None] * len(cases) for _ in range(2)]
+    start = threading.Barrier(2)
+
+    def work(slot):
+        start.wait(timeout=60)
+        order = range(len(cases)) if slot == 0 else reversed(range(len(cases)))
+        for i in order:
+            results[slot][i] = _kernel.run(*cases[i])
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert results == [serial, serial]
 
 
 def test_non_finite_objective_fails_alike():
@@ -455,8 +550,12 @@ def sanitizer_cases():
             (fid, 50, -5.0, 5.0, 30, 5, 30, 9.0, 5),  # budget == pop_size
             (fid, 4, -5.0, 5.0, 64, 40, 2000, 100.0, 2**64 - 1),
         ]
-    # beyond +-500 schwefel's terms exceed 418.9829, so it runs its plain loop
+    # beyond +-500 schwefel's terms exceed 418.9829, and beyond +-2**16 the
+    # cosine table is not proved, so the plain loops run; at +-2**16 they stop
     cases.append((FUNCTION_IDS["schwefel"], 30, -1000.0, 1000.0, 30, 5, 600, 150.0, 6))
+    for name in ("ackley", "rastrigin"):
+        for edge in (2.0**16, 1e6):
+            cases.append((FUNCTION_IDS[name], 30, -edge, edge, 30, 5, 600, 150.0, 6))
     return cases
 
 
