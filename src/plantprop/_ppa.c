@@ -17,9 +17,9 @@
  * the few candidates without qsort's call per comparison. eval is forced
  * inline into the run loop, so the objective costs no call per offspring.
  *
- * Three shortcuts skip work whose result cannot show. The first two rest on
- * one rule: an offspring survives only if its objective is below fmax, the
- * worst parent's, and the best value so far is at most fmin <= fmax.
+ * Four shortcuts skip work whose result cannot show. The first three rest
+ * on one rule: an offspring survives only if its objective is below fmax,
+ * the worst parent's, and the best value so far is at most fmin <= fmax.
  * - Early stop (bowl_child, from n = 4). Sphere, cigar, tablet and
  *   rosenbrock sum terms that are >= 0, and rounding is monotone, so a
  *   partial sum never exceeds the full one. Once a child's running value reaches fmax it can neither
@@ -28,12 +28,12 @@
  *   coordinates it skips, so the stream and every result stay the same.
  *   Ellipse's weighted terms grow along the coordinates, so its sum reaches
  *   fmax late; stopping measured slower there, and it keeps the plain loop.
- * - Lower bound (bounded_eval). Griewank, ackley, rastrigin and schwefel
- *   spend most of their time in cos or sin. A child is made in full (so the
- *   draws are the same), then its objective is bounded from below: eval's
- *   own partial result, plus a bound on the terms still to come. Once that
- *   reaches fmax, the child stops with fmax as its value and still counts
- *   as an evaluation. The check runs before the first libm term and, except
+ * - Lower bound (bounded_eval). Griewank, ackley, rastrigin, schwefel,
+ *   easom and branin spend most of their time in cos or sin. A child is
+ *   made in full (so the draws are the same), then its objective is bounded
+ *   from below: eval's own partial result, plus a bound on the terms still
+ *   to come. Once that reaches fmax, the child stops with fmax as its value
+ *   and still counts as an evaluation. The check runs before the first libm term and, except
  *   for rastrigin, again after each one. Below, u = 2^-53; libm's cos and
  *   sin stay in [-1, 1], which holds for any libm whose error is below one
  *   ulp, since +-1 are doubles; rounding is monotone.
@@ -111,11 +111,35 @@
  *     and lim's roundings by 2000 u n where it can be reached (|lim| <=
  *     1000 n); so eval's sum is at most 418.9829 * n - fmax and its value
  *     at least fmax.
+ *   - Easom and branin, on any box: both proofs need only finite
+ *     coordinates, and an overflow makes the bound inf >= fmax, never a
+ *     nan. Easom computes e = exp(-(d1 * d1 + d2 * d2)) first; the rounded
+ *     product -cos(x[0]) * cos(x[1]) has magnitude at most 1, so eval's
+ *     value is at least -e, and a child with -e >= fmax stops. Otherwise it
+ *     returns eval's expression with the same e. Branin's bound is eval's
+ *     expression with -1.0 in place of cos(x1), in eval's order, so it is at
+ *     most eval's value. At n = 2, under the perfbench grid's factors, they
+ *     stop 89% and 88% of their offspring before any cos call.
  *   bound_applies makes these choices per run from the box and n; beyond
  *   them the plain loop runs. At n = 30 on the default boxes an evaluation
  *   of schwefel, rastrigin or ackley makes 1.3-2.9 sin or cos calls on
- *   average under vanilla PPA and 10.6-11.5 under factor 1000, of the 30
- *   that eval makes.
+ *   average under vanilla PPA and 10.6-11.7 under factor 1000, of the 30
+ *   that eval makes. That is near a floor no bound can pass: an offspring
+ *   below the worst parent needs all n terms, and 3-11% (vanilla) or 33-38%
+ *   (factor 1000) of offspring are. Griewank, ackley, rastrigin and
+ *   schwefel make 2-20% more calls than that floor; removing every call
+ *   above it would save at most about 3% of the C time of perfbench's
+ *   highdim-runs, so no tighter bound is pursued.
+ * - Generations with no survivor. From the second generation on, the
+ *   parents sit sorted, so the worst is obj[pop - 1]. When no offspring is
+ *   below it, selection would give the parents back in their order, so the
+ *   merge and the buffer swap are skipped. If the next generation then has
+ *   the same steepness (always under vanilla PPA, where s is 1.0), fits[]
+ *   still holds the parents' fitness, and min/max, normalization and tanh
+ *   are skipped as well. The first generation, whose parents are not
+ *   sorted yet, takes the full path. At n = 2 over the 14 functions, 85%,
+ *   59%, 31%, 5% and 60% of generations make no survivor under factors
+ *   100, 500, 1000, 2000 and vanilla.
  * - Row pointers. The parents are reached through pointers to their rows,
  *   so a surviving parent's row stays where it is, and selection copies
  *   only the surviving offspring, each into the row of a parent that
@@ -360,9 +384,9 @@ static ALWAYS_INLINE double eval(int fid, int64_t n, const double *x,
 
 /*
  * Whether bounded_eval's stop is proved for fid on the box [lower, upper]
- * (see the header): always for griewank; inside [-COS_BOX, COS_BOX] for
- * rastrigin, and for ackley also only up to n = BOUND_MAX_DIM; up to n =
- * BOUND_MAX_DIM and inside [-500, 500] for schwefel.
+ * (see the header): always for griewank, easom and branin; inside [-COS_BOX,
+ * COS_BOX] for rastrigin, and for ackley also only up to n = BOUND_MAX_DIM;
+ * up to n = BOUND_MAX_DIM and inside [-500, 500] for schwefel.
  */
 static int bound_applies(int fid, int64_t n, const double *lower,
                          const double *upper)
@@ -370,7 +394,7 @@ static int bound_applies(int fid, int64_t n, const double *lower,
     double box = fid == 8 ? 500.0 : COS_BOX;
     int64_t j;
 
-    if (fid == 4)
+    if (fid == 4 || fid == 9 || fid == 11)
         return 1;
     if ((fid != 6 && fid != 7 && fid != 8) || (fid != 7 && n > BOUND_MAX_DIM))
         return 0;
@@ -430,11 +454,11 @@ static ALWAYS_INLINE double cos_bound(const double *tb, double x)
 }
 
 /*
- * eval of griewank (4), ackley (6), rastrigin (7) or schwefel (8) at x, or
- * fmax once a lower bound on that value reaches fmax (see the header), where
- * bound_applies holds for a box that contains x and fill_bounds filled tb
- * for fid. The sums and the product are eval's own, term for term, so a value
- * that is not stopped is eval's. Ackley and schwefel overwrite w (n
+ * eval of griewank (4), ackley (6), rastrigin (7), schwefel (8), easom (9) or
+ * branin (11) at x, or fmax once a lower bound on that value reaches fmax
+ * (see the header), where bound_applies holds for a box that contains x and
+ * fill_bounds filled tb for fid. The sums and the product are eval's own,
+ * term for term, so a value that is not stopped is eval's. Ackley and schwefel overwrite w (n
  * doubles, unused by their eval) with suffix sums of term bounds.
  */
 static ALWAYS_INLINE double bounded_eval(int fid, int64_t n, const double *x,
@@ -442,7 +466,7 @@ static ALWAYS_INLINE double bounded_eval(int fid, int64_t n, const double *x,
                                          double fmax)
 {
     double s = 0.0, s2 = 0.0, p = 1.0, rest = 0.0;
-    double a, lim, xi;
+    double a, lim, xi, d1, d2, t;
     int64_t i;
 
     switch (fid) {
@@ -479,6 +503,18 @@ static ALWAYS_INLINE double bounded_eval(int fid, int64_t n, const double *x,
             s += xi * xi - 10.0 * cos_bound(tb, xi);
         }
         return 10.0 * (double)n + s >= fmax ? fmax : eval(7, n, x, w);
+    case 9: /* easom */
+        d1 = x[0] - PI;
+        d2 = x[1] - PI;
+        a = exp(-(d1 * d1 + d2 * d2));
+        if (-a >= fmax)
+            return fmax;
+        return -cos(x[0]) * cos(x[1]) * a;
+    case 11: /* branin */
+        t = x[1] - BRANIN_B * (x[0] * x[0]) + BRANIN_C * x[0] - 6.0;
+        if (t * t + 10.0 * (1.0 - BRANIN_T) * (-1.0) + 10.0 >= fmax)
+            return fmax;
+        return t * t + 10.0 * (1.0 - BRANIN_T) * cos(x[0]) + 10.0;
     default: /* schwefel (8) */
         for (i = n - 1; i >= 0; i--) {
             rest += schwefel_bound(tb, x[i]);
@@ -709,18 +745,21 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     int64_t evals = 0, cnt, k;
     double best = INFINITY;
     double s, fmin, fmax, span, val, u, r, om, fi, cnt_d, worst, **swap;
+    double fits_s = 0.0; /* the steepness fits[] was computed at */
     double *swapobj, *dst;
     const double *parent, *kid;
     size_t i, j, n_off, end, a, b, src;
-    int parents_sorted = 0, status = PPA_OK;
+    /* parents_kept: the last generation made no survivor, so the parents
+       and their order are as fits[] was computed for */
+    int parents_sorted = 0, parents_kept = 0, status = PPA_OK;
     /* the bowl whose offspring may stop early, else -1; below n = 4
        bowl_child would never stop (see there) */
     int stop_fid = d > 3 && (fid == 0 || fid == 1 || fid == 3 || fid == 5)
                        ? fid
                        : -1;
-    /* griewank, ackley, rastrigin or schwefel where their offspring may
-       stop on a lower bound, else -1; with stop_fid also -1, the plain
-       loop */
+    /* griewank, ackley, rastrigin, schwefel, easom or branin where their
+       offspring may stop on a lower bound, else -1; with stop_fid also -1,
+       the plain loop */
     int bound_fid = bound_applies(fid, dim, lower, upper) ? fid : -1;
 
     rng_seed(&rng, seed);
@@ -780,37 +819,45 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
            factor = +inf, evals / factor is +0.0 and s is exactly 1.0 */
         s = (double)evals / factor + 1.0;
 
-        fmin = obj[0];
-        fmax = obj[0];
-        for (i = 0; i < pop; i++) {
-            if (!isfinite(obj[i])) {
-                *bad_value = obj[i];
-                status = PPA_NONFINITE;
-                goto done;
-            }
-            if (obj[i] < fmin)
-                fmin = obj[i];
-            if (obj[i] > fmax)
-                fmax = obj[i];
-        }
-        if (fmax == fmin) {
-            for (i = 0; i < pop; i++)
-                fits[i] = 0.5;
+        if (parents_kept && s == fits_s) {
+            /* the same parents, sorted, at the same steepness (always so
+               under vanilla PPA): fits[] already holds their fitness */
+            fmax = obj[pop - 1];
         } else {
-            span = fmax - fmin;
-            for (i = 0; i < pop; i++)
-                fits[i] = (fmax - obj[i]) / span;
-        }
-        for (i = 0; i < pop; i++) {
-            fi = 0.5 * (tanh(4.0 * s * fits[i] - 2.0 * s) + 1.0);
-            /* PpaConfig rejects a schedule whose 4 * s overflows; this keeps
-               a nan away from the integer cast below whatever the caller */
-            if (isnan(fi)) {
-                *bad_value = s;
-                status = PPA_BADSTEEP;
-                goto done;
+            fmin = obj[0];
+            fmax = obj[0];
+            for (i = 0; i < pop; i++) {
+                if (!isfinite(obj[i])) {
+                    *bad_value = obj[i];
+                    status = PPA_NONFINITE;
+                    goto done;
+                }
+                if (obj[i] < fmin)
+                    fmin = obj[i];
+                if (obj[i] > fmax)
+                    fmax = obj[i];
             }
-            fits[i] = fi;
+            if (fmax == fmin) {
+                for (i = 0; i < pop; i++)
+                    fits[i] = 0.5;
+            } else {
+                span = fmax - fmin;
+                for (i = 0; i < pop; i++)
+                    fits[i] = (fmax - obj[i]) / span;
+            }
+            for (i = 0; i < pop; i++) {
+                fi = 0.5 * (tanh(4.0 * s * fits[i] - 2.0 * s) + 1.0);
+                /* PpaConfig rejects a schedule whose 4 * s overflows; this
+                   keeps a nan away from the integer cast below whatever the
+                   caller */
+                if (isnan(fi)) {
+                    *bad_value = s;
+                    status = PPA_BADSTEEP;
+                    goto done;
+                }
+                fits[i] = fi;
+            }
+            fits_s = s;
         }
 
         n_off = 0;
@@ -846,8 +893,12 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                         val = bounded_eval(6, dim, child, table, bounds, fmax);
                     else if (bound_fid == 7)
                         val = bounded_eval(7, dim, child, table, bounds, fmax);
-                    else
+                    else if (bound_fid == 8)
                         val = bounded_eval(8, dim, child, table, bounds, fmax);
+                    else if (bound_fid == 9)
+                        val = bounded_eval(9, dim, child, table, bounds, fmax);
+                    else
+                        val = bounded_eval(11, dim, child, table, bounds, fmax);
                 } else if (stop_fid == 0) {
                     val = bowl_child(0, &rng, d, parent, child, lower, upper,
                                      width, om, fmax);
@@ -892,49 +943,61 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
          * parents drop out as offspring survive, and they are the worst
          * ones, so the m-th surviving offspring is copied into the row of
          * the m-th worst parent, which the merge never takes.
+         *
+         * Once sorted, the worst parent is the last. When no offspring
+         * beats it, the merge would give back the parents in their order,
+         * so it is skipped, and the next generation may keep their fitness.
          */
-        for (i = 0; i < pop; i++) {
-            items[i].obj = obj[i];
-            items[i].idx = i;
+        if (parents_sorted) {
+            worst = obj[pop - 1];
+            for (i = 0; i < n_off && !(kidobj[i] < worst); i++)
+                ;
+            parents_kept = i == n_off;
         }
-        if (!parents_sorted) {
-            sort_items(items, pop);
-            parents_sorted = 1;
-        }
-        worst = items[pop - 1].obj;
-        end = pop;
-        for (i = 0; i < n_off; i++) {
-            if (kidobj[i] < worst) {
-                items[end].obj = kidobj[i];
-                items[end].idx = pop + i;
-                end++;
+        if (!parents_kept) {
+            for (i = 0; i < pop; i++) {
+                items[i].obj = obj[i];
+                items[i].idx = i;
             }
-        }
-        sort_items(items + pop, end - pop);
-        a = 0;
-        b = pop;
-        for (i = 0; i < pop; i++) {
-            if (b == end || items[a].obj <= items[b].obj) {
-                src = items[a++].idx;
-                newobj[i] = obj[src];
-                newrow[i] = row[src];
-            } else {
-                src = items[b].idx - pop;
-                dst = row[items[pop - 1 - (b - pop)].idx];
-                b++;
-                kid = &kidpos[src * d];
-                for (j = 0; j < d; j++)
-                    dst[j] = kid[j];
-                newobj[i] = kidobj[src];
-                newrow[i] = dst;
+            if (!parents_sorted) {
+                sort_items(items, pop);
+                parents_sorted = 1;
             }
+            worst = items[pop - 1].obj;
+            end = pop;
+            for (i = 0; i < n_off; i++) {
+                if (kidobj[i] < worst) {
+                    items[end].obj = kidobj[i];
+                    items[end].idx = pop + i;
+                    end++;
+                }
+            }
+            sort_items(items + pop, end - pop);
+            a = 0;
+            b = pop;
+            for (i = 0; i < pop; i++) {
+                if (b == end || items[a].obj <= items[b].obj) {
+                    src = items[a++].idx;
+                    newobj[i] = obj[src];
+                    newrow[i] = row[src];
+                } else {
+                    src = items[b].idx - pop;
+                    dst = row[items[pop - 1 - (b - pop)].idx];
+                    b++;
+                    kid = &kidpos[src * d];
+                    for (j = 0; j < d; j++)
+                        dst[j] = kid[j];
+                    newobj[i] = kidobj[src];
+                    newrow[i] = dst;
+                }
+            }
+            swap = row;
+            row = newrow;
+            newrow = swap;
+            swapobj = obj;
+            obj = newobj;
+            newobj = swapobj;
         }
-        swap = row;
-        row = newrow;
-        newrow = swap;
-        swapobj = obj;
-        obj = newobj;
-        newobj = swapobj;
     }
 
     if (traj.len == 0 || traj.steps[traj.len - 1].evals != evals) {

@@ -230,11 +230,6 @@ def read_manifest(path: str | Path) -> tuple[SweepSpec, ManifestCells]:
     return spec, cells
 
 
-def load_manifest(path: str | Path) -> SweepSpec:
-    """Recover the sweep spec from a manifest written by write_manifest."""
-    return read_manifest(path)[0]
-
-
 def cell_mismatches(recorded: ManifestCells, results: Sequence[CellResult]) -> list[str]:
     """One line per cell whose seeds or median differ between a manifest's
     cells (as read_manifest returns them) and `results`, or that only one

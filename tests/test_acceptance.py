@@ -42,7 +42,7 @@ from plantprop.experiment import (
     default_sweep_b,
     run_sweep,
 )
-from plantprop.report import load_manifest, parse_csv
+from plantprop.report import parse_csv, read_manifest
 
 # every function whose landscape has competing basins; the unimodal bowls
 # (sphere, cigar, ellipse, tablet, rosenbrock, martingaddy) place no
@@ -378,8 +378,8 @@ def test_c7_full_sweeps(sweep_a, sweep_b, tmp_path):
     assert len(lines_a) == 1 + 9 * 41
     assert len(lines_b) == 1 + 5 * 41
 
-    assert load_manifest(dir_a / "manifest.json") == default_sweep_a()
-    assert load_manifest(dir_b / "manifest.json") == default_sweep_b()
+    assert read_manifest(dir_a / "manifest.json")[0] == default_sweep_a()
+    assert read_manifest(dir_b / "manifest.json")[0] == default_sweep_b()
     assert default_sweep_a().base_seed == DEFAULT_BASE_SEED
 
     for src, count in ((dir_a, 9), (dir_b, 5)):

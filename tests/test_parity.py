@@ -22,6 +22,9 @@ from hypothesis import strategies as st
 import plantprop
 from plantprop import engine
 from plantprop.benchmarks import (
+    _BRANIN_B,
+    _BRANIN_C,
+    _BRANIN_T,
     FUNCTION_IDS,
     FUNCTION_NAMES,
     SCALABLE_NAMES,
@@ -112,7 +115,12 @@ def test_runs_at_thirty_dimensions_are_bit_identical(name):
 
 BOWL_NAMES = ("sphere", "cigar", "tablet", "rosenbrock")
 # the functions whose offspring the C core stops on a lower bound
-BOUNDED_NAMES = ("griewank", "ackley", "rastrigin", "schwefel")
+BOUNDED_NAMES = ("griewank", "ackley", "rastrigin", "schwefel", "easom", "branin")
+
+
+def dim_for(name, dim):
+    """dim for a scalable function, 2 for a two-dimensional one."""
+    return dim if name in SCALABLE_NAMES else 2
 
 
 def narrow_box(name, dim):
@@ -122,8 +130,11 @@ def narrow_box(name, dim):
     )
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 30])
-@pytest.mark.parametrize("name", BOWL_NAMES + BOUNDED_NAMES)
+@pytest.mark.parametrize(
+    "name, dim",
+    [(name, dim) for name in BOWL_NAMES + BOUNDED_NAMES
+     for dim in ((2, 3, 4, 30) if name in SCALABLE_NAMES else (2,))],
+)
 def test_runs_on_a_narrow_box_are_bit_identical(name, dim):
     """The functions whose offspring the C core stops early from n = 4 on,
     or on a lower bound.
@@ -190,9 +201,9 @@ def bound_points(draw):
     """A bounded function, a point in, at the edge of or far outside its box,
     and a far value for the worst parent."""
     name = draw(st.sampled_from(BOUNDED_NAMES))
-    dim = draw(st.one_of(st.sampled_from((2, 50)), st.integers(2, 50)))
+    dim = dim_for(name, draw(st.one_of(st.sampled_from((2, 50)), st.integers(2, 50))))
     box = make_function(name, dim).bounds
-    low, high = box.lower[0], box.upper[0]
+    low, high = min(box.lower), max(box.upper)
     coordinate = st.one_of(
         st.floats(low, high),
         st.sampled_from((low, high, 0.0, -0.0)),
@@ -227,6 +238,25 @@ def bound_points(draw):
 @example(case=("schwefel", [500.0, -500.0] * 25, 1e4))
 @example(case=("schwefel", [500.0, 420.9687, -500.0], 1e3))
 @example(case=("schwefel", [1e300, 420.9687], -1e308))
+@example(case=("easom", [math.pi, math.pi], 1.0))
+@example(case=("easom", [math.pi, math.pi], -1.0))
+# far out exp underflows, so values and parents sit at +-0.0
+@example(case=("easom", [100.0, 100.0], 0.0))
+@example(case=("easom", [100.0, 100.0], -0.0))
+@example(case=("easom", [100.0, -97.0], 0.0))
+@example(case=("easom", [100.0, -97.0], -0.0))
+@example(case=("branin", [-math.pi, 12.275], 1.0))
+@example(case=("branin", [math.pi, 2.275], 0.0))
+@example(case=("branin", [9.42478, 2.475], 1e3))
+@example(case=("branin", [-5.0, 0.0], 1e3))
+@example(case=("branin", [-5.0, 15.0], 0.0))
+@example(case=("branin", [10.0, 0.0], 1e308))
+@example(case=("branin", [10.0, 15.0], -1e308))
+# t * t and d1 * d1 overflow: the bound is inf, never nan
+@example(case=("easom", [1e200, -1e200], 0.0))
+@example(case=("easom", [-1e200, 1e200], -1.0))
+@example(case=("branin", [1e200, -1e200], 1e308))
+@example(case=("branin", [-1e200, 1e200], 0.0))
 @with_examples(bucket_edge_cases())
 def test_bounded_value_is_the_objective_or_no_survivor(case):
     """An offspring that stops on its lower bound keeps a value >= fmax, the
@@ -236,7 +266,9 @@ def test_bounded_value_is_the_objective_or_no_survivor(case):
     fmax = nextafter(value, inf) would reject an offspring that survives.
     At the origin every cos is 1 and rastrigin's cos is +-1 at half
     integers; schwefel's terms are largest at +-420.9687, and beyond +-500
-    it runs its plain loop. Beyond |x| ~ 1.3e154 a sum of squares is inf,
+    it runs its plain loop. Easom is -1 at (pi, pi), and far from there its
+    exp underflows to 0, so a value is +-0.0 whatever fmax's sign; branin
+    has three optima. Beyond |x| ~ 1.3e154 a sum of squares is inf,
     and beyond |x| ~ 2.9e307 the cos argument 2 pi x is inf and the
     objective nan, which never survives either.
     """
@@ -274,6 +306,29 @@ def test_term_bounds_are_capped(name, x, gap):
     comes last, where no exact term summed before it can make up for it."""
     value = _kernel.eval_function(FUNCTION_IDS[name], x)
     assert bounded_value(name, x, value - gap) == value - gap
+
+
+@pytest.mark.parametrize(
+    "name, x",
+    [("easom", [3.0, 2.0]), ("easom", [100.0, -97.0]), ("easom", [1e200, 3.0]),
+     ("branin", [2.0, 3.0]), ("branin", [-5.0, 15.0])],
+)
+def test_easom_and_branin_stop_on_their_bound(name, x):
+    """Easom's value is at least -exp(..), since |cos * cos| <= 1, and
+    branin's at least its value with cos = -1. An offspring whose bound
+    equals the worst parent's value stops with that value, also where its
+    own value lies above the bound or, where exp underflows, is +0.0
+    against a bound of -0.0."""
+    if name == "easom":
+        d1, d2 = x[0] - math.pi, x[1] - math.pi
+        bound = -math.exp(-(d1 * d1 + d2 * d2))
+    else:
+        t = x[1] - _BRANIN_B * (x[0] * x[0]) + _BRANIN_C * x[0] - 6.0
+        bound = t * t + 10.0 * (1.0 - _BRANIN_T) * (-1.0) + 10.0
+    value = _kernel.eval_function(FUNCTION_IDS[name], x)
+    assert value.hex() != bound.hex() and not value < bound
+    for fmax in (bound, 0.0) if bound == 0.0 else (bound,):
+        assert bounded_value(name, x, fmax).hex() == fmax.hex()
 
 
 @pytest.mark.parametrize("name, edge", [("ackley", 2.0**16), ("rastrigin", 2.0**16),
@@ -543,12 +598,12 @@ def sanitizer_cases():
     for name in (*BOWL_NAMES, "ellipse", *BOUNDED_NAMES):
         fid = FUNCTION_IDS[name]
         cases += [
-            (fid, 30, 2.0, 3.0, 30, 5, 600, math.inf, 1),  # clamped box
-            (fid, 4, 2.0, 3.0, 30, 5, 600, 1.0, 2),
+            (fid, dim_for(name, 30), 2.0, 3.0, 30, 5, 600, math.inf, 1),  # clamped box
+            (fid, dim_for(name, 4), 2.0, 3.0, 30, 5, 600, 1.0, 2),
             (fid, 2, -5.0, 5.0, 1, 1, 200, 50.0, 3),  # pop_size 1, n_max 1
-            (fid, 30, -5.0, 5.0, 1, 8, 300, math.inf, 4),
-            (fid, 50, -5.0, 5.0, 30, 5, 30, 9.0, 5),  # budget == pop_size
-            (fid, 4, -5.0, 5.0, 64, 40, 2000, 100.0, 2**64 - 1),
+            (fid, dim_for(name, 30), -5.0, 5.0, 1, 8, 300, math.inf, 4),
+            (fid, dim_for(name, 50), -5.0, 5.0, 30, 5, 30, 9.0, 5),  # budget == pop_size
+            (fid, dim_for(name, 4), -5.0, 5.0, 64, 40, 2000, 100.0, 2**64 - 1),
         ]
     # beyond +-500 schwefel's terms exceed 418.9829, and beyond +-2**16 the
     # cosine table is not proved, so the plain loops run; at +-2**16 they stop

@@ -16,8 +16,8 @@ from plantprop.report import (
     MANIFEST_FORMAT,
     HeatmapTable,
     build_table,
-    load_manifest,
     parse_csv,
+    read_manifest,
     render_heatmaps,
     write_csv,
     write_manifest,
@@ -166,7 +166,7 @@ def test_manifest_round_trip(tmp_path):
     path = write_manifest(
         spec, _sample_results(), tmp_path / "m.json", 1.25, "compiled"
     )
-    assert load_manifest(path) == spec
+    assert read_manifest(path)[0] == spec
 
     doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["format"] == MANIFEST_FORMAT
@@ -179,20 +179,20 @@ def test_manifest_round_trip(tmp_path):
     assert all(c["seeds"] == [1, 2, 3] for c in doc["cells"])
 
 
-def test_load_manifest_rejects_garbage(tmp_path):
+def test_read_manifest_rejects_garbage(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValueError, match="JSON"):
-        load_manifest(path)
+        read_manifest(path)
     path.write_text(json.dumps({"format": "other", "spec": {}}), encoding="utf-8")
     with pytest.raises(ValueError, match="format"):
-        load_manifest(path)
+        read_manifest(path)
     path.write_text(json.dumps({"format": MANIFEST_FORMAT}), encoding="utf-8")
     with pytest.raises(ValueError, match="spec"):
-        load_manifest(path)
+        read_manifest(path)
     path.write_text(json.dumps([1, 2]), encoding="utf-8")
     with pytest.raises(ValueError, match="object"):
-        load_manifest(path)
+        read_manifest(path)
 
 
 def test_manifest_matches_default_spec_round_trip(tmp_path):
@@ -203,7 +203,7 @@ def test_manifest_matches_default_spec_round_trip(tmp_path):
         for fac in spec.factors
     ]
     path = write_manifest(spec, results, tmp_path / "m.json", 0.0, "python")
-    assert load_manifest(path) == spec
+    assert read_manifest(path)[0] == spec
 
 
 # -- SVG ---------------------------------------------------------------------------
