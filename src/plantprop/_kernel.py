@@ -6,7 +6,9 @@ module validates arguments, moves numbers across the boundary and turns the
 core's status codes into exceptions.
 
 Importing the module loads the core from the per-user cache directory,
-``$XDG_CACHE_HOME/plantprop`` or else ``~/.cache/plantprop``. The library's
+``$XDG_CACHE_HOME/plantprop`` or else ``~/.cache/plantprop``; a relative
+``XDG_CACHE_HOME`` is ignored, as the XDG Base Directory spec asks, so the
+library is not built anew in each working directory. The library's
 file name is a hash of the source and the compiler command, so an edited
 source or changed flags get a fresh build. On a miss the source is compiled
 once with ``cc`` into a temporary file that is then renamed into place, so
@@ -45,8 +47,8 @@ _STEP = struct.Struct("=qd")
 
 
 def _cache_dir() -> Path:
-    base = os.environ.get("XDG_CACHE_HOME")
-    if base:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if os.path.isabs(base):
         return Path(base) / "plantprop"
     try:
         return Path.home() / ".cache" / "plantprop"

@@ -22,21 +22,34 @@
  * the worst parent's, and the best value so far is at most fmin <= fmax.
  * - Early stop (bowl_child, from n = 4). Sphere, cigar, tablet and
  *   rosenbrock sum terms that are >= 0, and rounding is monotone, so a
- *   partial sum never exceeds the full one. Once a child's running value reaches fmax it can neither
- *   survive nor be the best, so it stops there. It still counts as an
- *   evaluation, keeps a value >= fmax and takes the draws of the
- *   coordinates it skips, so the stream and every result stay the same.
- *   Ellipse's weighted terms grow along the coordinates, so its sum reaches
- *   fmax late; stopping measured slower there, and it keeps the plain loop.
- * - Lower bound (bounded_eval). Griewank, ackley, rastrigin, schwefel,
+ *   partial sum never exceeds the full one. Once a child's running value
+ *   reaches fmax it can neither survive nor be the best, so it stops there.
+ *   It still counts as an evaluation, keeps a value >= fmax and takes the
+ *   draws of the coordinates it skips, so the stream and every result stay
+ *   the same. Ellipse's weighted terms grow along the coordinates, so its
+ *   sum reaches fmax late; stopping measured slower there, and it keeps the
+ *   plain loop. The stop is fused with the mutation, so it saves the
+ *   mutation of the coordinates it skips; making the child in full and
+ *   stopping only its sum, as eval's check does, took 1.15-1.32 (factor
+ *   1000) and 1.28-1.78 (vanilla) of this time on the four bowls at
+ *   n = 30. ppa_run calls bowl_child from a chain of four calls, each with
+ *   a constant fid, so that bowl_term and bowl_value, which read fid at
+ *   every coordinate, fold to one bowl; eval reads its fid once per
+ *   evaluation, so it takes the run's. Passing bowl_child the run's fid
+ *   took 1.01-1.07 of this time on sphere, cigar and tablet at n = 30.
+ * - Lower bound (eval's check). Griewank, ackley, rastrigin, schwefel,
  *   easom and branin spend most of their time in cos or sin. A child is
- *   made in full (so the draws are the same), then its objective is bounded
- *   from below: eval's own partial result, plus a bound on the terms still
- *   to come. Once that reaches fmax, the child stops with fmax as its value
- *   and still counts as an evaluation. The check runs before the first libm term and, except
- *   for rastrigin, again after each one. Below, u = 2^-53; libm's cos and
- *   sin stay in [-1, 1], which holds for any libm whose error is below one
- *   ulp, since +-1 are doubles; rounding is monotone.
+ *   made in full (so the draws are the same), then eval, with check on,
+ *   bounds its objective from below: its own partial result, plus a bound
+ *   on the terms still to come. Once that reaches fmax, the child stops
+ *   with fmax as its value and still counts as an evaluation. The check
+ *   runs before the first libm term and, except for rastrigin, again after
+ *   each one. There is one copy of each formula: the stop tests and what
+ *   only they need (the term tables, the suffix sums, lim) sit under check,
+ *   and the rest is the objective itself, so with check off eval is the
+ *   plain objective. Below, u = 2^-53; libm's cos and sin stay in [-1, 1],
+ *   which holds for any libm whose error is below one ulp, since +-1 are
+ *   doubles; rounding is monotone.
  *   - Term tables. Ackley, rastrigin and schwefel bound a term still to come
  *     by an entry of a table that ppa_run fills once per run (fill_bounds).
  *     For ackley and rastrigin, entry k bounds cos(TWO_PI * x) from above
@@ -121,15 +134,15 @@
  *     most eval's value. At n = 2, under the perfbench grid's factors, they
  *     stop 89% and 88% of their offspring before any cos call.
  *   bound_applies makes these choices per run from the box and n; beyond
- *   them the plain loop runs. At n = 30 on the default boxes an evaluation
- *   of schwefel, rastrigin or ackley makes 1.3-2.9 sin or cos calls on
- *   average under vanilla PPA and 10.6-11.7 under factor 1000, of the 30
- *   that eval makes. That is near a floor no bound can pass: an offspring
- *   below the worst parent needs all n terms, and 3-11% (vanilla) or 33-38%
- *   (factor 1000) of offspring are. Griewank, ackley, rastrigin and
- *   schwefel make 2-20% more calls than that floor; removing every call
- *   above it would save at most about 3% of the C time of perfbench's
- *   highdim-runs, so no tighter bound is pursued.
+ *   them eval runs with check off. At n = 30 on the default boxes an
+ *   evaluation of schwefel, rastrigin or ackley makes 1.3-2.9 sin or cos
+ *   calls on average under vanilla PPA and 10.6-11.7 under factor 1000, of
+ *   the 30 that eval makes with check off. That is near a floor no bound
+ *   can pass: an offspring below the worst parent needs all n terms, and
+ *   3-11% (vanilla) or 33-38% (factor 1000) of offspring are. Griewank,
+ *   ackley, rastrigin and schwefel make 2-20% more calls than that floor;
+ *   removing every call above it would save at most about 3% of the C time
+ *   of perfbench's highdim-runs, so no tighter bound is pursued.
  * - Generations with no survivor. From the second generation on, the
  *   parents sit sorted, so the worst is obj[pop - 1]. When no offspring is
  *   below it, selection would give the parents back in their order, so the
@@ -174,13 +187,13 @@ enum {
 #define E 2.718281828459045
 #define TWO_PI (2.0 * PI)
 
-/* bounded_eval's limits (see the header): the largest n at which ackley
-   and schwefel may stop, the box beyond which ackley and rastrigin run
-   their plain loops, and a bound on |x sin(sqrt(|x|))| for |x| <= 500 */
+/* the limits of eval's stop (see the header): the largest n at which
+   ackley and schwefel may stop, the box beyond which ackley and rastrigin
+   never stop, and a bound on |x sin(sqrt(|x|))| for |x| <= 500 */
 #define BOUND_MAX_DIM (INT64_C(1) << 20)
 #define COS_BOX 0x1p16
 #define SCHWEFEL_TERM 418.9829
-/* buckets of bounded_eval's term bounds: schwefel's over [-500, 500], the
+/* buckets of eval's term bounds: schwefel's over [-500, 500], the
    cosine's over one period of frac(x); a run's table holds the larger */
 #define SCHWEFEL_BUCKETS 1024
 #define COS_BUCKETS 256
@@ -302,89 +315,9 @@ static ALWAYS_INLINE double bowl(int fid, int64_t n, const double *x)
     return bowl_value(fid, x[0], s);
 }
 
-/* ids follow benchmarks.FUNCTION_NAMES order; w as filled by fill_table */
-static ALWAYS_INLINE double eval(int fid, int64_t n, const double *x,
-                                 const double *w)
-{
-    double s = 0.0, s2 = 0.0, p = 1.0;
-    double x1, x2, a, b, t, t1, t2, u, v, d1, d2, xi;
-    int64_t i;
-
-    switch (fid) {
-    case 0: /* sphere */
-        return bowl(0, n, x);
-    case 1: /* cigar */
-        return bowl(1, n, x);
-    case 2: /* ellipse */
-        for (i = 0; i < n; i++)
-            s += w[i] * (x[i] * x[i]);
-        return s;
-    case 3: /* tablet */
-        return bowl(3, n, x);
-    case 4: /* griewank */
-        for (i = 0; i < n; i++) {
-            xi = x[i];
-            s += xi * xi;
-            p *= cos(xi / w[i]);
-        }
-        return s / 4000.0 - p + 1.0;
-    case 5: /* rosenbrock */
-        return bowl(5, n, x);
-    case 6: /* ackley */
-        for (i = 0; i < n; i++) {
-            xi = x[i];
-            s += xi * xi;
-            s2 += cos(TWO_PI * xi);
-        }
-        return -20.0 * exp(-0.2 * sqrt(s / (double)n)) - exp(s2 / (double)n)
-               + 20.0 + E;
-    case 7: /* rastrigin */
-        for (i = 0; i < n; i++) {
-            xi = x[i];
-            s += xi * xi - 10.0 * cos(TWO_PI * xi);
-        }
-        return 10.0 * (double)n + s;
-    case 8: /* schwefel */
-        for (i = 0; i < n; i++) {
-            xi = x[i];
-            s += xi * sin(sqrt(fabs(xi)));
-        }
-        return 418.9829 * (double)n - s;
-    case 9: /* easom */
-        d1 = x[0] - PI;
-        d2 = x[1] - PI;
-        return -cos(x[0]) * cos(x[1]) * exp(-(d1 * d1 + d2 * d2));
-    case 10: /* sixhumpcamel */
-        x1 = x[0];
-        x2 = x[1];
-        a = x1 * x1;
-        b = x2 * x2;
-        return (4.0 - 2.1 * a + a * a / 3.0) * a + x1 * x2 + (-4.0 + 4.0 * b) * b;
-    case 11: /* branin */
-        x1 = x[0];
-        x2 = x[1];
-        t = x2 - BRANIN_B * (x1 * x1) + BRANIN_C * x1 - 6.0;
-        return t * t + 10.0 * (1.0 - BRANIN_T) * cos(x1) + 10.0;
-    case 12: /* goldsteinprice */
-        x1 = x[0];
-        x2 = x[1];
-        u = x1 + x2 + 1.0;
-        a = 19.0 - 14.0 * x1 + 3.0 * (x1 * x1) - 14.0 * x2 + 6.0 * (x1 * x2)
-            + 3.0 * (x2 * x2);
-        v = 2.0 * x1 - 3.0 * x2;
-        b = 18.0 - 32.0 * x1 + 12.0 * (x1 * x1) + 48.0 * x2 - 36.0 * (x1 * x2)
-            + 27.0 * (x2 * x2);
-        return (1.0 + (u * u) * a) * (30.0 + (v * v) * b);
-    default: /* martingaddy (fid == 13) */
-        t1 = x[0] - x[1];
-        t2 = (x[0] + x[1] - 10.0) / 3.0;
-        return t1 * t1 + t2 * t2;
-    }
-}
-
 /*
- * Whether bounded_eval's stop is proved for fid on the box [lower, upper]
- * (see the header): always for griewank, easom and branin; inside [-COS_BOX,
+ * Whether eval's stop is proved for fid on the box [lower, upper] (see the
+ * header): always for griewank, easom and branin; inside [-COS_BOX,
  * COS_BOX] for rastrigin, and for ackley also only up to n = BOUND_MAX_DIM;
  * up to n = BOUND_MAX_DIM and inside [-500, 500] for schwefel.
  */
@@ -405,13 +338,13 @@ static int bound_applies(int fid, int64_t n, const double *lower,
 }
 
 /*
- * Fills tb, bounded_eval's term bounds, for ackley (6), rastrigin (7) or
- * schwefel (8): for schwefel a bound on x * sin(sqrt(fabs(x))) over each
- * bucket of [-500, 500], for the other two a bound on cos(TWO_PI * x) over
- * each bucket of frac(x). Each entry is the libm value at the bucket's
- * midpoint, plus a Lipschitz constant times half the bucket's width
- * widened by 1e-6, plus 1e-9, capped at a bound that holds everywhere.
- * Bucket edges and midpoints are exact doubles.
+ * Fills tb, eval's term bounds, for ackley (6), rastrigin (7) or schwefel
+ * (8), and leaves it alone for other functions: for schwefel a bound on
+ * x * sin(sqrt(fabs(x))) over each bucket of [-500, 500], for the other two
+ * a bound on cos(TWO_PI * x) over each bucket of frac(x). Each entry is the
+ * libm value at the bucket's midpoint, plus a Lipschitz constant times half
+ * the bucket's width widened by 1e-6, plus 1e-9, capped at a bound that
+ * holds everywhere. Bucket edges and midpoints are exact doubles.
  */
 static void fill_bounds(int fid, double *tb)
 {
@@ -428,12 +361,12 @@ static void fill_bounds(int fid, double *tb)
             v = v < m ? v : m;
             tb[k] = v < SCHWEFEL_TERM ? v : SCHWEFEL_TERM;
         }
-        return;
-    }
-    for (k = 0; k < COS_BUCKETS; k++) {
-        mid = (k + 0.5) / COS_BUCKETS;
-        v = cos(TWO_PI * mid) + TWO_PI * (0.5 / COS_BUCKETS + 1e-6) + 1e-9;
-        tb[k] = v < 1.0 ? v : 1.0;
+    } else if (fid == 6 || fid == 7) {
+        for (k = 0; k < COS_BUCKETS; k++) {
+            mid = (k + 0.5) / COS_BUCKETS;
+            v = cos(TWO_PI * mid) + TWO_PI * (0.5 / COS_BUCKETS + 1e-6) + 1e-9;
+            tb[k] = v < 1.0 ? v : 1.0;
+        }
     }
 }
 
@@ -454,80 +387,130 @@ static ALWAYS_INLINE double cos_bound(const double *tb, double x)
 }
 
 /*
- * eval of griewank (4), ackley (6), rastrigin (7), schwefel (8), easom (9) or
- * branin (11) at x, or fmax once a lower bound on that value reaches fmax
- * (see the header), where bound_applies holds for a box that contains x and
- * fill_bounds filled tb for fid. The sums and the product are eval's own,
- * term for term, so a value that is not stopped is eval's. Ackley and schwefel overwrite w (n
- * doubles, unused by their eval) with suffix sums of term bounds.
+ * The objective of function fid (ids follow benchmarks.FUNCTION_NAMES
+ * order) at x, with w as filled by fill_table.
+ *
+ * With check set, griewank (4), ackley (6), rastrigin (7), schwefel (8),
+ * easom (9) and branin (11) return fmax instead once a lower bound on their
+ * value reaches fmax (see the header). check may be set only where
+ * bound_applies holds for a box that contains x and fill_bounds filled tb
+ * for fid; ackley and schwefel then overwrite w (n doubles, which they do
+ * not read otherwise) with suffix sums of term bounds. Every stop test and
+ * everything it alone needs sits under check, so a value that is not
+ * stopped is the objective, and with check off tb and fmax are not read.
  */
-static ALWAYS_INLINE double bounded_eval(int fid, int64_t n, const double *x,
-                                         double *w, const double *tb,
-                                         double fmax)
+static ALWAYS_INLINE double eval(int fid, int64_t n, const double *x,
+                                 double *w, const double *tb, double fmax,
+                                 int check)
 {
-    double s = 0.0, s2 = 0.0, p = 1.0, rest = 0.0;
-    double a, lim, xi, d1, d2, t;
+    double s = 0.0, s2 = 0.0, p = 1.0, rest = 0.0, lim = 0.0;
+    double x1, x2, a, b, t, t1, t2, u, v, d1, d2, xi;
     int64_t i;
 
     switch (fid) {
+    case 0: /* sphere */
+        return bowl(0, n, x);
+    case 1: /* cigar */
+        return bowl(1, n, x);
+    case 2: /* ellipse */
+        for (i = 0; i < n; i++)
+            s += w[i] * (x[i] * x[i]);
+        return s;
+    case 3: /* tablet */
+        return bowl(3, n, x);
     case 4: /* griewank */
         for (i = 0; i < n; i++)
             s += x[i] * x[i];
         s = s / 4000.0;
         for (i = 0; i < n; i++) {
-            if (s - fabs(p) + 1.0 >= fmax)
+            if (check && s - fabs(p) + 1.0 >= fmax)
                 return fmax;
             p *= cos(x[i] / w[i]);
         }
         return s - p + 1.0;
+    case 5: /* rosenbrock */
+        return bowl(5, n, x);
     case 6: /* ackley */
         for (i = 0; i < n; i++)
             s += x[i] * x[i];
         a = -20.0 * exp(-0.2 * sqrt(s / (double)n));
-        if (a - 2.72 + 20.0 + E >= fmax)
-            return fmax;
-        for (i = n - 1; i >= 0; i--) {
-            rest += cos_bound(tb, x[i]);
-            w[i] = rest;
+        if (check) {
+            if (a - 2.72 + 20.0 + E >= fmax)
+                return fmax;
+            for (i = n - 1; i >= 0; i--) {
+                rest += cos_bound(tb, x[i]);
+                w[i] = rest;
+            }
+            lim = (double)n * (log(a + 20.0 + E - fmax - 1e-9) - 1e-9);
         }
-        lim = (double)n * (log(a + 20.0 + E - fmax - 1e-9) - 1e-9);
         for (i = 0; i < n; i++) {
-            if (s2 + w[i] <= lim)
+            if (check && s2 + w[i] <= lim)
                 return fmax;
             s2 += cos(TWO_PI * x[i]);
         }
         return a - exp(s2 / (double)n) + 20.0 + E;
     case 7: /* rastrigin */
+        if (check) {
+            for (i = 0; i < n; i++) {
+                xi = x[i];
+                s += xi * xi - 10.0 * cos_bound(tb, xi);
+            }
+            if (10.0 * (double)n + s >= fmax)
+                return fmax;
+            s = 0.0;
+        }
         for (i = 0; i < n; i++) {
             xi = x[i];
-            s += xi * xi - 10.0 * cos_bound(tb, xi);
+            s += xi * xi - 10.0 * cos(TWO_PI * xi);
         }
-        return 10.0 * (double)n + s >= fmax ? fmax : eval(7, n, x, w);
-    case 9: /* easom */
-        d1 = x[0] - PI;
-        d2 = x[1] - PI;
-        a = exp(-(d1 * d1 + d2 * d2));
-        if (-a >= fmax)
-            return fmax;
-        return -cos(x[0]) * cos(x[1]) * a;
-    case 11: /* branin */
-        t = x[1] - BRANIN_B * (x[0] * x[0]) + BRANIN_C * x[0] - 6.0;
-        if (t * t + 10.0 * (1.0 - BRANIN_T) * (-1.0) + 10.0 >= fmax)
-            return fmax;
-        return t * t + 10.0 * (1.0 - BRANIN_T) * cos(x[0]) + 10.0;
-    default: /* schwefel (8) */
-        for (i = n - 1; i >= 0; i--) {
-            rest += schwefel_bound(tb, x[i]);
-            w[i] = rest;
+        return 10.0 * (double)n + s;
+    case 8: /* schwefel */
+        if (check) {
+            for (i = n - 1; i >= 0; i--) {
+                rest += schwefel_bound(tb, x[i]);
+                w[i] = rest;
+            }
+            lim = 418.9829 * (double)n - fmax - 1e-10 * (double)n * (double)n;
         }
-        lim = 418.9829 * (double)n - fmax - 1e-10 * (double)n * (double)n;
         for (i = 0; i < n; i++) {
-            if (s + w[i] <= lim)
+            if (check && s + w[i] <= lim)
                 return fmax;
             xi = x[i];
             s += xi * sin(sqrt(fabs(xi)));
         }
         return 418.9829 * (double)n - s;
+    case 9: /* easom */
+        d1 = x[0] - PI;
+        d2 = x[1] - PI;
+        a = exp(-(d1 * d1 + d2 * d2));
+        if (check && -a >= fmax)
+            return fmax;
+        return -cos(x[0]) * cos(x[1]) * a;
+    case 10: /* sixhumpcamel */
+        x1 = x[0];
+        x2 = x[1];
+        a = x1 * x1;
+        b = x2 * x2;
+        return (4.0 - 2.1 * a + a * a / 3.0) * a + x1 * x2 + (-4.0 + 4.0 * b) * b;
+    case 11: /* branin */
+        t = x[1] - BRANIN_B * (x[0] * x[0]) + BRANIN_C * x[0] - 6.0;
+        if (check && t * t + 10.0 * (1.0 - BRANIN_T) * (-1.0) + 10.0 >= fmax)
+            return fmax;
+        return t * t + 10.0 * (1.0 - BRANIN_T) * cos(x[0]) + 10.0;
+    case 12: /* goldsteinprice */
+        x1 = x[0];
+        x2 = x[1];
+        u = x1 + x2 + 1.0;
+        a = 19.0 - 14.0 * x1 + 3.0 * (x1 * x1) - 14.0 * x2 + 6.0 * (x1 * x2)
+            + 3.0 * (x2 * x2);
+        v = 2.0 * x1 - 3.0 * x2;
+        b = 18.0 - 32.0 * x1 + 12.0 * (x1 * x1) + 48.0 * x2 - 36.0 * (x1 * x2)
+            + 27.0 * (x2 * x2);
+        return (1.0 + (u * u) * a) * (30.0 + (v * v) * b);
+    default: /* martingaddy (fid == 13) */
+        t1 = x[0] - x[1];
+        t2 = (x[0] + x[1] - 10.0) / 3.0;
+        return t1 * t1 + t2 * t2;
     }
 }
 
@@ -626,28 +609,29 @@ void ppa_rng_uniform(uint64_t seed, size_t n, double *out)
         out[i] = rng_uniform(&rng);
 }
 
-/* the exported entry to eval, for the parity tests; table is n doubles of
-   scratch for the constants, filled here as ppa_run fills its own */
+/* the exported entry to eval with check off, for the parity tests; table
+   is n doubles of scratch for the constants, filled here as ppa_run fills
+   its own */
 double ppa_eval(int fid, int64_t n, const double *x, double *table)
 {
     fill_table(fid, n, table);
-    return eval(fid, n, x, table);
+    return eval(fid, n, x, table, NULL, 0.0, 0);
 }
 
 /* what ppa_run gives an offspring at x when the worst parent's value is
-   fmax, for the tests: bounded_eval, with the tables ppa_run fills, where
-   bound_applies to the box [x, x], else eval. table is n doubles of
-   scratch, as for ppa_eval. */
+   fmax, for the tests: eval with check on where bound_applies to the box
+   [x, x], with the tables ppa_run fills. table is n doubles of scratch, as
+   for ppa_eval. */
 double ppa_bound(int fid, int64_t n, const double *x, double fmax,
                  double *table)
 {
     double tb[SCHWEFEL_BUCKETS];
+    int check = bound_applies(fid, n, x, x);
 
     fill_table(fid, n, table);
-    if (!bound_applies(fid, n, x, x))
-        return eval(fid, n, x, table);
-    fill_bounds(fid, tb);
-    return bounded_eval(fid, n, x, table, tb, fmax);
+    if (check)
+        fill_bounds(fid, tb);
+    return eval(fid, n, x, table, tb, fmax, check);
 }
 
 void ppa_free(void *p)
@@ -739,8 +723,8 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     double *fits = NULL;   /* pop: normalized objective, then fitness */
     double *width = NULL;  /* dim: upper - lower */
     double *table = NULL;  /* dim: fill_table's constants, or the suffix
-                              sums of bounded_eval */
-    double *bounds = NULL; /* SCHWEFEL_BUCKETS: bounded_eval's term bounds */
+                              sums of eval's stop */
+    double *bounds = NULL; /* SCHWEFEL_BUCKETS: eval's term bounds */
     sort_item *items = NULL; /* pop + slots: parents, then candidates */
     int64_t evals = 0, cnt, k;
     double best = INFINITY;
@@ -757,10 +741,9 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     int stop_fid = d > 3 && (fid == 0 || fid == 1 || fid == 3 || fid == 5)
                        ? fid
                        : -1;
-    /* griewank, ackley, rastrigin, schwefel, easom or branin where their
-       offspring may stop on a lower bound, else -1; with stop_fid also -1,
-       the plain loop */
-    int bound_fid = bound_applies(fid, dim, lower, upper) ? fid : -1;
+    /* whether the offspring of griewank, ackley, rastrigin, schwefel,
+       easom or branin may stop on a lower bound in eval */
+    int check = bound_applies(fid, dim, lower, upper);
 
     rng_seed(&rng, seed);
 
@@ -790,7 +773,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     for (j = 0; j < d; j++)
         width[j] = upper[j] - lower[j];
     fill_table(fid, dim, table);
-    if (bound_fid == 6 || bound_fid == 7 || bound_fid == 8)
+    if (check)
         fill_bounds(fid, bounds);
 
     /* uniform initialization, evaluating in creation order */
@@ -800,7 +783,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
             u = rng_uniform(&rng);
             row[i][j] = lower[j] + u * width[j];
         }
-        val = eval(fid, dim, row[i], table);
+        val = eval(fid, dim, row[i], table, NULL, 0.0, 0);
         evals++;
         obj[i] = val;
         if (val < best) {
@@ -885,20 +868,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                     for (j = 0; j < d; j++)
                         child[j] = mutate_coord(&rng, parent[j], lower[j],
                                                 upper[j], width[j], om);
-                    if (bound_fid < 0)
-                        val = eval(fid, dim, child, table);
-                    else if (bound_fid == 4)
-                        val = bounded_eval(4, dim, child, table, bounds, fmax);
-                    else if (bound_fid == 6)
-                        val = bounded_eval(6, dim, child, table, bounds, fmax);
-                    else if (bound_fid == 7)
-                        val = bounded_eval(7, dim, child, table, bounds, fmax);
-                    else if (bound_fid == 8)
-                        val = bounded_eval(8, dim, child, table, bounds, fmax);
-                    else if (bound_fid == 9)
-                        val = bounded_eval(9, dim, child, table, bounds, fmax);
-                    else
-                        val = bounded_eval(11, dim, child, table, bounds, fmax);
+                    val = eval(fid, dim, child, table, bounds, fmax, check);
                 } else if (stop_fid == 0) {
                     val = bowl_child(0, &rng, d, parent, child, lower, upper,
                                      width, om, fmax);

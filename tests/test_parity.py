@@ -576,6 +576,18 @@ def test_missing_compiler_is_an_import_error(tmp_path, monkeypatch):
     assert list((tmp_path / "plantprop").iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["relcache", "./relcache", ""])
+def test_cache_dir_ignores_a_relative_xdg_cache_home(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("XDG_CACHE_HOME", value)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert _kernel._cache_dir() == tmp_path / ".cache" / "plantprop"
+
+
+def test_cache_dir_uses_an_absolute_xdg_cache_home(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _kernel._cache_dir() == tmp_path / "plantprop"
+
+
 def test_c_core_compiles_without_warnings(tmp_path):
     if shutil.which(_kernel._CC) is None:
         pytest.skip(f"no {_kernel._CC} on PATH")
@@ -606,11 +618,16 @@ def sanitizer_cases():
             (fid, dim_for(name, 4), -5.0, 5.0, 64, 40, 2000, 100.0, 2**64 - 1),
         ]
     # beyond +-500 schwefel's terms exceed 418.9829, and beyond +-2**16 the
-    # cosine table is not proved, so the plain loops run; at +-2**16 they stop
+    # cosine table is not proved, so eval runs with check off; at +-2**16 they
+    # stop
     cases.append((FUNCTION_IDS["schwefel"], 30, -1000.0, 1000.0, 30, 5, 600, 150.0, 6))
     for name in ("ackley", "rastrigin"):
         for edge in (2.0**16, 1e6):
             cases.append((FUNCTION_IDS[name], 30, -edge, edge, 30, 5, 600, 150.0, 6))
+    # far out, the term tables' float-to-int casts would overflow; bound_applies
+    # must keep the run on the objective alone
+    for name in ("ackley", "schwefel"):
+        cases.append((FUNCTION_IDS[name], 30, -1e300, 1e300, 30, 5, 600, 150.0, 6))
     return cases
 
 
@@ -650,9 +667,17 @@ def test_runner_prototype_matches_the_c_core(tmp_path):
 
 
 def test_c_core_runs_clean_under_sanitizers(tmp_path):
-    """Edge sizes under ASan and UBSan, with the same results as the kernel."""
+    """Edge sizes under ASan and UBSan, with the same results as the kernel.
+
+    GCC's -fsanitize=undefined leaves out float-cast-overflow, which checks
+    the casts of the term tables' bucket indices, so it is asked for by name.
+    """
     runner = build_runner(
-        tmp_path, ["-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g"]
+        tmp_path,
+        [
+            "-fsanitize=address,undefined,float-cast-overflow",
+            "-fno-sanitize-recover=all", "-g",
+        ],
     )
     cases = sanitizer_cases()
     proc = subprocess.run(
