@@ -143,16 +143,18 @@
  *   ackley, rastrigin and schwefel make 2-20% more calls than that floor;
  *   removing every call above it would save at most about 3% of the C time
  *   of perfbench's highdim-runs, so no tighter bound is pursued.
- * - Generations with no survivor. From the second generation on, the
- *   parents sit sorted, so the worst is obj[pop - 1]. When no offspring is
- *   below it, selection would give the parents back in their order, so the
- *   merge and the buffer swap are skipped. If the next generation then has
- *   the same steepness (always under vanilla PPA, where s is 1.0), fits[]
- *   still holds the parents' fitness, and min/max, normalization and tanh
- *   are skipped as well. The first generation, whose parents are not
- *   sorted yet, takes the full path. At n = 2 over the 14 functions, 85%,
- *   59%, 31%, 5% and 60% of generations make no survivor under factors
- *   100, 500, 1000, 2000 and vanilla.
+ * - Generations with no survivor. A child is kept for selection only when
+ *   it is made below the worst parent; any other child is dropped as soon
+ *   as it is evaluated, so selection never looks at it. From the second
+ *   generation on, the parents sit sorted, and when a generation keeps no
+ *   child, selection would give the parents back in their order, so the
+ *   parents are kept: the merge and the buffer swap are skipped. If the
+ *   next generation then has the same steepness (always under vanilla PPA,
+ *   where s is 1.0), fits[] still holds the parents' fitness, and min/max,
+ *   normalization and tanh are skipped as well. The first generation, whose
+ *   parents are not sorted yet, takes the full path. At n = 2 over the 14
+ *   functions, 85%, 59%, 31%, 5% and 60% of generations make no survivor
+ *   under factors 100, 500, 1000, 2000 and vanilla.
  * - Row pointers. The parents are reached through pointers to their rows,
  *   so a surviving parent's row stays where it is, and selection copies
  *   only the surviving offspring, each into the row of a parent that
@@ -718,8 +720,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     double **newrow = NULL; /* pop: the survivors' rows, then swapped with row */
     double *obj = NULL;    /* pop */
     double *newobj = NULL; /* pop */
-    double *kidpos = NULL; /* slots x dim: this generation's offspring */
-    double *kidobj = NULL; /* slots */
+    double *kidpos = NULL; /* slots x dim: this generation's candidates */
     double *fits = NULL;   /* pop: normalized objective, then fitness */
     double *width = NULL;  /* dim: upper - lower */
     double *table = NULL;  /* dim: fill_table's constants, or the suffix
@@ -728,12 +729,12 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     sort_item *items = NULL; /* pop + slots: parents, then candidates */
     int64_t evals = 0, cnt, k;
     double best = INFINITY;
-    double s, fmin, fmax, span, val, u, r, om, fi, cnt_d, worst, **swap;
+    double s, fmin, fmax, span, val, u, r, om, fi, cnt_d, **swap;
     double fits_s = 0.0; /* the steepness fits[] was computed at */
     double *swapobj, *dst;
     const double *parent, *kid;
-    size_t i, j, n_off, end, a, b, src;
-    /* parents_kept: the last generation made no survivor, so the parents
+    size_t i, j, n_off, a, b, src;
+    /* parents_kept: the last generation kept no child, so the parents
        and their order are as fits[] was computed for */
     int parents_sorted = 0, parents_kept = 0, status = PPA_OK;
     /* the bowl whose offspring may stop early, else -1; below n = 4
@@ -759,14 +760,13 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     items = alloc_array(pop + slots, 1, sizeof(sort_item));
     newobj = alloc_array(pop, 1, sizeof(double));
     kidpos = alloc_array(slots, d, sizeof(double));
-    kidobj = alloc_array(slots, 1, sizeof(double));
     fits = alloc_array(pop, 1, sizeof(double));
     width = alloc_array(d, 1, sizeof(double));
     table = alloc_array(d, 1, sizeof(double));
     bounds = alloc_array(SCHWEFEL_BUCKETS, 1, sizeof(double));
     if (pos == NULL || row == NULL || newrow == NULL || obj == NULL
-        || newobj == NULL || items == NULL || kidpos == NULL || kidobj == NULL
-        || fits == NULL || width == NULL || table == NULL || bounds == NULL) {
+        || newobj == NULL || items == NULL || kidpos == NULL || fits == NULL
+        || width == NULL || table == NULL || bounds == NULL) {
         status = PPA_NOMEM;
         goto done;
     }
@@ -883,7 +883,11 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                                      width, om, fmax);
                 }
                 evals++;
-                kidobj[n_off] = val;
+                if (!(val < fmax))
+                    continue; /* cannot survive: the next child takes its row */
+                items[pop + n_off].obj = val;
+                items[pop + n_off].idx = pop + n_off;
+                n_off++;
                 if (val < best) {
                     best = val;
                     for (j = 0; j < d; j++)
@@ -893,7 +897,6 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                         goto done;
                     }
                 }
-                n_off++;
             }
         }
 
@@ -901,29 +904,28 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
          * Survivors: the pop_size lowest (objective, creation index) pairs,
          * the same set and order as the full sort in core.select_survivors.
          * After the first selection the parents already sit in that order,
-         * so only the first generation sorts them. An offspring that does
-         * not beat the worst parent can never survive (a tie goes to the
-         * parent, created earlier; nan beats nothing), so only the few
-         * below it are sorted, then merged in with parents first on ties.
-         * No key here is nan: the parents passed the check above and a
-         * candidate is below the worst of them (it may be -inf). Parent i
-         * has creation index i, offspring k has pop + k.
+         * so only the first generation sorts them. An offspring that is not
+         * below fmax, the worst parent's value, can never survive (a tie
+         * goes to the parent, created earlier; nan beats nothing), so the
+         * offspring loop keeps a child only when it is made below fmax: it
+         * goes into items[pop + n_off] and kidpos row n_off, and any other
+         * child's row is taken by the next one. Only these few candidates
+         * are sorted, then merged in with parents first on ties. No key here
+         * is nan: the parents passed the check above and a candidate is
+         * below the worst of them (it may be -inf). Parent i has creation
+         * index i and the m-th candidate pop + m, which keeps the offspring's
+         * creation order.
          *
          * A surviving parent keeps its row; only its pointer moves. As many
          * parents drop out as offspring survive, and they are the worst
          * ones, so the m-th surviving offspring is copied into the row of
          * the m-th worst parent, which the merge never takes.
          *
-         * Once sorted, the worst parent is the last. When no offspring
-         * beats it, the merge would give back the parents in their order,
-         * so it is skipped, and the next generation may keep their fitness.
+         * Once the parents are sorted, a generation that kept no candidate
+         * would give them back in their order, so the merge is skipped, and
+         * the next generation may keep their fitness.
          */
-        if (parents_sorted) {
-            worst = obj[pop - 1];
-            for (i = 0; i < n_off && !(kidobj[i] < worst); i++)
-                ;
-            parents_kept = i == n_off;
-        }
+        parents_kept = parents_sorted && n_off == 0;
         if (!parents_kept) {
             for (i = 0; i < pop; i++) {
                 items[i].obj = obj[i];
@@ -933,31 +935,20 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                 sort_items(items, pop);
                 parents_sorted = 1;
             }
-            worst = items[pop - 1].obj;
-            end = pop;
-            for (i = 0; i < n_off; i++) {
-                if (kidobj[i] < worst) {
-                    items[end].obj = kidobj[i];
-                    items[end].idx = pop + i;
-                    end++;
-                }
-            }
-            sort_items(items + pop, end - pop);
+            sort_items(items + pop, n_off);
             a = 0;
             b = pop;
             for (i = 0; i < pop; i++) {
-                if (b == end || items[a].obj <= items[b].obj) {
+                if (b == pop + n_off || items[a].obj <= items[b].obj) {
                     src = items[a++].idx;
                     newobj[i] = obj[src];
                     newrow[i] = row[src];
                 } else {
-                    src = items[b].idx - pop;
+                    kid = &kidpos[(items[b].idx - pop) * d];
                     dst = row[items[pop - 1 - (b - pop)].idx];
-                    b++;
-                    kid = &kidpos[src * d];
                     for (j = 0; j < d; j++)
                         dst[j] = kid[j];
-                    newobj[i] = kidobj[src];
+                    newobj[i] = items[b++].obj;
                     newrow[i] = dst;
                 }
             }
@@ -985,7 +976,6 @@ done:
     free(items);
     free(newobj);
     free(kidpos);
-    free(kidobj);
     free(fits);
     free(width);
     free(table);

@@ -5,27 +5,18 @@
  *
  * with the box [lower, upper] in every coordinate and factor inf for vanilla
  * (scanf parses "inf"), and prints one line per case: status, evaluations
- * used, best value as a hex float and trajectory length. tests/test_parity.py
- * links it with _ppa.c under the address and undefined-behaviour sanitizers
- * and compares the lines with _kernel.run, and once more under -flto, where a
- * prototype below that no longer matches _ppa.c's fails the link.
+ * used, best value as a hex float and trajectory length. It includes the C
+ * core itself, so it declares nothing of its own that could drift from
+ * _ppa.c; build it alone, with the package directory on the include path.
+ * tests/test_parity.py builds it under the address and undefined-behaviour
+ * sanitizers and compares the lines with _kernel.run.
  */
 #include <inttypes.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 
-typedef struct {
-    int64_t evals;
-    double value;
-} ppa_step;
-
-int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
-            int64_t pop_size, int64_t n_max, int64_t budget, double factor,
-            uint64_t seed, double *best_value, double *best_point,
-            int64_t *evals_used, ppa_step **trajectory,
-            int64_t *trajectory_len, double *bad_value);
-void ppa_free(void *p);
+#include "_ppa.c"
 
 int main(void)
 {

@@ -180,6 +180,22 @@ def test_sweep_quiet_suppresses_progress(tmp_path, capsys):
     assert "wrote" in out
 
 
+def test_sweep_progress_labels_a_fractional_factor(tmp_path, capsys):
+    config = _config_file(tmp_path, factors=[150.5])
+    main(["sweep", "--config", str(config), "--out", str(tmp_path / "o"),
+          "--jobs", "1"])
+    assert "] sphere         factor   150.5  median " in capsys.readouterr().out
+
+
+def test_sweep_rejects_zero_jobs(tmp_path, capsys):
+    config = _config_file(tmp_path)
+    code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o"),
+                 "--jobs", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_jobs_do_not_change_results(tmp_path):
     config = _config_file(tmp_path)
     main(["sweep", "--config", str(config), "--out", str(tmp_path / "a"),
@@ -250,6 +266,30 @@ def test_sweep_rerun_from_manifest_reports_a_changed_median(tmp_path, capsys):
     assert (tmp_path / "a/results.csv").read_bytes() == (
         tmp_path / "b/results.csv"
     ).read_bytes()
+
+
+def test_sweep_rerun_from_manifest_reports_cells_that_do_not_pair(tmp_path, capsys):
+    config = _config_file(tmp_path)
+    main(["sweep", "--config", str(config), "--out", str(tmp_path / "a"),
+          "--jobs", "1", "--quiet"])
+    path = tmp_path / "a/manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    dropped, changed = manifest["cells"]
+    assert (dropped["factor"], changed["factor"]) == (150, "vanilla")
+    changed["seeds"][0] += 1
+    manifest["cells"] = [changed, dict(changed, factor=300)]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+
+    code = main(["sweep", "--from-manifest", str(path), "--out", str(tmp_path / "b"),
+                 "--jobs", "1", "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: 3 cell(s) differ from {path}:",
+        "  sphere factor 150: not in the manifest",
+        "  sphere factor vanilla: seeds differ from the manifest's",
+        "  sphere factor 300: missing from the rerun",
+    ]
 
 
 def test_sweep_rerun_from_manifest_is_silent_when_it_matches(tmp_path, capsys):
