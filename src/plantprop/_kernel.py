@@ -127,10 +127,8 @@ def _load() -> ctypes.CDLL:
         f64_p,  # the non-finite objective value or the bad steepness
     ]
     lib.ppa_run.restype = ctypes.c_int
-    lib.ppa_eval.argtypes = [ctypes.c_int, i64, f64_p, f64_p]  # ..., x, scratch
+    lib.ppa_eval.argtypes = [ctypes.c_int, i64, f64_p, f64, f64_p]  # ..., x, fmax, scratch
     lib.ppa_eval.restype = f64
-    lib.ppa_bound.argtypes = [ctypes.c_int, i64, f64_p, f64, f64_p]  # ..., x, fmax, scratch
-    lib.ppa_bound.restype = f64
     lib.ppa_rng_u64.argtypes = [u64, ctypes.c_size_t, ctypes.POINTER(u64)]
     lib.ppa_rng_u64.restype = None
     lib.ppa_rng_uniform.argtypes = [u64, ctypes.c_size_t, f64_p]
@@ -171,11 +169,15 @@ def rng_uniform_stream(seed: int, n: int) -> list[float]:
 
 
 def eval_function(func_id: int, x) -> float:
-    """Evaluate benchmark `func_id` at point x (parity tests)."""
+    """Evaluate benchmark `func_id` at point x (parity tests).
+
+    This is the C core's ``ppa_eval`` with fmax = +inf, which gives the
+    objective at every finite x.
+    """
     n = len(x)
     _check_function(func_id, n)
     vector = ctypes.c_double * n
-    return _lib.ppa_eval(func_id, n, vector(*x), vector())
+    return _lib.ppa_eval(func_id, n, vector(*x), float("inf"), vector())
 
 
 def run(func_id, dim, lower, upper, pop_size, n_max, budget, factor, seed):

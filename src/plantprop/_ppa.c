@@ -155,10 +155,10 @@
  *   parents are not sorted yet, takes the full path. At n = 2 over the 14
  *   functions, 85%, 59%, 31%, 5% and 60% of generations make no survivor
  *   under factors 100, 500, 1000, 2000 and vanilla.
- * - Row pointers. The parents are reached through pointers to their rows,
- *   so a surviving parent's row stays where it is, and selection copies
- *   only the surviving offspring, each into the row of a parent that
- *   dropped out.
+ * - Member records. A parent or a kept child is one record of its
+ *   objective and a pointer to its row, so a surviving parent's row stays
+ *   where it is, and selection copies only the surviving offspring, each
+ *   into the row of a parent that dropped out.
  *
  * Build without -ffast-math and with -ffp-contract=off: IEEE semantics are
  * part of the contract, and a fused multiply-add rounds once where Python
@@ -516,29 +516,33 @@ static ALWAYS_INLINE double eval(int fid, int64_t n, const double *x,
     }
 }
 
+/* a parent or a kept child: its objective and its row */
 typedef struct {
     double obj;
-    size_t idx;
-} sort_item;
+    double *x;
+} member;
 
-/* a before b: lower objective, ties to earlier creation. ppa_run sorts no
-   nan key, so this is core.select_survivors' rank, which puts nan last. */
-static ALWAYS_INLINE int item_before(sort_item a, sort_item b)
+/* a before b: lower objective, ties to the lower row address. ppa_run sorts
+   only members whose rows lie in one array, filled in creation order (the
+   initial population in pos, or one generation's candidates in kidpos), so
+   the address order is the creation order. ppa_run sorts no nan key, so
+   this is core.select_survivors' rank, which puts nan last. */
+static ALWAYS_INLINE int item_before(member a, member b)
 {
-    return a.obj < b.obj || (a.obj == b.obj && a.idx < b.idx);
+    return a.obj < b.obj || (a.obj == b.obj && a.x < b.x);
 }
 
 /*
  * Shell sort by item_before, with Knuth's gaps 1, 4, 13, 40, ...: on the
- * few items a generation usually sorts it is an insertion sort (a plain one
- * below six items) with no call per comparison, and the gaps keep a large
- * population from costing quadratic time. The order is total, so the result
- * is the one any correct sort gives.
+ * few members a generation usually sorts it is an insertion sort (a plain
+ * one below six members) with no call per comparison, and the gaps keep a
+ * large population from costing quadratic time. The order is total, so the
+ * result is the one any correct sort gives.
  */
-static ALWAYS_INLINE void sort_items(sort_item *v, size_t n)
+static ALWAYS_INLINE void sort_members(member *v, size_t n)
 {
     size_t gap = 1, i, k;
-    sort_item t;
+    member t;
 
     while (gap < n / 3)
         gap = 3 * gap + 1;
@@ -611,21 +615,13 @@ void ppa_rng_uniform(uint64_t seed, size_t n, double *out)
         out[i] = rng_uniform(&rng);
 }
 
-/* the exported entry to eval with check off, for the parity tests; table
-   is n doubles of scratch for the constants, filled here as ppa_run fills
-   its own */
-double ppa_eval(int fid, int64_t n, const double *x, double *table)
-{
-    fill_table(fid, n, table);
-    return eval(fid, n, x, table, NULL, 0.0, 0);
-}
-
-/* what ppa_run gives an offspring at x when the worst parent's value is
-   fmax, for the tests: eval with check on where bound_applies to the box
-   [x, x], with the tables ppa_run fills. table is n doubles of scratch, as
-   for ppa_eval. */
-double ppa_bound(int fid, int64_t n, const double *x, double fmax,
-                 double *table)
+/* the exported entry to eval, for the tests: what ppa_run gives an
+   offspring at x when the worst parent's value is fmax, with check on where
+   bound_applies to the box [x, x] and the tables ppa_run fills. fmax = +inf
+   gives the objective at every finite x: a stop there returns +inf only
+   where the objective is +inf as well. table is n doubles of scratch. */
+double ppa_eval(int fid, int64_t n, const double *x, double fmax,
+                double *table)
 {
     double tb[SCHWEFEL_BUCKETS];
     int check = bound_applies(fid, n, x, x);
@@ -716,24 +712,22 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     uint64_t pop = (uint64_t)pop_size, d = (uint64_t)dim;
     uint64_t left, slots;
     double *pos = NULL;    /* pop x dim: the parents' rows, in any order */
-    double **row = NULL;   /* pop: parent i's row in pos */
-    double **newrow = NULL; /* pop: the survivors' rows, then swapped with row */
-    double *obj = NULL;    /* pop */
-    double *newobj = NULL; /* pop */
     double *kidpos = NULL; /* slots x dim: this generation's candidates */
+    member *par = NULL;    /* pop: the parents, rows in pos */
+    member *next = NULL;   /* pop: the survivors, then swapped with par */
+    member *cand = NULL;   /* slots: the kept offspring, rows in kidpos */
     double *fits = NULL;   /* pop: normalized objective, then fitness */
     double *width = NULL;  /* dim: upper - lower */
     double *table = NULL;  /* dim: fill_table's constants, or the suffix
                               sums of eval's stop */
     double *bounds = NULL; /* SCHWEFEL_BUCKETS: eval's term bounds */
-    sort_item *items = NULL; /* pop + slots: parents, then candidates */
     int64_t evals = 0, cnt, k;
     double best = INFINITY;
-    double s, fmin, fmax, span, val, u, r, om, fi, cnt_d, **swap;
+    double s, fmin, fmax, span, val, u, r, om, fi, cnt_d, *dst;
     double fits_s = 0.0; /* the steepness fits[] was computed at */
-    double *swapobj, *dst;
-    const double *parent, *kid;
-    size_t i, j, n_off, a, b, src;
+    const double *parent;
+    member *swap;
+    size_t i, j, n_off, a, b;
     /* parents_kept: the last generation kept no child, so the parents
        and their order are as fits[] was computed for */
     int parents_sorted = 0, parents_kept = 0, status = PPA_OK;
@@ -754,19 +748,17 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     slots = (uint64_t)n_max > left / pop ? left : pop * (uint64_t)n_max;
 
     pos = alloc_array(pop, d, sizeof(double));
-    row = alloc_array(pop, 1, sizeof(double *));
-    newrow = alloc_array(pop, 1, sizeof(double *));
-    obj = alloc_array(pop, 1, sizeof(double));
-    items = alloc_array(pop + slots, 1, sizeof(sort_item));
-    newobj = alloc_array(pop, 1, sizeof(double));
     kidpos = alloc_array(slots, d, sizeof(double));
+    par = alloc_array(pop, 1, sizeof(member));
+    next = alloc_array(pop, 1, sizeof(member));
+    cand = alloc_array(slots, 1, sizeof(member));
     fits = alloc_array(pop, 1, sizeof(double));
     width = alloc_array(d, 1, sizeof(double));
     table = alloc_array(d, 1, sizeof(double));
     bounds = alloc_array(SCHWEFEL_BUCKETS, 1, sizeof(double));
-    if (pos == NULL || row == NULL || newrow == NULL || obj == NULL
-        || newobj == NULL || items == NULL || kidpos == NULL || fits == NULL
-        || width == NULL || table == NULL || bounds == NULL) {
+    if (pos == NULL || kidpos == NULL || par == NULL || next == NULL
+        || cand == NULL || fits == NULL || width == NULL || table == NULL
+        || bounds == NULL) {
         status = PPA_NOMEM;
         goto done;
     }
@@ -778,18 +770,19 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
 
     /* uniform initialization, evaluating in creation order */
     for (i = 0; i < pop; i++) {
-        row[i] = &pos[i * d];
+        dst = &pos[i * d];
         for (j = 0; j < d; j++) {
             u = rng_uniform(&rng);
-            row[i][j] = lower[j] + u * width[j];
+            dst[j] = lower[j] + u * width[j];
         }
-        val = eval(fid, dim, row[i], table, NULL, 0.0, 0);
+        val = eval(fid, dim, dst, table, NULL, 0.0, 0);
         evals++;
-        obj[i] = val;
+        par[i].obj = val;
+        par[i].x = dst;
         if (val < best) {
             best = val;
             for (j = 0; j < d; j++)
-                best_point[j] = row[i][j];
+                best_point[j] = dst[j];
             if (!trajectory_push(&traj, evals, val)) {
                 status = PPA_NOMEM;
                 goto done;
@@ -805,20 +798,21 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
         if (parents_kept && s == fits_s) {
             /* the same parents, sorted, at the same steepness (always so
                under vanilla PPA): fits[] already holds their fitness */
-            fmax = obj[pop - 1];
+            fmax = par[pop - 1].obj;
         } else {
-            fmin = obj[0];
-            fmax = obj[0];
+            fmin = par[0].obj;
+            fmax = par[0].obj;
             for (i = 0; i < pop; i++) {
-                if (!isfinite(obj[i])) {
-                    *bad_value = obj[i];
+                val = par[i].obj;
+                if (!isfinite(val)) {
+                    *bad_value = val;
                     status = PPA_NONFINITE;
                     goto done;
                 }
-                if (obj[i] < fmin)
-                    fmin = obj[i];
-                if (obj[i] > fmax)
-                    fmax = obj[i];
+                if (val < fmin)
+                    fmin = val;
+                if (val > fmax)
+                    fmax = val;
             }
             if (fmax == fmin) {
                 for (i = 0; i < pop; i++)
@@ -826,7 +820,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
             } else {
                 span = fmax - fmin;
                 for (i = 0; i < pop; i++)
-                    fits[i] = (fmax - obj[i]) / span;
+                    fits[i] = (fmax - par[i].obj) / span;
             }
             for (i = 0; i < pop; i++) {
                 fi = 0.5 * (tanh(4.0 * s * fits[i] - 2.0 * s) + 1.0);
@@ -857,7 +851,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                 if (cnt > n_max)
                     cnt = n_max;
             }
-            parent = row[i];
+            parent = par[i].x;
             om = 1.0 - fi;
             for (k = 0; k < cnt; k++) {
                 double *child;
@@ -885,8 +879,8 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                 evals++;
                 if (!(val < fmax))
                     continue; /* cannot survive: the next child takes its row */
-                items[pop + n_off].obj = val;
-                items[pop + n_off].idx = pop + n_off;
+                cand[n_off].obj = val;
+                cand[n_off].x = child;
                 n_off++;
                 if (val < best) {
                     best = val;
@@ -901,25 +895,26 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
         }
 
         /*
-         * Survivors: the pop_size lowest (objective, creation index) pairs,
-         * the same set and order as the full sort in core.select_survivors.
-         * After the first selection the parents already sit in that order,
-         * so only the first generation sorts them. An offspring that is not
-         * below fmax, the worst parent's value, can never survive (a tie
-         * goes to the parent, created earlier; nan beats nothing), so the
-         * offspring loop keeps a child only when it is made below fmax: it
-         * goes into items[pop + n_off] and kidpos row n_off, and any other
-         * child's row is taken by the next one. Only these few candidates
-         * are sorted, then merged in with parents first on ties. No key here
-         * is nan: the parents passed the check above and a candidate is
-         * below the worst of them (it may be -inf). Parent i has creation
-         * index i and the m-th candidate pop + m, which keeps the offspring's
-         * creation order.
+         * Survivors: the pop_size lowest members by item_before, the same
+         * set and order as the full sort in core.select_survivors. After
+         * the first selection par already sits in that order, so only the
+         * first generation sorts it, in place, while its rows still lie in
+         * pos in creation order. An offspring that is not below fmax, the
+         * worst parent's value, can never survive (a tie goes to the
+         * parent, created earlier; nan beats nothing), so the offspring
+         * loop keeps a child only when it is made below fmax: it goes into
+         * cand[n_off] with kidpos row n_off, and any other child's row is
+         * taken by the next one. Only these few candidates are sorted, and
+         * their rows lie in kidpos in creation order. The merge then writes
+         * the survivors into next, parents first on ties, and next is
+         * swapped with par. No key here is nan: the parents passed the
+         * check above and a candidate is below the worst of them (it may be
+         * -inf).
          *
-         * A surviving parent keeps its row; only its pointer moves. As many
+         * A surviving parent keeps its row; only its record moves. As many
          * parents drop out as offspring survive, and they are the worst
-         * ones, so the m-th surviving offspring is copied into the row of
-         * the m-th worst parent, which the merge never takes.
+         * ones, so candidate b (counting from 0) is copied into the row of
+         * par[pop - 1 - b], which the merge never takes.
          *
          * Once the parents are sorted, a generation that kept no candidate
          * would give them back in their order, so the merge is skipped, and
@@ -927,37 +922,27 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
          */
         parents_kept = parents_sorted && n_off == 0;
         if (!parents_kept) {
-            for (i = 0; i < pop; i++) {
-                items[i].obj = obj[i];
-                items[i].idx = i;
-            }
             if (!parents_sorted) {
-                sort_items(items, pop);
+                sort_members(par, pop);
                 parents_sorted = 1;
             }
-            sort_items(items + pop, n_off);
+            sort_members(cand, n_off);
             a = 0;
-            b = pop;
+            b = 0;
             for (i = 0; i < pop; i++) {
-                if (b == pop + n_off || items[a].obj <= items[b].obj) {
-                    src = items[a++].idx;
-                    newobj[i] = obj[src];
-                    newrow[i] = row[src];
+                if (b == n_off || par[a].obj <= cand[b].obj) {
+                    next[i] = par[a++];
                 } else {
-                    kid = &kidpos[(items[b].idx - pop) * d];
-                    dst = row[items[pop - 1 - (b - pop)].idx];
+                    dst = par[pop - 1 - b].x;
                     for (j = 0; j < d; j++)
-                        dst[j] = kid[j];
-                    newobj[i] = items[b++].obj;
-                    newrow[i] = dst;
+                        dst[j] = cand[b].x[j];
+                    next[i].obj = cand[b++].obj;
+                    next[i].x = dst;
                 }
             }
-            swap = row;
-            row = newrow;
-            newrow = swap;
-            swapobj = obj;
-            obj = newobj;
-            newobj = swapobj;
+            swap = par;
+            par = next;
+            next = swap;
         }
     }
 
@@ -970,12 +955,10 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
 
 done:
     free(pos);
-    free(row);
-    free(newrow);
-    free(obj);
-    free(items);
-    free(newobj);
     free(kidpos);
+    free(par);
+    free(next);
+    free(cand);
     free(fits);
     free(width);
     free(table);

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from plantprop import engine
 from plantprop.benchmarks import (
     FIXED_2D_NAMES,
     FUNCTION_IDS,
@@ -14,6 +15,7 @@ from plantprop.benchmarks import (
     list_functions,
     make_function,
 )
+from plantprop.core import PpaConfig, SteepeningSchedule
 
 # values computed once with a 50-digit arbitrary-precision evaluator and
 # frozen; each double evaluation must agree to ~1 ulp (rel 1e-10 is lax)
@@ -184,3 +186,23 @@ def test_bounds_validation():
     assert b.contains((0.0, 2.0))
     assert not b.contains((0.0, 6.0))
     assert not b.contains((0.0,))
+
+
+@pytest.mark.parametrize(
+    "backend",
+    ["python",
+     pytest.param("compiled", marks=pytest.mark.skipif(
+         not engine.HAVE_KERNEL, reason=str(engine.KERNEL_ERROR)))],
+)
+@pytest.mark.parametrize("factor, seed", [(math.inf, 1), (700.0, 2)])
+def test_cigar_and_ellipse_are_one_landscape_at_two_dimensions(backend, factor, seed):
+    """At n = 2 cigar and ellipse are both x0**2 + 1e6 * x1**2, rounded the
+    same way, so a seed gives the same run on either; tablet, 1e6 * x0**2 +
+    x1**2, is the mirror image, and its run differs."""
+    config = PpaConfig(budget=10_000, schedule=SteepeningSchedule(factor))
+    cigar, ellipse, tablet = (
+        engine.run(config, make_function(name, 2), seed, backend=backend)
+        for name in ("cigar", "ellipse", "tablet")
+    )
+    assert cigar == ellipse
+    assert tablet != cigar

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -155,7 +156,7 @@ def bounded_value(name, x, fmax):
     """What the C core gives an offspring of `name` at x when the worst
     parent's value is fmax: the objective, or a value >= fmax if it stopped."""
     vector = ctypes.c_double * len(x)
-    return _kernel._lib.ppa_bound(FUNCTION_IDS[name], len(x), vector(*x), fmax, vector())
+    return _kernel._lib.ppa_eval(FUNCTION_IDS[name], len(x), vector(*x), fmax, vector())
 
 
 # the C core's term-bound buckets: schwefel's split [-500, 500], the
@@ -287,8 +288,8 @@ def test_bound_stops_only_up_to_its_dimension_cap(name):
     fid = FUNCTION_IDS[name]
     for dim, stops in ((2**20, True), (2**20 + 1, False)):
         x, scratch = (ctypes.c_double * dim)(), (ctypes.c_double * dim)()
-        value = _kernel._lib.ppa_eval(fid, dim, x, scratch)
-        got = _kernel._lib.ppa_bound(fid, dim, x, -1.0, scratch)
+        value = _kernel._lib.ppa_eval(fid, dim, x, math.inf, scratch)
+        got = _kernel._lib.ppa_eval(fid, dim, x, -1.0, scratch)
         assert got == (-1.0 if stops else value) and value > 0.0
 
 
@@ -599,6 +600,30 @@ def test_c_core_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# ctypes type of each C return type that _ppa.c exports
+_RESTYPES = {"int": ctypes.c_int, "double": ctypes.c_double, "void": None}
+
+
+def test_every_export_is_declared():
+    """Each non-static top-level ppa_* definition in _ppa.c has argtypes and
+    the restype of its C return type on _kernel._lib, and _kernel declares
+    no ppa_* name the source lacks. ctypes takes an undeclared return type
+    as int, so a double would silently come back as an int."""
+    source = _kernel._SOURCE.read_text(encoding="utf-8")
+    exports = {
+        name: ret.strip()
+        for ret, name in re.findall(r"^([A-Za-z_][\w \t*]*?)\b(ppa_\w+)\(", source, re.M)
+        if not ret.startswith("static")
+    }
+    binding = Path(_kernel.__file__).read_text(encoding="utf-8")
+    declared = set(re.findall(r"\blib\.(ppa_\w+)\.(?:argtypes|restype)\b", binding))
+    assert declared == set(exports)
+    for name, ret in exports.items():
+        function = getattr(_kernel._lib, name)
+        assert function.argtypes is not None, name
+        assert function.restype is _RESTYPES[ret], name
+
+
 def sanitizer_cases():
     """(fid, dim, lower, upper, pop_size, n_max, budget, factor, seed)."""
     cases = []
@@ -701,7 +726,7 @@ def test_cache_hit_starts_no_compiler(tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess, "run", no_compiler)
     lib = _kernel._load()
     vector = ctypes.c_double * 2
-    assert lib.ppa_eval(0, 2, vector(3.0, 4.0), vector()) == 25.0
+    assert lib.ppa_eval(0, 2, vector(3.0, 4.0), math.inf, vector()) == 25.0
 
 
 def test_a_miss_keeps_only_the_newest_libraries(tmp_path, monkeypatch):
