@@ -170,6 +170,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 enum {
     PPA_OK = 0,
@@ -933,9 +934,11 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                 if (b == n_off || par[a].obj <= cand[b].obj) {
                     next[i] = par[a++];
                 } else {
+                    /* pos and kidpos never overlap; gcc 12 does not turn
+                       this copy into memcpy when written as a loop, and
+                       selection then took 1.2-1.3 times as long at n = 30 */
                     dst = par[pop - 1 - b].x;
-                    for (j = 0; j < d; j++)
-                        dst[j] = cand[b].x[j];
+                    memcpy(dst, cand[b].x, d * sizeof(double));
                     next[i].obj = cand[b++].obj;
                     next[i].x = dst;
                 }
