@@ -2,8 +2,8 @@
 
 ``_ppa.c`` mirrors rng.py, benchmarks.py and core.py operation for
 operation, so a run here is bit-identical to the pure-Python engine. This
-module validates arguments, moves numbers across the boundary and turns the
-core's status codes into exceptions.
+module checks what the core needs and no type enforces, moves numbers across
+the boundary and turns the core's status codes into exceptions.
 
 Importing the module loads the core from the per-user cache directory,
 ``$XDG_CACHE_HOME/plantprop`` or else ``~/.cache/plantprop``; a relative
@@ -27,7 +27,7 @@ import os
 import struct
 from pathlib import Path
 
-from .benchmarks import FUNCTION_NAMES, SCALABLE_NAMES, check_bound_pairs
+from .benchmarks import FUNCTION_NAMES, SCALABLE_NAMES, formula_id
 from .rng import MASK64
 
 _SOURCE = Path(__file__).with_name("_ppa.c")
@@ -39,8 +39,8 @@ _KEEP = 4  # compiled libraries left in the cache after a miss, the new one incl
 
 _INT64_MAX = 2**63 - 1
 
-# ppa_run's error codes (0 is success)
-_NONFINITE, _NOMEM, _BADSTEEP = 1, 2, 3
+# ppa_run's status codes, PPA_* in _ppa.c (0 is success)
+_NONFINITE, _NOMEM, _RANGE = 1, 2, 3
 
 # _ppa.c's ppa_step: int64 evaluation index, then the double best so far
 _STEP = struct.Struct("=qd")
@@ -124,7 +124,7 @@ def _load() -> ctypes.CDLL:
         f64, u64,  # factor (inf for vanilla), seed
         f64_p, f64_p, ctypes.POINTER(i64),  # best value, best point, evals
         ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(i64),  # trajectory
-        f64_p,  # the non-finite objective value or the bad steepness
+        f64_p,  # the non-finite objective value
     ]
     lib.ppa_run.restype = ctypes.c_int
     lib.ppa_eval.argtypes = [ctypes.c_int, i64, f64_p, f64, f64_p]  # ..., x, fmax, scratch
@@ -142,16 +142,12 @@ _lib = _load()
 
 
 def _check_function(func_id: int, dim: int) -> None:
+    """The fixed 2-D formulas read x[1]; the scalable ones assume n >= 2."""
     if not 0 <= func_id < len(FUNCTION_NAMES):
         raise ValueError(f"unknown function id {func_id}")
     scalable = func_id < len(SCALABLE_NAMES)
-    if not (2 <= dim <= _INT64_MAX if scalable else dim == 2):
+    if not (2 <= dim if scalable else dim == 2):
         raise ValueError(f"function id {func_id} does not take dimension {dim}")
-
-
-def _check_count(name: str, value: int, low: int) -> None:
-    if not low <= value <= _INT64_MAX:
-        raise ValueError(f"{name} must be in [{low}, 2**63 - 1], got {value}")
 
 
 def rng_u64_stream(seed: int, n: int) -> list[int]:
@@ -180,44 +176,50 @@ def eval_function(func_id: int, x) -> float:
     return _lib.ppa_eval(func_id, n, vector(*x), float("inf"), vector())
 
 
-def run(func_id, dim, lower, upper, pop_size, n_max, budget, factor, seed):
+def run(config, function, seed):
     """Generational loop; same semantics and draw order as the pure engine.
 
-    The steepness is evals/factor + 1, so factor = inf runs vanilla PPA.
+    `config` (a PpaConfig) and `function` (a BenchmarkFunction) made their
+    own checks; this adds only what the C core needs beyond them: a
+    registered formula that takes the function's dimension, and counts
+    that fit in int64. The steepness is evals/factor + 1, so factor = inf
+    runs vanilla PPA.
 
     Returns (best_value, best_point, trajectory, evaluations_used) with the
     trajectory as a tuple of (evaluation_index, best_so_far) pairs of int
     and float, ready for RunResult.
     """
+    func_id = formula_id(function)
+    if func_id is None:
+        raise ValueError(
+            f"the compiled backend only runs registered benchmark functions "
+            f"with their built-in formula; {function.name!r} is not one"
+        )
+    dim = function.dimension
     _check_function(func_id, dim)
-    if len(lower) != dim or len(upper) != dim:
-        raise ValueError(f"bounds must have {dim} entries each")
-    # the C core's branchless clamp equals core.mutate's only when lower < upper
-    check_bound_pairs(lower, upper)
-    _check_count("pop_size", pop_size, 1)
-    _check_count("n_max", n_max, 1)
-    _check_count("budget", budget, 0)
+    pop_size, n_max, budget = config.pop_size, config.n_max, config.budget
+    for name, value in (("pop_size", pop_size), ("n_max", n_max), ("budget", budget)):
+        if value > _INT64_MAX:
+            raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")
 
+    vector = ctypes.c_double * dim
     best = ctypes.c_double()
-    best_point = (ctypes.c_double * dim)()
+    best_point = vector()
     evals = ctypes.c_int64()
     steps = ctypes.c_void_p()
     n_steps = ctypes.c_int64()
     bad = ctypes.c_double()
     status = _lib.ppa_run(
-        func_id, dim, (ctypes.c_double * dim)(*lower), (ctypes.c_double * dim)(*upper),
-        pop_size, n_max, budget, factor, seed & MASK64,
+        func_id, dim, vector(*function.bounds.lower), vector(*function.bounds.upper),
+        pop_size, n_max, budget, config.schedule.factor, seed & MASK64,
         ctypes.byref(best), best_point, ctypes.byref(evals),
         ctypes.byref(steps), ctypes.byref(n_steps), ctypes.byref(bad),
     )
     try:
         if status == _NONFINITE:
             raise ValueError(f"objective produced a non-finite value: {bad.value}")
-        if status == _BADSTEEP:
-            raise ValueError(
-                f"steepness {bad.value!r} gives a non-finite fitness: "
-                f"factor {factor!r} is too small for budget {budget}"
-            )
+        if status == _RANGE:
+            raise ValueError("objective values span more than the float range")
         if status == _NOMEM:
             raise MemoryError(
                 f"cannot allocate the buffers for pop_size={pop_size}, "

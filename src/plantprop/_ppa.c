@@ -162,9 +162,12 @@
  *
  * Build without -ffast-math and with -ffp-contract=off: IEEE semantics are
  * part of the contract, and a fused multiply-add rounds once where Python
- * rounds twice. _kernel.py compiles and loads it, and validates every
- * argument (function id, dimension, buffer lengths, counts >= 1, every
- * lower[j] < upper[j]) before the call; sizes derived here are checked here.
+ * rounds twice. _kernel.py compiles and loads it. The core trusts its
+ * arguments (see ppa_run), and each is checked once, in Python: Bounds
+ * checks every lower[j] < upper[j], BenchmarkFunction the bounds' length,
+ * PpaConfig and SteepeningSchedule the counts and the steepness, and
+ * _kernel.run the function id, the dimension and the counts' int64 range.
+ * Sizes derived here are checked here.
  */
 
 #include <math.h>
@@ -176,7 +179,7 @@ enum {
     PPA_OK = 0,
     PPA_NONFINITE = 1, /* a parent's objective is inf or nan; see *bad_value */
     PPA_NOMEM = 2,     /* a buffer size overflows or an allocation failed */
-    PPA_BADSTEEP = 3   /* the steepness in *bad_value gives a nan fitness */
+    PPA_RANGE = 3      /* the parents' max - min objective overflows */
 };
 
 #ifdef __GNUC__
@@ -641,7 +644,7 @@ void ppa_free(void *p)
 /* core.mutate for one coordinate of parent value p in the box [lo, hi] of
    width w, where om = 1 - fitness. The clamp has no branch (minsd and
    maxsd) and gives core.mutate's if/else if result, nan included, because
-   _kernel.run ensures lo < hi. */
+   Bounds ensures lo < hi. */
 static ALWAYS_INLINE double mutate_coord(rng_t *rng, double p, double lo,
                                          double hi, double w, double om)
 {
@@ -695,12 +698,19 @@ static ALWAYS_INLINE double bowl_child(int fid, rng_t *rng, size_t d,
  * One run; same semantics and draw order as core.run_ppa. The steepness is
  * evals / factor + 1, so factor = +inf runs vanilla PPA.
  *
+ * The caller's contract: fid names a formula that takes dim coordinates;
+ * lower and upper hold dim entries with lower[j] < upper[j]; pop_size and
+ * n_max are >= 1 and budget >= 0; factor is > 0 (+inf included) and
+ * 4 * (budget / factor + 1) is finite. Every generation starts with
+ * evals < budget and rounding is monotone, so 4 * s stays finite; with the
+ * objectives' range checked below, every normalized value is in [0, 1],
+ * and no fitness is nan.
+ *
  * Fills *best_value, best_point (dim doubles, written only when some value
  * beat +inf) and *evals_used, and hands over the trajectory in
  * *trajectory / *trajectory_len, which the caller releases with ppa_free.
  * Returns PPA_OK, PPA_NONFINITE with the offending objective value in
- * *bad_value, PPA_BADSTEEP with the offending steepness in *bad_value, or
- * PPA_NOMEM; on an error *trajectory is NULL.
+ * *bad_value, PPA_RANGE, or PPA_NOMEM; on an error *trajectory is NULL.
  */
 int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
             int64_t pop_size, int64_t n_max, int64_t budget, double factor,
@@ -782,8 +792,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
         par[i].x = dst;
         if (val < best) {
             best = val;
-            for (j = 0; j < d; j++)
-                best_point[j] = dst[j];
+            memcpy(best_point, dst, d * sizeof(double));
             if (!trajectory_push(&traj, evals, val)) {
                 status = PPA_NOMEM;
                 goto done;
@@ -819,22 +828,17 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                 for (i = 0; i < pop; i++)
                     fits[i] = 0.5;
             } else {
+                /* core.normalize's check: each quotient is then in [0, 1] */
                 span = fmax - fmin;
+                if (!isfinite(span)) {
+                    status = PPA_RANGE;
+                    goto done;
+                }
                 for (i = 0; i < pop; i++)
                     fits[i] = (fmax - par[i].obj) / span;
             }
-            for (i = 0; i < pop; i++) {
-                fi = 0.5 * (tanh(4.0 * s * fits[i] - 2.0 * s) + 1.0);
-                /* PpaConfig rejects a schedule whose 4 * s overflows; this
-                   keeps a nan away from the integer cast below whatever the
-                   caller */
-                if (isnan(fi)) {
-                    *bad_value = s;
-                    status = PPA_BADSTEEP;
-                    goto done;
-                }
-                fits[i] = fi;
-            }
+            for (i = 0; i < pop; i++)
+                fits[i] = 0.5 * (tanh(4.0 * s * fits[i] - 2.0 * s) + 1.0);
             fits_s = s;
         }
 
@@ -885,8 +889,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                 n_off++;
                 if (val < best) {
                     best = val;
-                    for (j = 0; j < d; j++)
-                        best_point[j] = child[j];
+                    memcpy(best_point, child, d * sizeof(double));
                     if (!trajectory_push(&traj, evals, val)) {
                         status = PPA_NOMEM;
                         goto done;
@@ -949,12 +952,9 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
         }
     }
 
-    if (traj.len == 0 || traj.steps[traj.len - 1].evals != evals) {
-        if (!trajectory_push(&traj, evals, best)) {
-            status = PPA_NOMEM;
-            goto done;
-        }
-    }
+    if ((traj.len == 0 || traj.steps[traj.len - 1].evals != evals)
+        && !trajectory_push(&traj, evals, best))
+        status = PPA_NOMEM;
 
 done:
     free(pos);

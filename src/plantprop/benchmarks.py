@@ -33,16 +33,13 @@ _SHC_F = -1.0316284534898774
 _BRANIN_F = 0.3978873577297383
 
 
-def check_bound_pairs(lower: Sequence[float], upper: Sequence[float]) -> None:
-    """Raise ValueError unless lower[j] < upper[j] for every j (nan fails)."""
-    for a, b in zip(lower, upper):
-        if not a < b:
-            raise ValueError(f"invalid bound pair [{a}, {b}]")
-
-
 @dataclass(frozen=True)
 class Bounds:
-    """Per-dimension box constraints, lower strictly below upper."""
+    """Per-dimension box constraints, lower strictly below upper.
+
+    Both engines rely on lower[j] < upper[j] (a nan fails it): the C core's
+    branchless clamp equals core.mutate's only then.
+    """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
@@ -50,7 +47,9 @@ class Bounds:
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
             raise ValueError("bound vectors differ in length")
-        check_bound_pairs(self.lower, self.upper)
+        for a, b in zip(self.lower, self.upper):
+            if not a < b:
+                raise ValueError(f"invalid bound pair [{a}, {b}]")
 
     def __len__(self) -> int:
         return len(self.lower)
@@ -71,6 +70,13 @@ class BenchmarkFunction:
     known_optimum_value: float
     known_optimum_points: tuple[tuple[float, ...], ...]
     _fn: Callable[[Sequence[float]], float] = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.bounds) != self.dimension:
+            raise ValueError(
+                f"{self.name} has dimension {self.dimension} but "
+                f"{len(self.bounds)} bound pairs"
+            )
 
     def evaluate(self, x: Sequence[float]) -> float:
         """Objective value at x. Pure and deterministic."""
@@ -252,6 +258,18 @@ FUNCTION_IDS = {name: i for i, name in enumerate(FUNCTION_NAMES)}
 
 # name -> the registered formula's callable
 FORMULAS = {name: entry[0] for name, entry in {**_SCALABLE, **_FIXED_2D}.items()}
+
+
+def formula_id(function: BenchmarkFunction) -> int | None:
+    """The C core's id for the function's formula; None for a custom callable.
+
+    The name alone does not decide: a function built with a registered
+    name and its own callable must not run the built-in formula.
+    """
+    func_id = FUNCTION_IDS.get(function.name)
+    if func_id is None or function._fn is not FORMULAS[function.name]:
+        return None
+    return func_id
 
 
 def make_function(name: str, dimension: int = 2) -> BenchmarkFunction:

@@ -59,8 +59,9 @@ def steepness(evals: int, schedule: SteepeningSchedule) -> float:
 class PpaConfig:
     """Run parameters: population size, offspring cap, budget, schedule.
 
-    No size is capped here, and the Python engine checks none; see
-    ``engine.run`` for what the compiled engine checks.
+    The counts' lower limits and the steepness are checked here, once, for
+    both engines. No size is capped here, and the Python engine checks none;
+    see ``engine.run`` for what the compiled engine checks.
     """
 
     budget: int
@@ -112,7 +113,8 @@ def normalize(objectives: Sequence[float]) -> list[float]:
 
     A degenerate population (all values equal) maps to 0.5 everywhere,
     which keeps the downstream sigmoid at its midpoint instead of dividing
-    by zero.
+    by zero. Values so far apart that max - min overflows are rejected:
+    some of them would map to nan.
     """
     if len(objectives) == 0:
         raise ValueError("cannot normalize an empty objective vector")
@@ -124,6 +126,8 @@ def normalize(objectives: Sequence[float]) -> list[float]:
     if fmax == fmin:
         return [0.5] * len(objectives)
     span = fmax - fmin
+    if not math.isfinite(span):
+        raise ValueError("objective values span more than the float range")
     return [(fmax - f) / span for f in objectives]
 
 
@@ -229,8 +233,6 @@ def run_ppa(
     not part of the hot path.
     """
     bounds = objective.bounds
-    if len(bounds) != objective.dimension:
-        raise ValueError("objective bounds do not match its dimension")
     lower = bounds.lower
     upper = bounds.upper
     dim = objective.dimension

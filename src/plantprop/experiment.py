@@ -36,6 +36,18 @@ def factor_to_json(factor: float) -> float | str:
     return "vanilla" if factor == VANILLA else factor
 
 
+def factor_from_json(raw) -> float:
+    """A factor as read from config and manifest JSON: "vanilla" is VANILLA."""
+    if raw == "vanilla":
+        return VANILLA
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except OverflowError:  # an integer that json read exactly
+            raise ValueError("a factor lies beyond the float range") from None
+    raise ValueError(f"factors must be numbers or the token \"vanilla\", got {raw!r}")
+
+
 ProgressCallback = Callable[["CellResult", int, int, float], None]
 
 
@@ -121,16 +133,7 @@ class SweepSpec:
         ):
             raise ValueError("functions must be a list of identifier strings")
 
-        factors: list[float] = []
-        for raw in data["factors"]:
-            if raw == "vanilla":
-                factors.append(VANILLA)
-            elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
-                factors.append(float(raw))
-            else:
-                raise ValueError(
-                    f"factors must be numbers or the token \"vanilla\", got {raw!r}"
-                )
+        factors = [factor_from_json(raw) for raw in data["factors"]]
 
         integers = {
             k: v for k, v in data.items() if k not in ("functions", "factors")

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import __version__
 from .benchmarks import FUNCTION_NAMES, make_function
-from .experiment import VANILLA, CellResult, SweepSpec, factor_to_json
+from .experiment import VANILLA, CellResult, SweepSpec, factor_from_json, factor_to_json
 
 MANIFEST_FORMAT = "plantprop-manifest-1"
 
@@ -197,12 +197,15 @@ def write_manifest(
     return path
 
 
-# a manifest's cells: {(function, factor as in the JSON): (seeds, median)}
-ManifestCells = dict[tuple[str, float | str], tuple[tuple[int, ...], float]]
+# a manifest's cells: {(function, factor): (seeds, median)}
+ManifestCells = dict[tuple[str, float], tuple[tuple[int, ...], float]]
 
 
 def read_manifest(path: str | Path) -> tuple[SweepSpec, ManifestCells]:
-    """The sweep spec and the cells of a manifest written by write_manifest."""
+    """The sweep spec and the cells of a manifest written by write_manifest.
+
+    A cell's factor is read as a float, with "vanilla" as VANILLA.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -219,7 +222,7 @@ def read_manifest(path: str | Path) -> tuple[SweepSpec, ManifestCells]:
     spec = SweepSpec.from_config_dict(doc["spec"])
     try:
         cells = {
-            (cell["function"], cell["factor"]): (
+            (cell["function"], factor_from_json(cell["factor"])): (
                 tuple(int(seed) for seed in cell["seeds"]),
                 float(cell["median"]),
             )
@@ -238,7 +241,7 @@ def cell_mismatches(recorded: ManifestCells, results: Sequence[CellResult]) -> l
     left = dict(recorded)
     for cell in sorted(results, key=lambda c: (c.function, c.factor)):
         name = f"{cell.function} factor {factor_label(cell.factor)}"
-        expected = left.pop((cell.function, factor_to_json(cell.factor)), None)
+        expected = left.pop((cell.function, cell.factor), None)
         if expected is None:
             lines.append(f"{name}: not in the manifest")
             continue
@@ -251,7 +254,7 @@ def cell_mismatches(recorded: ManifestCells, results: Sequence[CellResult]) -> l
                 f"manifest {format_float(median)}"
             )
     for function, factor in left:
-        lines.append(f"{function} factor {factor}: missing from the rerun")
+        lines.append(f"{function} factor {factor_label(factor)}: missing from the rerun")
     return lines
 
 
@@ -275,7 +278,7 @@ def _esc(text: str) -> str:
 def factor_label(factor: float) -> str:
     if factor == VANILLA:
         return "vanilla"
-    if factor == int(factor):
+    if factor.is_integer():  # false for nan and -inf, which int() rejects
         return str(int(factor))
     return f"{factor:g}"
 

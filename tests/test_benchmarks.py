@@ -1,5 +1,6 @@
 """Benchmark registry: optima, frozen reference values, basic properties."""
 
+import dataclasses
 import math
 import random
 
@@ -8,9 +9,11 @@ import pytest
 from plantprop import engine
 from plantprop.benchmarks import (
     FIXED_2D_NAMES,
+    FORMULAS,
     FUNCTION_IDS,
     FUNCTION_NAMES,
     SCALABLE_NAMES,
+    BenchmarkFunction,
     Bounds,
     list_functions,
     make_function,
@@ -186,6 +189,14 @@ def test_bounds_validation():
     assert b.contains((0.0, 2.0))
     assert not b.contains((0.0, 6.0))
     assert not b.contains((0.0,))
+
+
+def test_function_bounds_must_match_its_dimension():
+    box = Bounds((-1.0,) * 2, (1.0,) * 2)
+    with pytest.raises(ValueError, match="dimension 3 but 2 bound pairs"):
+        BenchmarkFunction("sphere", 3, box, 0.0, (), FORMULAS["sphere"])
+    with pytest.raises(ValueError, match="dimension 2 but 3 bound pairs"):
+        dataclasses.replace(make_function("sphere", 3), dimension=2)
 
 
 @pytest.mark.parametrize(

@@ -126,6 +126,14 @@ def test_run_unallocatable_sizes_are_an_error(capsys):
     assert capsys.readouterr().err.startswith("error: cannot allocate")
 
 
+@pytest.mark.skipif(not engine.HAVE_KERNEL, reason="needs the compiled kernel")
+def test_run_budget_beyond_int64_is_an_error(capsys):
+    code = main(["run", "--function", "sphere", "--budget", str(2**63),
+                 "--backend", "compiled"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: budget must be at most 2**63 - 1, got 9223372036854775808\n"
+
+
 def test_run_seed_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("PPA_SEED", "77")
     main(["run", "--function", "sphere", "--budget", "60", "--pop-size", "10"])
@@ -277,7 +285,10 @@ def test_sweep_rerun_from_manifest_reports_cells_that_do_not_pair(tmp_path, caps
     dropped, changed = manifest["cells"]
     assert (dropped["factor"], changed["factor"]) == (150, "vanilla")
     changed["seeds"][0] += 1
-    manifest["cells"] = [changed, dict(changed, factor=300)]
+    manifest["cells"] = [
+        changed, dict(changed, factor=300), dict(changed, factor=450.0),
+        dict(changed, factor=12.5), dict(changed, factor=float("nan")),
+    ]
     path.write_text(json.dumps(manifest), encoding="utf-8")
     capsys.readouterr()
 
@@ -285,10 +296,13 @@ def test_sweep_rerun_from_manifest_reports_cells_that_do_not_pair(tmp_path, caps
                  "--jobs", "1", "--quiet"])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error: 3 cell(s) differ from {path}:",
+        f"error: 6 cell(s) differ from {path}:",
         "  sphere factor 150: not in the manifest",
         "  sphere factor vanilla: seeds differ from the manifest's",
         "  sphere factor 300: missing from the rerun",
+        "  sphere factor 450: missing from the rerun",
+        "  sphere factor 12.5: missing from the rerun",
+        "  sphere factor nan: missing from the rerun",
     ]
 
 
@@ -343,6 +357,14 @@ def test_sweep_bad_config_fails_with_diagnostic(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "factors" in err and "spec.json" in err
+
+
+def test_sweep_factor_beyond_the_float_range_is_an_error(tmp_path, capsys):
+    # json reads an integer literal of 401 digits as an int that float() rejects
+    config = _config_file(tmp_path, factors=[10**400])
+    code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "a factor lies beyond the float range" in capsys.readouterr().err
 
 
 def test_sweep_unknown_function_fails_before_creating_out(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from plantprop import engine
 from plantprop.benchmarks import Bounds, make_function
 from plantprop.core import (
     Individual,
@@ -57,6 +58,13 @@ def test_normalize_rejects_empty_and_non_finite():
         normalize([1.0, math.inf])
     with pytest.raises(ValueError):
         normalize([math.nan])
+
+
+def test_normalize_rejects_values_whose_range_overflows():
+    # each value is finite, but 1e308 - (-1e308) is not: z would be nan
+    with pytest.raises(ValueError, match="span more than the float range"):
+        normalize([-1e308, 0.0, 1e308])
+    assert normalize([-1e308, 0.0]) == [1.0, 0.0]
 
 
 def test_normalize_range_exact_on_random_vectors():
@@ -392,6 +400,12 @@ def test_config_rejects_a_steepness_that_overflows_the_fitness(factor):
 
 
 def test_config_accepts_the_smallest_factors_that_stay_finite():
-    # 4 * (300/1e-300 + 1) is still finite
-    config = PpaConfig(budget=300, schedule=SteepeningSchedule.linear(1e-300))
-    assert run_ppa(config, make_function("sphere", 2), seed=1).evaluations_used == 300
+    # 4 * (budget/factor + 1) is still finite; the C core relies on this
+    # check alone and gives the Python engine's result
+    for budget, factor in ((300, 1e-300), (600, 2e-300)):
+        config = PpaConfig(budget=budget, schedule=SteepeningSchedule.linear(factor))
+        python = run_ppa(config, make_function("sphere", 2), seed=1)
+        assert python.evaluations_used == budget
+        if engine.HAVE_KERNEL:
+            compiled = engine.run(config, make_function("sphere", 2), 1, backend="compiled")
+            assert compiled == python

@@ -26,9 +26,11 @@ from plantprop.benchmarks import (
     _BRANIN_B,
     _BRANIN_C,
     _BRANIN_T,
+    FORMULAS,
     FUNCTION_IDS,
     FUNCTION_NAMES,
     SCALABLE_NAMES,
+    BenchmarkFunction,
     Bounds,
     make_function,
 )
@@ -350,11 +352,31 @@ def test_bound_stops_only_inside_its_box(name, edge):
     ids=["reversed", "nan"],
 )
 def test_kernel_rejects_bounds_that_bounds_rejects(lower, upper):
-    with pytest.raises(ValueError) as expected:
+    """The C core's clamp needs lower < upper. Bounds is the one check of
+    it: _kernel.run takes a BenchmarkFunction, whose bounds are a Bounds."""
+    with pytest.raises(ValueError, match="invalid bound pair"):
         Bounds(lower, upper)
-    with pytest.raises(ValueError) as got:
-        _kernel.run(0, 2, lower, upper, 30, 5, 100, math.inf, 1)
-    assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError, match="invalid bound pair"):
+        dataclasses.replace(make_function("sphere", 2), bounds=Bounds(lower, upper))
+
+
+def test_kernel_rejects_a_dimension_its_formula_does_not_take():
+    """A hand-built 3-D easom would have the C core read past x[1]."""
+    bounds = Bounds((-100.0,) * 3, (100.0,) * 3)
+    easom = BenchmarkFunction("easom", 3, bounds, -1.0, (), FORMULAS["easom"])
+    config = PpaConfig(budget=100)
+    assert run_ppa(config, easom, 1).evaluations_used == 100
+    with pytest.raises(ValueError, match="does not take dimension 3"):
+        engine.run(config, easom, 1, backend="compiled")
+
+
+@pytest.mark.parametrize("count", ["pop_size", "n_max", "budget"])
+def test_kernel_rejects_counts_beyond_int64(count):
+    # budget >= pop_size, so a pop_size of 2**63 comes with such a budget
+    sizes = {"pop_size": 30, "n_max": 5, "budget": 2**63 if count == "pop_size" else 100}
+    config = PpaConfig(**{**sizes, count: 2**63})
+    with pytest.raises(ValueError, match=rf"^{count} must be at most 2\*\*63 - 1"):
+        engine.run(config, make_function("sphere", 2), 1, backend="compiled")
 
 
 @st.composite
@@ -447,9 +469,9 @@ def test_concurrent_kernel_runs_match_serial_ones():
     at once; each run keeps its own buffers and tables."""
     cases = []
     for name in ("schwefel", "rastrigin", "ackley"):
-        box = make_function(name, 30).bounds
         for factor, seed in ((1000.0, 1), (math.inf, 2)):
-            cases.append((FUNCTION_IDS[name], 30, box.lower, box.upper, 30, 5, 10_000, factor, seed))
+            config = PpaConfig(budget=10_000, schedule=SteepeningSchedule(factor))
+            cases.append((config, make_function(name, 30), seed))
     serial = [_kernel.run(*case) for case in cases]
     results = [[None] * len(cases) for _ in range(2)]
     start = threading.Barrier(2)
@@ -478,6 +500,22 @@ def test_non_finite_objective_fails_alike():
     with pytest.raises(ValueError, match="non-finite") as cy:
         engine.run(config, fn, 1, backend="compiled")
     assert str(cy.value) == str(py.value)
+
+
+@pytest.mark.parametrize("budget", [31, 100])
+def test_objectives_too_far_apart_fail_alike(budget):
+    """Finite objectives whose max - min overflows would normalize some
+    parents to nan. Both engines reject them when they normalize. At
+    budget 31 the budget runs out before the offspring loop reaches a
+    parent with a nan fitness, so nothing else would stop the run."""
+    box = Bounds((-8e307, -8e307), (8e307, 8e307))
+    fn = dataclasses.replace(make_function("schwefel", 2), bounds=box)
+    config = PpaConfig(budget=budget)
+    message = "objective values span more than the float range"
+    with pytest.raises(ValueError, match=message):
+        run_ppa(config, fn, 1)
+    with pytest.raises(ValueError, match=message):
+        engine.run(config, fn, 1, backend="compiled")
 
 
 def test_huge_offspring_cap_does_not_crash():
@@ -540,24 +578,6 @@ def test_tiny_factor_fails_at_once_on_both_engines_and_the_cli(factor):
         messages.append(cli.stderr.strip().removeprefix("error: "))
     assert len(messages) == 4 and len(set(messages)) == 1, messages
     assert f"factor {float(factor)!r} is too small for budget 300" in messages[0]
-
-
-@pytest.mark.parametrize("factor", [1e-320, 1e-306])
-def test_kernel_stops_on_a_non_finite_fitness(factor):
-    """The C core's own guard, reached when PpaConfig is bypassed."""
-    code = (
-        "from plantprop import _kernel\n"
-        f"_kernel.run(0, 2, [-5.12] * 2, [5.12] * 2, 30, 5, 300, {factor!r}, 1)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=SRC),
-        timeout=60,
-    )
-    assert "ValueError: steepness" in proc.stderr, proc.stderr
-    assert "gives a non-finite fitness" in proc.stderr
 
 
 def test_unallocatable_run_raises_memory_error():
@@ -624,6 +644,24 @@ def test_every_export_is_declared():
         assert function.restype is _RESTYPES[ret], name
 
 
+def test_every_status_is_handled():
+    """_kernel.py names exactly the nonzero PPA_* codes of _ppa.c's enum,
+    with their values, and run() tests the status against each of them, so
+    an added or removed status cannot go unhandled."""
+    source = _kernel._SOURCE.read_text(encoding="utf-8")
+    enum = re.search(r"enum\s*\{([^}]*)\}", source).group(1)
+    codes = {
+        name: int(value)
+        for name, value in re.findall(r"\bPPA_(\w+)\s*=\s*(\d+)", enum)
+    }
+    assert codes.pop("OK") == 0
+    binding = Path(_kernel.__file__).read_text(encoding="utf-8")
+    handled = set(re.findall(r"\bstatus == _(\w+)\b", binding))
+    assert handled == set(codes)
+    for name, value in codes.items():
+        assert getattr(_kernel, f"_{name}") == value, name
+
+
 def sanitizer_cases():
     """(fid, dim, lower, upper, pop_size, n_max, budget, factor, seed)."""
     cases = []
@@ -653,6 +691,12 @@ def sanitizer_cases():
     # must keep the run on the objective alone
     for name in ("ackley", "schwefel"):
         cases.append((FUNCTION_IDS[name], 30, -1e300, 1e300, 30, 5, 600, 150.0, 6))
+    # the smallest factors PpaConfig accepts at these budgets: 4 * s is
+    # finite, but s is near 1e302, so the core's tanh saturates
+    for name in ("sphere", "ackley", "easom"):
+        fid = FUNCTION_IDS[name]
+        cases += [(fid, 2, -5.0, 5.0, 30, 5, 300, 1e-300, 8),
+                  (fid, 2, -5.0, 5.0, 30, 5, 600, 2e-300, 9)]
     return cases
 
 
@@ -708,8 +752,13 @@ def test_c_core_runs_clean_under_sanitizers(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == len(cases)
     for case, line in zip(cases, lines):
-        fid, dim, lower, upper, *rest = case
-        best, _, trajectory, evals = _kernel.run(fid, dim, [lower] * dim, [upper] * dim, *rest)
+        fid, dim, lower, upper, pop_size, n_max, budget, factor, seed = case
+        function = dataclasses.replace(
+            make_function(FUNCTION_NAMES[fid], dim),
+            bounds=Bounds((lower,) * dim, (upper,) * dim),
+        )
+        config = PpaConfig(budget, pop_size, n_max, SteepeningSchedule(factor))
+        best, _, trajectory, evals = _kernel.run(config, function, seed)
         status, got_evals, got_best, steps = line.split()
         assert (status, int(got_evals), int(steps)) == ("0", evals, len(trajectory)), case
         assert float.fromhex(got_best).hex() == best.hex(), case
