@@ -15,8 +15,9 @@ produces bit-identical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
+
+from ._record import Record
 
 _TWO_PI = 2.0 * math.pi
 
@@ -33,12 +34,12 @@ _SHC_F = -1.0316284534898774
 _BRANIN_F = 0.3978873577297383
 
 
-@dataclass(frozen=True)
-class Bounds:
-    """Per-dimension box constraints, lower strictly below upper.
+class Bounds(Record):
+    """Per-dimension box constraints: finite, lower strictly below upper.
 
     Both engines rely on lower[j] < upper[j] (a nan fails it): the C core's
-    branchless clamp equals core.mutate's only then.
+    branchless clamp equals core.mutate's only then. An infinite bound
+    makes the box width inf, so no run on it could draw a finite point.
     """
 
     lower: tuple[float, ...]
@@ -48,8 +49,11 @@ class Bounds:
         if len(self.lower) != len(self.upper):
             raise ValueError("bound vectors differ in length")
         for a, b in zip(self.lower, self.upper):
-            if not a < b:
-                raise ValueError(f"invalid bound pair [{a}, {b}]")
+            if not -math.inf < a < b < math.inf:
+                raise ValueError(
+                    f"invalid bound pair [{a}, {b}]: bounds must be finite "
+                    "with lower < upper"
+                )
 
     def __len__(self) -> int:
         return len(self.lower)
@@ -60,16 +64,18 @@ class Bounds:
         )
 
 
-@dataclass(frozen=True)
-class BenchmarkFunction:
-    """A named objective with bounds and its known global optimum."""
+class BenchmarkFunction(Record):
+    """A named objective with bounds and its known global optimum.
+
+    `_fn` is the formula; it is left out of equality, hash and repr.
+    """
 
     name: str
     dimension: int
     bounds: Bounds
     known_optimum_value: float
     known_optimum_points: tuple[tuple[float, ...], ...]
-    _fn: Callable[[Sequence[float]], float] = field(repr=False, compare=False)
+    _fn: Callable[[Sequence[float]], float]
 
     def __post_init__(self):
         if len(self.bounds) != self.dimension:

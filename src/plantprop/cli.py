@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, engine, report
@@ -236,7 +235,7 @@ def _resolve_sweep_spec(
     if seed is None:
         seed = _env_seed()
     if seed is not None and seed != spec.base_seed:
-        spec = replace(spec, base_seed=seed)
+        spec = spec.replace(base_seed=seed)
         recorded = None
     return spec, recorded
 

@@ -16,15 +16,14 @@ C core in ``_ppa.c``, loaded by ``_kernel``, replicates it bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
+from ._record import Record
 from .benchmarks import BenchmarkFunction, Bounds
 from .rng import Xoshiro256pp
 
 
-@dataclass(frozen=True)
-class SteepeningSchedule:
+class SteepeningSchedule(Record):
     """Steepness s = evals/factor + 1; the default factor inf is vanilla, s = 1."""
 
     factor: float = math.inf
@@ -55,8 +54,7 @@ def steepness(evals: int, schedule: SteepeningSchedule) -> float:
     return evals / schedule.factor + 1.0
 
 
-@dataclass(frozen=True)
-class PpaConfig:
+class PpaConfig(Record):
     """Run parameters: population size, offspring cap, budget, schedule.
 
     The counts' lower limits and the steepness are checked here, once, for
@@ -67,7 +65,8 @@ class PpaConfig:
     budget: int
     pop_size: int = 30
     n_max: int = 5
-    schedule: SteepeningSchedule = field(default_factory=SteepeningSchedule.vanilla)
+    # immutable, so every config may share the one default
+    schedule: SteepeningSchedule = SteepeningSchedule()
 
     def __post_init__(self):
         if self.pop_size < 1:
@@ -91,16 +90,14 @@ class PpaConfig:
                 )
 
 
-@dataclass(frozen=True)
-class Individual:
+class Individual(Record):
     """A point in the search box with its cached objective value."""
 
     position: tuple[float, ...]
     objective: float
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     best_value: float
     best_point: tuple[float, ...]
     trajectory: tuple[tuple[int, float], ...]  # (evaluation index, best so far)

@@ -10,12 +10,11 @@ the output identical no matter how the work was scheduled.
 from __future__ import annotations
 
 import math
-import statistics
 import time
-from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import engine
+from ._record import Record
 from .benchmarks import FIXED_2D_NAMES, SCALABLE_NAMES, make_function
 from .core import PpaConfig, SteepeningSchedule
 from .rng import derive_subseed
@@ -51,8 +50,7 @@ def factor_from_json(raw) -> float:
 ProgressCallback = Callable[["CellResult", int, int, float], None]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """One experiment grid: functions x factors, `repeats` runs per cell."""
 
     functions: tuple[str, ...]
@@ -120,7 +118,7 @@ class SweepSpec:
     def from_config_dict(cls, data: dict) -> "SweepSpec":
         if not isinstance(data, dict):
             raise ValueError("sweep config must be a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        unknown = sorted(set(data) - set(cls._fields))
         if unknown:
             raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
         for required in ("functions", "factors"):
@@ -144,8 +142,7 @@ class SweepSpec:
         return cls(functions=tuple(functions), factors=tuple(factors), **integers)
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(Record):
     """One (function, factor) cell: the repeat finals and their median."""
 
     function: str
@@ -199,6 +196,10 @@ def cell_seeds(spec: SweepSpec) -> dict[tuple[int, int], tuple[int, ...]]:
 def _run_cell(
     spec: SweepSpec, key: tuple[int, int], seeds: tuple[int, ...], backend: str
 ) -> CellResult:
+    # imported here: statistics pulls in fractions and decimal, which a
+    # plot never needs
+    import statistics
+
     fidx, facidx = key
     name, factor = spec.functions[fidx], spec.factors[facidx]
     function = make_function(name, spec.dimension)

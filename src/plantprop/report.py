@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import time
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from . import __version__
+from ._record import Record
 from .benchmarks import FUNCTION_NAMES, make_function
 from .experiment import VANILLA, CellResult, SweepSpec, factor_from_json, factor_to_json
 
@@ -27,8 +27,7 @@ MANIFEST_FORMAT = "plantprop-manifest-1"
 LOG_FLOOR = 1.0e-12
 
 
-@dataclass(frozen=True)
-class HeatmapTable:
+class HeatmapTable(Record):
     """Complete (function x factor) grid of medians plus the raw finals."""
 
     functions: tuple[str, ...]
@@ -187,7 +186,7 @@ def write_manifest(
     doc = {
         "format": MANIFEST_FORMAT,
         "tool_version": __version__,
-        "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "elapsed_seconds": elapsed_seconds,
         "backend": backend,
         "spec": spec.to_config_dict(),
@@ -276,11 +275,14 @@ def _esc(text: str) -> str:
 
 
 def factor_label(factor: float) -> str:
+    """The column label of a factor: "vanilla", an integer's digits, or
+    else repr, the shortest form that reads back as the same float, so
+    distinct factors get distinct labels."""
     if factor == VANILLA:
         return "vanilla"
     if factor.is_integer():  # false for nan and -inf, which int() rejects
         return str(int(factor))
-    return f"{factor:g}"
+    return repr(factor)
 
 
 def _cell_values(

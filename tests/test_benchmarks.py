@@ -1,6 +1,5 @@
 """Benchmark registry: optima, frozen reference values, basic properties."""
 
-import dataclasses
 import math
 import random
 
@@ -191,12 +190,42 @@ def test_bounds_validation():
     assert not b.contains((0.0,))
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [
+        ((0.0, 0.0), (math.inf, math.inf)),
+        ((-math.inf, 0.0), (1.0, 1.0)),
+        ((0.0, 0.0), (1.0, math.inf)),
+        ((-math.inf, -math.inf), (math.inf, math.inf)),
+    ],
+    ids=["upper", "lower", "one-upper", "both"],
+)
+def test_bounds_reject_infinite_entries(lower, upper):
+    """A box of infinite width has no finite starting point: the Python
+    engine failed in math.cos(inf), the compiled one on a nan objective."""
+    with pytest.raises(ValueError, match="invalid bound pair .*must be finite"):
+        Bounds(lower, upper)
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_infinite_box_fails_alike_before_either_engine_runs(backend):
+    """One error, at construction, whichever engine the run would take."""
+    griewank = make_function("griewank", 2)
+    with pytest.raises(ValueError, match=r"invalid bound pair \[0.0, inf\]"):
+        engine.run(
+            PpaConfig(budget=100),
+            griewank.replace(bounds=Bounds((0.0, 0.0), (math.inf, math.inf))),
+            1,
+            backend=backend,
+        )
+
+
 def test_function_bounds_must_match_its_dimension():
     box = Bounds((-1.0,) * 2, (1.0,) * 2)
     with pytest.raises(ValueError, match="dimension 3 but 2 bound pairs"):
         BenchmarkFunction("sphere", 3, box, 0.0, (), FORMULAS["sphere"])
     with pytest.raises(ValueError, match="dimension 2 but 3 bound pairs"):
-        dataclasses.replace(make_function("sphere", 3), dimension=2)
+        make_function("sphere", 3).replace(dimension=2)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ to execute the same IEEE-754 operations in the same order.
 """
 
 import ctypes
-import dataclasses
 import math
 import os
 import random
@@ -128,9 +127,7 @@ def dim_for(name, dim):
 
 def narrow_box(name, dim):
     """`name` on [2, 3]^dim: the optimum lies outside, so clamping is common."""
-    return dataclasses.replace(
-        make_function(name, dim), bounds=Bounds((2.0,) * dim, (3.0,) * dim)
-    )
+    return make_function(name, dim).replace(bounds=Bounds((2.0,) * dim, (3.0,) * dim))
 
 
 @pytest.mark.parametrize(
@@ -357,7 +354,7 @@ def test_kernel_rejects_bounds_that_bounds_rejects(lower, upper):
     with pytest.raises(ValueError, match="invalid bound pair"):
         Bounds(lower, upper)
     with pytest.raises(ValueError, match="invalid bound pair"):
-        dataclasses.replace(make_function("sphere", 2), bounds=Bounds(lower, upper))
+        make_function("sphere", 2).replace(bounds=Bounds(lower, upper))
 
 
 def test_kernel_rejects_a_dimension_its_formula_does_not_take():
@@ -493,7 +490,7 @@ def test_concurrent_kernel_runs_match_serial_ones():
 
 def test_non_finite_objective_fails_alike():
     huge = Bounds((-1e200, -1e200), (1e200, 1e200))
-    fn = dataclasses.replace(make_function("sphere", 2), bounds=huge)
+    fn = make_function("sphere", 2).replace(bounds=huge)
     config = PpaConfig(budget=100)
     with pytest.raises(ValueError, match="non-finite") as py:
         run_ppa(config, fn, 1)
@@ -509,7 +506,7 @@ def test_objectives_too_far_apart_fail_alike(budget):
     budget 31 the budget runs out before the offspring loop reaches a
     parent with a nan fitness, so nothing else would stop the run."""
     box = Bounds((-8e307, -8e307), (8e307, 8e307))
-    fn = dataclasses.replace(make_function("schwefel", 2), bounds=box)
+    fn = make_function("schwefel", 2).replace(bounds=box)
     config = PpaConfig(budget=budget)
     message = "objective values span more than the float range"
     with pytest.raises(ValueError, match=message):
@@ -753,8 +750,7 @@ def test_c_core_runs_clean_under_sanitizers(tmp_path):
     assert len(lines) == len(cases)
     for case, line in zip(cases, lines):
         fid, dim, lower, upper, pop_size, n_max, budget, factor, seed = case
-        function = dataclasses.replace(
-            make_function(FUNCTION_NAMES[fid], dim),
+        function = make_function(FUNCTION_NAMES[fid], dim).replace(
             bounds=Bounds((lower,) * dim, (upper,) * dim),
         )
         config = PpaConfig(budget, pop_size, n_max, SteepeningSchedule(factor))
@@ -837,9 +833,7 @@ def test_compiled_rejects_unregistered_function():
 
 
 def test_registered_name_with_custom_callable_is_not_compiled():
-    fn = dataclasses.replace(
-        make_function("sphere", 2), _fn=lambda x: -sum(v * v for v in x)
-    )
+    fn = make_function("sphere", 2).replace(_fn=lambda x: -sum(v * v for v in x))
     config = PpaConfig(budget=200)
     assert engine.run(config, fn, 1) == run_ppa(config, fn, 1)
     assert engine.run(config, fn, 1).best_value < 0.0
@@ -878,7 +872,7 @@ def test_auto_skips_python_engine_for_registered_functions(monkeypatch):
     monkeypatch.setattr(engine.core, "run_ppa", forbidden)
     result = engine.run(PpaConfig(budget=60), fn, 1)
     assert result.evaluations_used == 60
-    boxed = dataclasses.replace(fn, bounds=Bounds((-1.0, -1.0), (1.0, 1.0)))
+    boxed = fn.replace(bounds=Bounds((-1.0, -1.0), (1.0, 1.0)))
     assert engine.run(PpaConfig(budget=60), boxed, 1).evaluations_used == 60
 
 

@@ -16,6 +16,8 @@ from plantprop.report import (
     MANIFEST_FORMAT,
     HeatmapTable,
     build_table,
+    cell_mismatches,
+    factor_label,
     parse_csv,
     read_manifest,
     render_heatmaps,
@@ -287,3 +289,28 @@ def test_render_flat_row_is_uniformly_dark(tmp_path):
     )
     assert 'fill="#191919"' in svg
     assert 'fill="#f5f5f5"' not in svg
+
+
+# -- factor labels -------------------------------------------------------------
+
+
+def test_factor_labels_keep_integers_and_the_vanilla_token():
+    assert [factor_label(f) for f in (300.0, 4000.0, 12.5, VANILLA)] == [
+        "300", "4000", "12.5", "vanilla"
+    ]
+
+
+def test_distinct_factors_get_distinct_labels(tmp_path):
+    """Two factors that agree to six significant digits."""
+    a, b = 1234.541, 1234.544
+    assert (factor_label(a), factor_label(b)) == ("1234.541", "1234.544")
+    results = [_cell("sphere", f, (1.0, 2.0, 3.0)) for f in (a, b)]
+    [svg] = render_heatmaps(build_table(results), tmp_path, raw=True)
+    text = svg.read_text(encoding="utf-8")
+    assert ">1234.541</text>" in text and ">1234.544</text>" in text
+    recorded = {("sphere", a): ((1, 2, 3), 2.5), ("sphere", b): ((1, 2, 3), 2.0)}
+    assert cell_mismatches(recorded, results[:1] + [_cell("sphere", 1.5, (1.0,))]) == [
+        "sphere factor 1.5: not in the manifest",
+        "sphere factor 1234.541: median 2, manifest 2.5",
+        "sphere factor 1234.544: missing from the rerun",
+    ]

@@ -1,0 +1,56 @@
+"""Which modules a CLI process loads at start-up.
+
+Every `plantprop` command runs in a fresh interpreter, so each module the
+package imports costs every command. These tests check which modules load,
+not how long anything takes. They run `python -S`, so no site-packages
+`.pth` file loads a module that the package itself does not import.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import plantprop
+from plantprop.experiment import VANILLA, CellResult
+from plantprop.report import build_table, write_csv
+
+SRC = str(Path(plantprop.__file__).resolve().parents[1])
+
+# dataclasses loads inspect, ast and dis; statistics loads fractions and
+# decimal. No command needs any of these at start-up, and plot never
+# needs statistics.
+AVOIDED = ("dataclasses", "inspect", "datetime", "statistics", "typing")
+
+
+def loaded_after(code: str) -> list[str]:
+    """The AVOIDED modules that `python -S` has loaded after running `code`."""
+    script = (
+        f"import sys\nsys.path.insert(0, {SRC!r})\n{code}\n"
+        f"print(' '.join(m for m in {AVOIDED!r} if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split() if proc.stdout.strip() else []
+
+
+def test_importing_the_cli_loads_no_avoided_module():
+    assert loaded_after("import plantprop.cli") == []
+
+
+def test_plot_loads_no_avoided_module(tmp_path):
+    cells = [
+        CellResult(name, factor, (1.0, 2.0, 3.0), 2.0, (1, 2, 3))
+        for name in ("sphere", "ackley")
+        for factor in (100.0, VANILLA)
+    ]
+    csv = write_csv(build_table(cells), tmp_path / "results.csv")
+    out = tmp_path / "plots"
+    code = (
+        "from plantprop import cli\n"
+        f"assert cli.main(['plot', {str(csv)!r}, '--out', {str(out)!r}]) == 0"
+    )
+    assert loaded_after(code) == []
+    assert sorted(p.name for p in out.iterdir()) == ["ackley.svg", "sphere.svg"]
