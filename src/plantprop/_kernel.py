@@ -12,7 +12,7 @@ library is not built anew in each working directory. The library's
 file name is a hash of the source and the compiler command, so an edited
 source or changed flags get a fresh build. On a miss the source is compiled
 once with ``cc`` into a temporary file that is then renamed into place, so
-concurrent first imports are safe; then all but the ``_KEEP`` most recently
+simultaneous first imports are safe; then all but the ``_KEEP`` most recently
 modified libraries in the directory are deleted, so builds of older sources
 do not pile up. A hit neither lists nor changes the directory. Any failure
 raises ImportError with the reason, and ``engine`` runs the pure-Python

@@ -4,7 +4,9 @@ A sweep runs every (function, factor) cell for a fixed number of repeats,
 each repeat with its own sub-seed derived from the base seed and the cell's
 grid indices. Cells are independent, so they can execute in any order or in
 parallel; the collected results are keyed by cell and re-sorted, which makes
-the output identical no matter how the work was scheduled.
+the output identical no matter how the work was scheduled. With `jobs` > 1
+the calling process runs cells too, beside `jobs - 1` child processes, and
+each takes the next cell from one shared counter.
 """
 
 from __future__ import annotations
@@ -196,10 +198,6 @@ def cell_seeds(spec: SweepSpec) -> dict[tuple[int, int], tuple[int, ...]]:
 def _run_cell(
     spec: SweepSpec, key: tuple[int, int], seeds: tuple[int, ...], backend: str
 ) -> CellResult:
-    # imported here: statistics pulls in fractions and decimal, which a
-    # plot never needs
-    import statistics
-
     fidx, facidx = key
     name, factor = spec.functions[fidx], spec.factors[facidx]
     function = make_function(name, spec.dimension)
@@ -217,9 +215,45 @@ def _run_cell(
         function=name,
         factor=factor,
         finals=finals,
-        median=statistics.median(finals),
+        median=_median(finals),
         seeds=seeds,
     )
+
+
+def _median(values: Sequence[float]) -> float:
+    """The middle of the sorted values, or the mean of the two middle ones,
+    as statistics.median computes it; statistics itself pulls in fractions
+    and decimal, which no sweep needs."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def _take(counter, total: int) -> int:
+    """The next cell index from the shared counter; `total` or more means
+    the grid is used up."""
+    with counter.get_lock():
+        index = counter.value
+        if index < total:
+            counter.value = index + 1
+    return index
+
+
+def _work(spec, cells, seeds, backend, counter, conn) -> None:
+    """A child's loop: run cells until the counter is used up, sending each
+    CellResult, then None. A cell's exception is sent in its place, and the
+    child stops. It returns normally, so its exit handlers run."""
+    try:
+        while (index := _take(counter, len(cells))) < len(cells):
+            key = cells[index]
+            conn.send((key, _run_cell(spec, key, seeds[key], backend)))
+        conn.send(None)
+    except Exception as exc:
+        conn.send(exc)
+    finally:
+        conn.close()
 
 
 def run_sweep(
@@ -233,8 +267,12 @@ def run_sweep(
 
     Canonical order is (function name ascending, factor ascending) with the
     vanilla column last; it does not depend on `jobs` or `_cell_order` (a
-    test seam that permutes execution order). At most one worker process
-    runs per cell, and a single worker runs in this process.
+    test seam that permutes execution order). With `workers = min(jobs,
+    cells)`, this process and `workers - 1` child processes each take the
+    next cell from a shared counter until the grid is used up; `progress`
+    fires once per cell as its result comes in. An exception in a child's
+    cell is raised here, and a child that exits without finishing raises
+    RuntimeError; either way every child is joined before this returns.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -258,25 +296,101 @@ def run_sweep(
         if progress is not None:
             progress(cell, len(collected), total, time.perf_counter() - started)
 
-    # the fork start method starts every worker at the first submit, so a
-    # pool wider than the grid would fork processes that get no cell
+    # a child per job beyond this process, but none that would get no cell
     workers = min(jobs, total)
     if workers == 1:
         for key in cells:
             collect(key, _run_cell(spec, key, seeds[key], backend))
     else:
-        # imported here: concurrent.futures pulls in multiprocessing, which
-        # a serial sweep or a plot never needs
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_cell, spec, key, seeds[key], backend): key
-                for key in cells
-            }
-            for future in as_completed(futures):
-                collect(futures[future], future.result())
+        _run_parallel(spec, cells, seeds, backend, workers - 1, collect)
 
     results = list(collected.values())
     results.sort(key=lambda c: (c.function, c.factor))
     return results
+
+
+def _run_parallel(
+    spec: SweepSpec,
+    cells: list[tuple[int, int]],
+    seeds: dict[tuple[int, int], tuple[int, ...]],
+    backend: str,
+    children: int,
+    collect: Callable[[tuple[int, int], CellResult], None],
+) -> None:
+    """Run `cells` in this process and `children` child processes, which
+    take cell indices from one shared counter, and collect every result."""
+    # imported here: a serial sweep or a plot never needs multiprocessing
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    total = len(cells)
+    counter = multiprocessing.Value("q", 0)
+    pool = []  # (child, receiving end of its pipe)
+    running: dict = {}  # receiving end -> child, until its end marker
+
+    def read(conn) -> bool | None:
+        """Collect what `conn` holds now: True at the end marker, False at
+        EOF without it, None while more may come."""
+        while conn.poll():
+            try:
+                message = conn.recv()
+            except EOFError:
+                return False
+            if message is None:
+                return True
+            if isinstance(message, Exception):
+                raise message
+            collect(*message)
+        return None
+
+    def receive(block: bool) -> None:
+        """Collect what the children have sent; if `block`, until each has
+        sent its end marker. A child's death shows on its sentinel as well as
+        on its pipe, so it cannot hang this process."""
+        while running:
+            ready = wait(
+                [*running, *(child.sentinel for child in running.values())],
+                None if block else 0,
+            )
+            if not ready:
+                return
+            for conn, child in list(running.items()):
+                # read first: a child can exit before what it sent is read
+                ended = read(conn)
+                if ended:
+                    del running[conn]
+                elif ended is False or child.sentinel in ready:
+                    child.join()
+                    raise RuntimeError(
+                        f"a sweep worker exited with code {child.exitcode} "
+                        "before finishing its cells"
+                    )
+
+    try:
+        for _ in range(children):
+            conn, child_end = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_work, args=(spec, cells, seeds, backend, counter, child_end)
+            )
+            child.start()
+            pool.append((child, conn))
+            running[conn] = child
+            # closed here before the next fork, so only `child` holds it
+            child_end.close()
+        while (index := _take(counter, total)) < total:
+            key = cells[index]
+            collect(key, _run_cell(spec, key, seeds[key], backend))
+            receive(block=False)
+        receive(block=True)
+    finally:
+        with counter.get_lock():
+            counter.value = total
+        for child, conn in pool:
+            # read and drop what is left, so no child blocks on a full pipe
+            try:
+                while conn in wait([conn, child.sentinel]):
+                    conn.recv()
+            except EOFError:
+                pass
+            child.join()
+            conn.close()

@@ -275,12 +275,14 @@ def _esc(text: str) -> str:
 
 
 def factor_label(factor: float) -> str:
-    """The column label of a factor: "vanilla", an integer's digits, or
-    else repr, the shortest form that reads back as the same float, so
-    distinct factors get distinct labels."""
+    """The column label of a factor: "vanilla", an integer's digits below
+    2**53, or else repr, the shortest form that reads back as the same
+    float, so distinct factors get distinct labels and 1e300 prints as
+    1e+300, not as 301 digits."""
     if factor == VANILLA:
         return "vanilla"
-    if factor.is_integer():  # false for nan and -inf, which int() rejects
+    # false for nan and -inf, which int() rejects
+    if factor.is_integer() and abs(factor) < 2**53:
         return str(int(factor))
     return repr(factor)
 

@@ -43,7 +43,7 @@ class Xoshiro256pp:
     """xoshiro256++ stream.
 
     Single-owner mutable state: never share one instance between
-    concurrently executing runs. Derive independent streams from
+    runs that execute at the same time. Derive independent streams from
     independent seeds instead (see :func:`derive_subseed`).
     """
 

@@ -1,14 +1,19 @@
 """Sweep specification, seed derivation, and grid execution tests."""
 
-import concurrent.futures
+import contextlib
+import json
 import math
+import multiprocessing
+import os
 import random
+import signal
 import statistics
 
 import pytest
 
-from plantprop import engine
+from plantprop import engine, experiment
 from plantprop.benchmarks import FUNCTION_NAMES
+from plantprop.cli import main
 from plantprop.experiment import (
     DEFAULT_BASE_SEED,
     DEFAULT_FACTORS,
@@ -234,32 +239,146 @@ def test_run_sweep_rejects_bad_jobs():
 
 
 def test_run_sweep_caps_the_pool_at_the_cell_count(monkeypatch):
-    widths = []
+    """This process runs cells too, so min(jobs, cells) - 1 children start."""
+    started = []
 
-    class InlinePool:
-        """Stands in for ProcessPoolExecutor: records its width, runs inline."""
+    class CountingProcess(multiprocessing.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def __init__(self, max_workers):
-            widths.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(multiprocessing, "Process", CountingProcess)
     assert run_sweep(TINY, jobs=64) == run_sweep(TINY, jobs=1)
-    assert widths == [2]
+    assert len(started) == 1
     one_cell = SweepSpec(functions=("sphere",), factors=(100.0,), repeats=2,
                          budget=60, pop_size=10)
     run_sweep(one_cell, jobs=8)
-    assert widths == [2]
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+# -- the sweep's child processes ------------------------------------------------
+
+THREE_CELLS = TINY.replace(factors=(200.0, 500.0, VANILLA))
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, not hang, if the block runs longer than `seconds`."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def fail_in_children(monkeypatch, fail):
+    """Make each cell that a child process takes call `fail`. A cell in this
+    process first waits until a child has, so some child takes a cell
+    before this process can run the whole grid."""
+    here = os.getpid()
+    failing = multiprocessing.Event()
+    real = experiment._run_cell
+
+    def cell(*args):
+        if os.getpid() == here:
+            failing.wait(timeout=60)
+            return real(*args)
+        failing.set()
+        fail()
+
+    # forked children inherit the patched module
+    monkeypatch.setattr(experiment, "_run_cell", cell)
+
+
+def raise_value_error():
+    raise ValueError("a cell failed in a child")
+
+
+def exit_at_once():
+    os._exit(3)
+
+
+@pytest.mark.parametrize("spec, jobs", [(TINY, 2), (THREE_CELLS, 3)])
+def test_a_childs_exception_reaches_the_caller(monkeypatch, spec, jobs):
+    fail_in_children(monkeypatch, raise_value_error)
+    with deadline(60), pytest.raises(ValueError, match="a cell failed in a child"):
+        run_sweep(spec, jobs=jobs)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_exits_early_raises_runtime_error(monkeypatch):
+    fail_in_children(monkeypatch, exit_at_once)
+    with deadline(60), pytest.raises(RuntimeError, match="exited with code 3"):
+        run_sweep(THREE_CELLS, jobs=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_cli_reports_a_child_that_exits_early(monkeypatch, tmp_path, capsys):
+    fail_in_children(monkeypatch, exit_at_once)
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(THREE_CELLS.to_config_dict()), encoding="utf-8")
+    with deadline(60):
+        code = main(["sweep", "--config", str(config), "--out",
+                     str(tmp_path / "out"), "--jobs", "3", "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: a sweep worker exited")
+    assert multiprocessing.active_children() == []
+
+
+def test_an_exception_in_this_process_joins_every_child(monkeypatch):
+    """Each child holds its first cell until this process has failed in its
+    own, so the children are still running when the exception leaves."""
+    here = os.getpid()
+    failed = multiprocessing.Event()
+    real = experiment._run_cell
+
+    def cell(*args):
+        if os.getpid() == here:
+            failed.set()
+            raise ValueError("a cell failed in the caller")
+        failed.wait(timeout=60)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "_run_cell", cell)
+    with deadline(60), pytest.raises(ValueError, match="in the caller"):
+        run_sweep(THREE_CELLS, jobs=3)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [2, 6])
+def test_parallel_progress_counts_each_cell_once(jobs):
+    """Six workers on two cores race for the counter: a lost update would
+    run a cell twice and repeat a `done` count."""
+    spec = TINY.replace(functions=("sphere", "ackley", "rastrigin"),
+                        factors=(100.0, 200.0, 300.0, 400.0, 500.0, VANILLA))
+    seen = []
+    with deadline(60):
+        results = run_sweep(
+            spec, jobs=jobs,
+            progress=lambda cell, done, total, _: seen.append((cell, done, total)),
+        )
+    assert [(done, total) for _, done, total in seen] == [
+        (done, 18) for done in range(1, 19)
+    ]
+
+    def key(cell):
+        return cell.function, cell.factor
+
+    assert sorted((cell for cell, _, _ in seen), key=key) == results
+    assert results == run_sweep(spec, jobs=1)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("count", range(1, 12))
+def test_cell_median_matches_statistics_median(count):
+    values = tuple(random.Random(count).uniform(-1e3, 1e3) for _ in range(count))
+    assert experiment._median(values).hex() == statistics.median(values).hex()
 
 
 def test_run_sweep_calls_engine_run_once_per_repeat(monkeypatch):

@@ -300,6 +300,14 @@ def test_factor_labels_keep_integers_and_the_vanilla_token():
     ]
 
 
+def test_huge_integer_factors_get_their_repr():
+    """Digits only where every integer is a float: below 2**53."""
+    assert factor_label(2.0**53 - 1) == "9007199254740991"
+    assert factor_label(2.0**53) == repr(2.0**53) == "9007199254740992.0"
+    assert factor_label(1e300) == "1e+300"
+    assert factor_label(1e16) == "1e+16"
+
+
 def test_distinct_factors_get_distinct_labels(tmp_path):
     """Two factors that agree to six significant digits."""
     a, b = 1234.541, 1234.544

@@ -6,9 +6,12 @@ not how long anything takes. They run `python -S`, so no site-packages
 `.pth` file loads a module that the package itself does not import.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import plantprop
 from plantprop.experiment import VANILLA, CellResult
@@ -17,9 +20,11 @@ from plantprop.report import build_table, write_csv
 SRC = str(Path(plantprop.__file__).resolve().parents[1])
 
 # dataclasses loads inspect, ast and dis; statistics loads fractions and
-# decimal. No command needs any of these at start-up, and plot never
-# needs statistics.
-AVOIDED = ("dataclasses", "inspect", "datetime", "statistics", "typing")
+# decimal. No command needs any of these at start-up, plot and sweep never
+# need statistics, and a parallel sweep starts its own child processes
+# without concurrent.futures.
+AVOIDED = ("dataclasses", "inspect", "datetime", "statistics", "typing",
+           "concurrent.futures")
 
 
 def loaded_after(code: str) -> list[str]:
@@ -54,3 +59,20 @@ def test_plot_loads_no_avoided_module(tmp_path):
     )
     assert loaded_after(code) == []
     assert sorted(p.name for p in out.iterdir()) == ["ackley.svg", "sphere.svg"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_loads_no_avoided_module(tmp_path, jobs):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({
+        "functions": ["sphere", "ackley"], "factors": [100, "vanilla"],
+        "repeats": 2, "budget": 60, "pop_size": 10,
+    }), encoding="utf-8")
+    out = tmp_path / "out"
+    code = (
+        "from plantprop import cli\n"
+        f"assert cli.main(['sweep', '--config', {str(config)!r}, '--out', "
+        f"{str(out)!r}, '--jobs', {jobs!r}, '--quiet']) == 0"
+    )
+    assert loaded_after(code) == []
+    assert len((out / "results.csv").read_text(encoding="utf-8").splitlines()) == 5
