@@ -288,8 +288,13 @@ def make_function(name: str, dimension: int = 2) -> BenchmarkFunction:
         if dimension < 2:
             raise ValueError(f"{name} requires dimension >= 2, got {dimension}")
         fn, (low, high), opt_coord, opt_value = _SCALABLE[name]
-        bounds = Bounds((low,) * dimension, (high,) * dimension)
-        points = ((opt_coord,) * dimension,)
+        try:
+            bounds = Bounds((low,) * dimension, (high,) * dimension)
+            points = ((opt_coord,) * dimension,)
+        except MemoryError:
+            raise MemoryError(
+                f"{name} at dimension {dimension} does not fit in memory"
+            ) from None
         return BenchmarkFunction(name, dimension, bounds, opt_value, points, fn)
     if name in _FIXED_2D:
         if dimension != 2:

@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, engine, report
+from . import BACKENDS, __version__, report
 from .benchmarks import SCALABLE_NAMES, list_functions, make_function
 from .core import PpaConfig, SteepeningSchedule
 from .experiment import (
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--backend",
-        choices=engine.BACKENDS,
+        choices=BACKENDS,
         default="auto",
         help="engine backend (default auto)",
     )
@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="drop the schedule-off baseline column (presets only)",
     )
     p_sweep.add_argument(
-        "--backend", choices=engine.BACKENDS, default="auto"
+        "--backend", choices=BACKENDS, default="auto"
     )
     p_sweep.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress lines"
@@ -178,6 +178,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed = _env_seed()
     if seed is None:
         seed = DEFAULT_BASE_SEED
+
+    from . import engine  # loads the compiled kernel, which only runs need
 
     result = engine.run(config, function, seed, backend=args.backend)
 
@@ -276,6 +278,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except RuntimeError as exc:
         raise CliError(str(exc)) from None
     elapsed = time.perf_counter() - started
+
+    from . import engine
 
     backend = engine.DEFAULT_BACKEND if args.backend == "auto" else args.backend
 

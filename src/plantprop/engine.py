@@ -8,7 +8,7 @@ engine; observers are a feature of the reference, core.run_ppa.
 
 from __future__ import annotations
 
-from . import core
+from . import BACKENDS, core
 from .benchmarks import BenchmarkFunction, formula_id
 from .core import PpaConfig, RunResult
 
@@ -23,7 +23,6 @@ else:
 
 HAVE_KERNEL = _kernel is not None
 DEFAULT_BACKEND = "compiled" if HAVE_KERNEL else "python"
-BACKENDS = ("auto", "compiled", "python")
 
 
 def run(

@@ -15,7 +15,6 @@ import math
 import time
 from collections.abc import Callable, Sequence
 
-from . import engine
 from ._record import Record
 from .benchmarks import FIXED_2D_NAMES, SCALABLE_NAMES, make_function
 from .core import PpaConfig, SteepeningSchedule
@@ -133,7 +132,10 @@ class SweepSpec(Record):
         ):
             raise ValueError("functions must be a list of identifier strings")
 
-        factors = [factor_from_json(raw) for raw in data["factors"]]
+        factors = data["factors"]
+        if not isinstance(factors, list):
+            raise ValueError(f"factors must be a list, got {factors!r}")
+        factors = [factor_from_json(raw) for raw in factors]
 
         integers = {
             k: v for k, v in data.items() if k not in ("functions", "factors")
@@ -205,8 +207,11 @@ def _run_cell(
         budget=spec.budget, pop_size=spec.pop_size, n_max=spec.n_max,
         schedule=SteepeningSchedule(factor),
     )
-    # engine.run is looked up on the module at each call, so a wrapper
-    # installed there (a per-run probe, a counting test) sees every run
+    # imported here, as engine loads the compiled kernel; engine.run is looked
+    # up at each call, so a wrapper installed there (a per-run probe, a
+    # counting test) sees every run
+    from . import engine
+
     finals = tuple(
         engine.run(config, function, seed, backend=backend).best_value
         for seed in seeds
@@ -243,13 +248,16 @@ def _take(counter, total: int) -> int:
 
 def _work(spec, cells, seeds, backend, counter, conn) -> None:
     """A child's loop: run cells until the counter is used up, sending each
-    CellResult, then None. A cell's exception is sent in its place, and the
-    child stops. It returns normally, so its exit handlers run."""
+    CellResult. A cell's exception is sent in its place, and the child
+    stops. Its exit closes the pipe, which is all the parent waits for. It
+    returns normally, so its exit handlers run, and quietly on Ctrl-C,
+    which the sweep process itself reports."""
     try:
         while (index := _take(counter, len(cells))) < len(cells):
             key = cells[index]
             conn.send((key, _run_cell(spec, key, seeds[key], backend)))
-        conn.send(None)
+    except KeyboardInterrupt:
+        pass
     except Exception as exc:
         conn.send(exc)
     finally:
@@ -303,6 +311,11 @@ def run_sweep(
             collect(key, _run_cell(spec, key, seeds[key], backend))
     else:
         _run_parallel(spec, cells, seeds, backend, workers - 1, collect)
+    if len(collected) < total:  # a child exited early with code 0
+        raise RuntimeError(
+            "a sweep worker exited before finishing its cells "
+            f"({len(collected)} of {total} came back)"
+        )
 
     results = list(collected.values())
     results.sort(key=lambda c: (c.function, c.factor))
@@ -326,45 +339,29 @@ def _run_parallel(
     total = len(cells)
     counter = multiprocessing.Value("q", 0)
     pool = []  # (child, receiving end of its pipe)
-    running: dict = {}  # receiving end -> child, until its end marker
+    running: dict = {}  # receiving end -> child, until EOF on it
 
-    def read(conn) -> bool | None:
-        """Collect what `conn` holds now: True at the end marker, False at
-        EOF without it, None while more may come."""
-        while conn.poll():
-            try:
-                message = conn.recv()
-            except EOFError:
-                return False
-            if message is None:
-                return True
-            if isinstance(message, Exception):
-                raise message
-            collect(*message)
-        return None
-
-    def receive(block: bool) -> None:
-        """Collect what the children have sent; if `block`, until each has
-        sent its end marker. A child's death shows on its sentinel as well as
-        on its pipe, so it cannot hang this process."""
-        while running:
-            ready = wait(
-                [*running, *(child.sentinel for child in running.values())],
-                None if block else 0,
-            )
-            if not ready:
-                return
-            for conn, child in list(running.items()):
-                # read first: a child can exit before what it sent is read
-                ended = read(conn)
-                if ended:
-                    del running[conn]
-                elif ended is False or child.sentinel in ready:
+    def receive(timeout: float | None) -> None:
+        """Collect what the children have sent, waiting up to `timeout`
+        seconds for more (None: until every child has ended). Only a child
+        holds the sending end of its pipe, so EOF there means it has exited;
+        it is joined then, and a nonzero exit code raises."""
+        while running and (ready := wait(list(running), timeout)):
+            for conn in ready:
+                try:
+                    message = conn.recv()
+                except EOFError:
+                    child = running.pop(conn)
                     child.join()
-                    raise RuntimeError(
-                        f"a sweep worker exited with code {child.exitcode} "
-                        "before finishing its cells"
-                    )
+                    if child.exitcode:
+                        raise RuntimeError(
+                            f"a sweep worker exited with code {child.exitcode} "
+                            "before finishing its cells"
+                        ) from None
+                    continue
+                if isinstance(message, Exception):
+                    raise message
+                collect(*message)
 
     try:
         for _ in range(children):
@@ -380,15 +377,15 @@ def _run_parallel(
         while (index := _take(counter, total)) < total:
             key = cells[index]
             collect(key, _run_cell(spec, key, seeds[key], backend))
-            receive(block=False)
-        receive(block=True)
+            receive(0)
+        receive(None)
     finally:
         with counter.get_lock():
             counter.value = total
         for child, conn in pool:
             # read and drop what is left, so no child blocks on a full pipe
             try:
-                while conn in wait([conn, child.sentinel]):
+                while True:
                     conn.recv()
             except EOFError:
                 pass

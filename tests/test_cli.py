@@ -134,6 +134,34 @@ def test_run_budget_beyond_int64_is_an_error(capsys):
     assert capsys.readouterr().err == "error: budget must be at most 2**63 - 1, got 9223372036854775808\n"
 
 
+def test_run_dimension_beyond_memory_is_an_error_with_text(capsys):
+    # a tuple of 2**62 entries is beyond what Python can ask for, so the
+    # bounds fail at once, before anything is allocated
+    code = main(["run", "--function", "sphere", "--dimension", str(2**62),
+                 "--budget", "60"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: sphere at dimension {2**62} does not fit in memory\n"
+    )
+
+
+@pytest.mark.parametrize("backend", [
+    "python",
+    pytest.param("compiled", marks=pytest.mark.skipif(
+        not engine.HAVE_KERNEL, reason="needs the compiled kernel")),
+])
+def test_run_seeds_are_reduced_mod_2_64(capsys, backend):
+    outputs = []
+    for seed in (-5, 2**64 - 5):
+        main(["run", "--function", "rastrigin", "--budget", "300",
+              "--pop-size", "15", "--seed", str(seed), "--backend", backend])
+        out = capsys.readouterr().out.splitlines()
+        assert f"seed         {seed}" in out
+        outputs.append([line for line in out if not line.startswith("seed ")])
+    assert outputs[0] == outputs[1]
+    assert any(line.startswith("best point   (") for line in outputs[0])
+
+
 def test_run_seed_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("PPA_SEED", "77")
     main(["run", "--function", "sphere", "--budget", "60", "--pop-size", "10"])
@@ -365,6 +393,16 @@ def test_sweep_factor_beyond_the_float_range_is_an_error(tmp_path, capsys):
     code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "a factor lies beyond the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factors", [None, 5])
+def test_sweep_factors_not_a_list_is_an_error(tmp_path, capsys, factors):
+    config = _config_file(tmp_path, factors=factors)
+    code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: factors must be a list, got {factors!r}\n"
+    )
 
 
 def test_sweep_unknown_function_fails_before_creating_out(tmp_path, capsys):

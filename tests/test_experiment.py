@@ -8,9 +8,13 @@ import os
 import random
 import signal
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plantprop
 from plantprop import engine, experiment
 from plantprop.benchmarks import FUNCTION_NAMES
 from plantprop.cli import main
@@ -319,6 +323,19 @@ def test_a_child_that_exits_early_raises_runtime_error(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def exit_with_code_0():
+    sys.exit(0)
+
+
+def test_a_child_that_exits_with_code_0_early_raises_runtime_error(monkeypatch):
+    fail_in_children(monkeypatch, exit_with_code_0)
+    with deadline(60), pytest.raises(
+        RuntimeError, match="exited before finishing its cells"
+    ):
+        run_sweep(THREE_CELLS, jobs=3)
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_cli_reports_a_child_that_exits_early(monkeypatch, tmp_path, capsys):
     fail_in_children(monkeypatch, exit_at_once)
     config = tmp_path / "spec.json"
@@ -349,6 +366,42 @@ def test_an_exception_in_this_process_joins_every_child(monkeypatch):
     with deadline(60), pytest.raises(ValueError, match="in the caller"):
         run_sweep(THREE_CELLS, jobs=3)
     assert multiprocessing.active_children() == []
+
+
+def test_ctrl_c_stops_every_worker_without_worker_tracebacks(tmp_path):
+    """SIGINT to the sweep's process group, as Ctrl-C sends it, reaches the
+    sweep process and each child while cells are running. Only the sweep
+    process reports it, and no process outlives it."""
+    spec = TINY.replace(functions=("sphere", "ackley", "rastrigin"),
+                        factors=tuple(100.0 * k for k in range(1, 11)),
+                        budget=2000)
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(spec.to_config_dict()), encoding="utf-8")
+    src = str(Path(plantprop.__file__).resolve().parents[1])
+    # the Python engine keeps every cell running long enough to interrupt
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "plantprop", "sweep", "--config", str(config),
+         "--out", str(tmp_path / "out"), "--jobs", "3", "--backend", "python"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+    )
+    try:
+        with deadline(60):
+            # the first cell is in; the other 29 are still to run
+            assert proc.stdout.readline().startswith("[ 1/30]")
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # the group is empty
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == -signal.SIGINT
+    assert "Process Process-" not in err
+    assert err.count("Traceback") == 1
+    assert err.rstrip().endswith("KeyboardInterrupt")
+    assert not (tmp_path / "out" / "results.csv").exists()
 
 
 @pytest.mark.parametrize("jobs", [2, 6])

@@ -7,6 +7,7 @@ not how long anything takes. They run `python -S`, so no site-packages
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,16 +27,20 @@ SRC = str(Path(plantprop.__file__).resolve().parents[1])
 AVOIDED = ("dataclasses", "inspect", "datetime", "statistics", "typing",
            "concurrent.futures")
 
+# the compiled kernel and its binding, which only `run` and `sweep` load; on
+# a cold cache loading them compiles the C core
+KERNEL = ("ctypes", "plantprop._kernel")
 
-def loaded_after(code: str) -> list[str]:
-    """The AVOIDED modules that `python -S` has loaded after running `code`."""
+
+def loaded_after(code: str, modules=AVOIDED, env=None) -> list[str]:
+    """The `modules` that `python -S` has loaded after running `code`."""
     script = (
         f"import sys\nsys.path.insert(0, {SRC!r})\n{code}\n"
-        f"print(' '.join(m for m in {AVOIDED!r} if m in sys.modules))"
+        f"print(' '.join(m for m in {modules!r} if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split() if proc.stdout.strip() else []
@@ -57,8 +62,24 @@ def test_plot_loads_no_avoided_module(tmp_path):
         "from plantprop import cli\n"
         f"assert cli.main(['plot', {str(csv)!r}, '--out', {str(out)!r}]) == 0"
     )
-    assert loaded_after(code) == []
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache))
+    assert loaded_after(code, AVOIDED + KERNEL, env) == []
     assert sorted(p.name for p in out.iterdir()) == ["ackley.svg", "sphere.svg"]
+    assert list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["list-functions"], ["--version"]])
+def test_commands_that_run_nothing_load_no_kernel(argv):
+    code = (
+        "from plantprop import cli\n"
+        "try:\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+    )
+    assert loaded_after(code, AVOIDED + KERNEL) == []
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
