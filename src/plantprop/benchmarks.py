@@ -291,7 +291,7 @@ def make_function(name: str, dimension: int = 2) -> BenchmarkFunction:
         try:
             bounds = Bounds((low,) * dimension, (high,) * dimension)
             points = ((opt_coord,) * dimension,)
-        except MemoryError:
+        except (MemoryError, OverflowError):  # OverflowError: beyond a tuple's index
             raise MemoryError(
                 f"{name} at dimension {dimension} does not fit in memory"
             ) from None

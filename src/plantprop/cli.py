@@ -3,8 +3,7 @@
 Subcommands: run (one optimization), sweep (a full grid writing
 results.csv + manifest.json), plot (SVG heatmaps from a results CSV),
 list-functions. The seed resolves as: --seed/--base-seed flag, then the
-PPA_SEED environment variable, then the config/manifest value, then the
-built-in default.
+config/manifest value, then the built-in default.
 """
 
 from __future__ import annotations
@@ -28,21 +27,17 @@ from .experiment import (
     run_sweep,
 )
 
-ENV_SEED = "PPA_SEED"
-
 
 class CliError(Exception):
     """User-facing failure; main() prints it and exits nonzero."""
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return None
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise CliError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--seed",
         type=int,
-        default=None,
-        help=f"run seed (default: ${ENV_SEED} or {DEFAULT_BASE_SEED})",
+        default=DEFAULT_BASE_SEED,
+        help=f"run seed (default {DEFAULT_BASE_SEED})",
     )
     p_run.add_argument(
         "--trajectory",
@@ -117,18 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes (default: available parallelism)",
+        help="worker processes (default: the CPUs this process may use)",
     )
     p_sweep.add_argument(
         "--base-seed",
         type=int,
         default=None,
-        help=f"override the base seed (also ${ENV_SEED})",
-    )
-    p_sweep.add_argument(
-        "--no-vanilla",
-        action="store_true",
-        help="drop the schedule-off baseline column (presets only)",
+        help="override the base seed",
     )
     p_sweep.add_argument(
         "--backend", choices=BACKENDS, default="auto"
@@ -173,15 +163,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n_max=args.n_max,
         schedule=schedule,
     )
-    seed = args.seed
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = DEFAULT_BASE_SEED
 
     from . import engine  # loads the compiled kernel, which only runs need
 
-    result = engine.run(config, function, seed, backend=args.backend)
+    try:
+        result = engine.run(config, function, args.seed, backend=args.backend)
+    except RuntimeError as exc:  # the compiled backend asked for but unavailable
+        raise CliError(str(exc)) from None
 
     label = report.factor_label(schedule.factor)
     if label != "vanilla":
@@ -189,7 +177,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     point = "(" + ", ".join(report.format_float(v) for v in result.best_point) + ")"
     print(f"function     {function.name} (n={function.dimension})")
     print(f"schedule     {label}")
-    print(f"seed         {seed}")
+    print(f"seed         {args.seed}")
     print(f"best value   {report.format_float(result.best_value)}")
     print(f"best point   {point}")
     print(f"evaluations  {result.evaluations_used}")
@@ -208,43 +196,35 @@ def _resolve_sweep_spec(
     """The spec to run, and with --from-manifest the manifest's cells to
     compare the rerun with (None when the seed was overridden)."""
     recorded = None
-    if args.preset is not None:
-        include_vanilla = not args.no_vanilla
-        if args.preset == "sweep-a":
-            spec = default_sweep_a(include_vanilla=include_vanilla)
-        else:
-            spec = default_sweep_b(include_vanilla=include_vanilla)
+    if args.preset == "sweep-a":
+        spec = default_sweep_a()
+    elif args.preset == "sweep-b":
+        spec = default_sweep_b()
+    elif args.config is not None:
+        path = Path(args.config)
+        try:
+            data = report.read_text(path)
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc}") from None
+        try:
+            spec = SweepSpec.from_config_dict(json.loads(data))
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from None
     else:
-        if args.no_vanilla:
-            raise CliError("--no-vanilla only applies to --preset sweeps")
-        if args.config is not None:
-            path = Path(args.config)
-            try:
-                data = path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise CliError(f"cannot read {path}: {exc}") from None
-            try:
-                spec = SweepSpec.from_config_dict(json.loads(data))
-            except (json.JSONDecodeError, ValueError) as exc:
-                raise CliError(f"{path}: {exc}") from None
-        else:
-            try:
-                spec, recorded = report.read_manifest(args.from_manifest)
-            except (OSError, ValueError) as exc:
-                raise CliError(str(exc)) from None
+        try:
+            spec, recorded = report.read_manifest(args.from_manifest)
+        except (OSError, ValueError) as exc:
+            raise CliError(str(exc)) from None
 
-    seed = args.base_seed
-    if seed is None:
-        seed = _env_seed()
-    if seed is not None and seed != spec.base_seed:
-        spec = spec.replace(base_seed=seed)
+    if args.base_seed is not None and args.base_seed != spec.base_seed:
+        spec = spec.replace(base_seed=args.base_seed)
         recorded = None
     return spec, recorded
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec, recorded = _resolve_sweep_spec(args)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else _usable_cpus()
     if jobs < 1:
         raise CliError("--jobs must be >= 1")
 

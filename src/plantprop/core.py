@@ -16,6 +16,7 @@ C core in ``_ppa.c``, loaded by ``_kernel``, replicates it bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 
 from ._record import Record
@@ -57,9 +58,10 @@ def steepness(evals: int, schedule: SteepeningSchedule) -> float:
 class PpaConfig(Record):
     """Run parameters: population size, offspring cap, budget, schedule.
 
-    The counts' lower limits and the steepness are checked here, once, for
-    both engines. No size is capped here, and the Python engine checks none;
-    see ``engine.run`` for what the compiled engine checks.
+    The counts' lower limits, an n_max that a float holds and the steepness
+    are checked here, once, for both engines. No other size is capped here,
+    and the Python engine checks none; see ``engine.run`` for what the
+    compiled engine checks.
     """
 
     budget: int
@@ -73,6 +75,9 @@ class PpaConfig(Record):
             raise ValueError("pop_size must be >= 1")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
+        # the offspring count ceil(n_max * f * r) is computed in floats
+        if self.n_max > sys.float_info.max:
+            raise ValueError(f"n_max must be at most {sys.float_info.max!r}")
         if self.budget < self.pop_size:
             raise ValueError("budget must cover at least the initial population")
         # inf is vanilla, s = 1, and 10**400 / inf would raise OverflowError

@@ -156,23 +156,21 @@ class CellResult(Record):
     seeds: tuple[int, ...]
 
 
-def default_sweep_a(
-    base_seed: int = DEFAULT_BASE_SEED, include_vanilla: bool = True
-) -> SweepSpec:
+def default_sweep_a(base_seed: int = DEFAULT_BASE_SEED) -> SweepSpec:
     """The nine scalable functions at n=2 over the full factor grid."""
-    factors = DEFAULT_FACTORS + ((VANILLA,) if include_vanilla else ())
     return SweepSpec(
-        functions=SCALABLE_NAMES, factors=factors, base_seed=base_seed
+        functions=SCALABLE_NAMES,
+        factors=DEFAULT_FACTORS + (VANILLA,),
+        base_seed=base_seed,
     )
 
 
-def default_sweep_b(
-    base_seed: int = DEFAULT_BASE_SEED, include_vanilla: bool = True
-) -> SweepSpec:
+def default_sweep_b(base_seed: int = DEFAULT_BASE_SEED) -> SweepSpec:
     """The five fixed 2-D functions over the full factor grid."""
-    factors = DEFAULT_FACTORS + ((VANILLA,) if include_vanilla else ())
     return SweepSpec(
-        functions=FIXED_2D_NAMES, factors=factors, base_seed=base_seed
+        functions=FIXED_2D_NAMES,
+        factors=DEFAULT_FACTORS + (VANILLA,),
+        base_seed=base_seed,
     )
 
 

@@ -51,6 +51,14 @@ class HeatmapTable(Record):
         return len(next(iter(self.finals.values())))
 
 
+def read_text(path: Path) -> str:
+    """A UTF-8 file's text; any other bytes are a ValueError naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc}") from None
+
+
 def build_table(results: Sequence[CellResult]) -> HeatmapTable:
     """Arrange cell results into a table, functions alphabetical, factors
     ascending with vanilla last."""
@@ -98,8 +106,7 @@ def parse_csv(path: str | Path) -> HeatmapTable:
     missing or duplicated cell fails the completeness check.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -207,7 +214,7 @@ def read_manifest(path: str | Path) -> tuple[SweepSpec, ManifestCells]:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

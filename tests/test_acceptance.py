@@ -84,17 +84,11 @@ def _best_factor(table, name):
 
 
 def _run_preset(preset, out_dir):
-    mp = pytest.MonkeyPatch()
-    mp.delenv("PPA_SEED", raising=False)
-    try:
-        started = time.perf_counter()
-        code = cli_main(
-            ["sweep", "--preset", preset, "--out", str(out_dir),
-             "--jobs", "1", "--quiet"]
-        )
-        elapsed = time.perf_counter() - started
-    finally:
-        mp.undo()
+    started = time.perf_counter()
+    code = cli_main(
+        ["sweep", "--preset", preset, "--out", str(out_dir), "--jobs", "1", "--quiet"]
+    )
+    elapsed = time.perf_counter() - started
     assert code == 0, f"{preset} exited with {code}"
     return elapsed
 
@@ -111,11 +105,6 @@ def sweep_b(tmp_path_factory):
     out = tmp_path_factory.mktemp("accept_sweep_b")
     elapsed = _run_preset("sweep-b", out)
     return out, elapsed
-
-
-@pytest.fixture(autouse=True)
-def _no_env_seed(monkeypatch):
-    monkeypatch.delenv("PPA_SEED", raising=False)
 
 
 # -- C1 ------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Command-line interface tests, driven through main() in-process."""
 
 import json
+import os
 
 import pytest
 
-from plantprop import engine, report
+from plantprop import cli, engine, report
 from plantprop.benchmarks import FUNCTION_NAMES
 from plantprop.cli import main
 
@@ -17,11 +18,6 @@ TINY_CONFIG = {
     "n_max": 3,
     "base_seed": 5,
 }
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("PPA_SEED", raising=False)
 
 
 def _config_file(tmp_path, **overrides):
@@ -110,6 +106,17 @@ def test_run_writes_trajectory(tmp_path, capsys):
     )
 
 
+def test_run_compiled_backend_without_the_kernel_is_an_error(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "HAVE_KERNEL", False)
+    monkeypatch.setattr(engine, "KERNEL_ERROR", "no C compiler")
+    code = main(["run", "--function", "sphere", "--budget", "60", "--backend", "compiled"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: the compiled backend is unavailable (no C compiler); "
+        "use backend='python' or 'auto'\n"
+    )
+
+
 def test_run_trajectory_into_a_directory_is_an_error(tmp_path, capsys):
     code = main(["run", "--function", "sphere", "--budget", "60",
                  "--pop-size", "10", "--trajectory", str(tmp_path)])
@@ -145,6 +152,17 @@ def test_run_dimension_beyond_memory_is_an_error_with_text(capsys):
     )
 
 
+@pytest.mark.parametrize("dimension", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_run_dimension_beyond_an_index_is_an_error_with_text(capsys, dimension):
+    # too large for a tuple's length: OverflowError, not MemoryError
+    code = main(["run", "--function", "sphere", "--dimension", str(dimension),
+                 "--budget", "60"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: sphere at dimension {dimension} does not fit in memory\n"
+    )
+
+
 @pytest.mark.parametrize("backend", [
     "python",
     pytest.param("compiled", marks=pytest.mark.skipif(
@@ -162,25 +180,11 @@ def test_run_seeds_are_reduced_mod_2_64(capsys, backend):
     assert any(line.startswith("best point   (") for line in outputs[0])
 
 
-def test_run_seed_from_environment(monkeypatch, capsys):
-    monkeypatch.setenv("PPA_SEED", "77")
-    main(["run", "--function", "sphere", "--budget", "60", "--pop-size", "10"])
-    assert "seed         77" in capsys.readouterr().out
-
-
-def test_run_seed_flag_beats_environment(monkeypatch, capsys):
-    monkeypatch.setenv("PPA_SEED", "77")
-    main(["run", "--function", "sphere", "--budget", "60", "--pop-size", "10",
-          "--seed", "5"])
-    assert "seed         5" in capsys.readouterr().out
-
-
-def test_run_rejects_malformed_env_seed(monkeypatch, capsys):
-    monkeypatch.setenv("PPA_SEED", "lots")
-    code = main(["run", "--function", "sphere", "--budget", "60",
-                 "--pop-size", "10"])
-    assert code == 1
-    assert "PPA_SEED" in capsys.readouterr().err
+def test_run_seed_defaults_to_101_whatever_the_environment(monkeypatch, capsys):
+    monkeypatch.setenv("PPA_SEED", "5")
+    code = main(["run", "--function", "sphere", "--budget", "60", "--pop-size", "10"])
+    assert code == 0
+    assert "seed         101" in capsys.readouterr().out.splitlines()
 
 
 # -- sweep ---------------------------------------------------------------------
@@ -253,15 +257,31 @@ def test_sweep_base_seed_flag_overrides_config(tmp_path):
     assert manifest["spec"]["base_seed"] == 42
 
 
-def test_sweep_env_seed_applies_to_config(tmp_path, monkeypatch):
-    monkeypatch.setenv("PPA_SEED", "88")
+@pytest.mark.parametrize(
+    ("affinity", "cpu_count", "jobs"),
+    [({0}, 8, 1), ({1, 3}, 8, 2), (None, 3, 3), (None, None, 1)],
+)
+def test_sweep_jobs_default_to_the_usable_cpus(
+    tmp_path, monkeypatch, affinity, cpu_count, jobs
+):
+    # None: a platform without an affinity mask, where the CPU count decides
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    seen = []
+    real = cli.run_sweep
+
+    def run_sweep(spec, jobs, **kwargs):
+        seen.append(jobs)
+        return real(spec, jobs=1, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
     config = _config_file(tmp_path)
-    main(["sweep", "--config", str(config), "--out", str(tmp_path / "o"),
-          "--jobs", "1", "--quiet"])
-    manifest = json.loads(
-        (tmp_path / "o/manifest.json").read_text(encoding="utf-8")
-    )
-    assert manifest["spec"]["base_seed"] == 88
+    code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 0
+    assert seen == [jobs]
 
 
 def test_sweep_rerun_from_manifest_is_identical(tmp_path):
@@ -302,6 +322,25 @@ def test_sweep_rerun_from_manifest_reports_a_changed_median(tmp_path, capsys):
     assert (tmp_path / "a/results.csv").read_bytes() == (
         tmp_path / "b/results.csv"
     ).read_bytes()
+
+
+def test_sweep_rerun_from_manifest_ignores_ppa_seed(tmp_path, monkeypatch, capsys):
+    config = _config_file(tmp_path, base_seed=101)
+    main(["sweep", "--config", str(config), "--out", str(tmp_path / "a"),
+          "--jobs", "1", "--quiet"])
+    path = tmp_path / "a/manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["cells"][0]["median"] *= 2.0
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+
+    monkeypatch.setenv("PPA_SEED", "5")
+    code = main(["sweep", "--from-manifest", str(path), "--out", str(tmp_path / "b"),
+                 "--jobs", "1", "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: 1 cell(s) differ from {path}:"
+    assert err[1].startswith("  sphere factor 150: median ")
 
 
 def test_sweep_rerun_from_manifest_reports_cells_that_do_not_pair(tmp_path, capsys):
@@ -425,12 +464,27 @@ def test_sweep_out_on_an_existing_file_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_sweep_no_vanilla_requires_preset(tmp_path, capsys):
-    config = _config_file(tmp_path)
-    code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "o"),
-                 "--no-vanilla"])
+def test_sweep_has_no_no_vanilla_flag(tmp_path, capsys):
+    # a grid without the vanilla column is a --config
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "sweep-b", "--out", str(tmp_path / "o"),
+              "--no-vanilla"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-vanilla" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source", ["--config", "--from-manifest"])
+def test_sweep_input_that_is_not_utf8_is_named(tmp_path, capsys, source):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    code = main(["sweep", source, str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "--no-vanilla" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_requires_a_source(tmp_path):
@@ -502,6 +556,17 @@ def test_plot_malformed_csv_fails_with_location(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "results.csv:2" in err
     assert "factor" in err
+
+
+def test_plot_csv_that_is_not_utf8_is_named(tmp_path, capsys):
+    bad = tmp_path / "results.csv"
+    bad.write_bytes(b"\xfffunction,factor,median,run_final_1\n")
+    code = main(["plot", str(bad)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
 
 
 def test_plot_missing_file(tmp_path, capsys):

@@ -393,6 +393,14 @@ def test_config_validation():
     assert PpaConfig(budget=10**400).schedule == SteepeningSchedule.vanilla()
 
 
+def test_config_rejects_an_n_max_beyond_the_float_range():
+    # the Python engine computes the offspring count ceil(n_max * f * r) in floats
+    with pytest.raises(ValueError, match=r"^n_max must be at most 1\.7976931348623157e\+308$"):
+        PpaConfig(budget=100, n_max=10**400)
+    config = PpaConfig(budget=60, pop_size=10, n_max=2**1023)
+    assert run_ppa(config, make_function("sphere", 2), seed=1).evaluations_used == 60
+
+
 @pytest.mark.parametrize("factor", [1e-320, 1e-306, 3e-306])
 def test_config_rejects_a_steepness_that_overflows_the_fitness(factor):
     with pytest.raises(ValueError, match="too small for budget 300"):
@@ -409,3 +417,41 @@ def test_config_accepts_the_smallest_factors_that_stay_finite():
         if engine.HAVE_KERNEL:
             compiled = engine.run(config, make_function("sphere", 2), 1, backend="compiled")
             assert compiled == python
+
+
+# -- where steepening stops ----------------------------------------------------
+
+
+def _improves_after(trajectory, evals):
+    # the closing entry repeats the best value at the budget; only a drop counts
+    return any(
+        e > evals and v < before for (_, before), (e, v) in zip(trajectory, trajectory[1:])
+    )
+
+
+@pytest.mark.parametrize("backend", [
+    "python",
+    pytest.param("compiled", marks=pytest.mark.skipif(
+        not engine.HAVE_KERNEL, reason="needs the compiled kernel")),
+])
+def test_steepness_past_saturation_collapses_the_population(backend):
+    # From s = 9.53 on, tanh(2s) is exactly 1.0: the best parent's fitness is
+    # 1, its offspring are copies and the population becomes one point. A
+    # linear schedule gets there after 8.53 * factor evaluations, so at budget
+    # 10000 factor 1000 collapses near 8530 evaluations, while factor 2000
+    # ends at s = 6. Seeds 7401-7410 were not used to find this.
+    fn = make_function("sphere", 2)
+    seeds = range(7401, 7411)
+    for factor, improves in ((1000.0, False), (2000.0, True)):
+        config = PpaConfig(budget=10_000, schedule=SteepeningSchedule.linear(factor))
+        for seed in seeds:
+            if backend == "python":
+                final = []
+                result = run_ppa(
+                    config, fn, seed, observer=lambda evals, pop: final.append(pop)
+                )
+                positions = {ind.position for ind in final[-1]}
+                assert (len(positions) == 1) is not improves, (factor, seed)
+            else:
+                result = engine.run(config, fn, seed, backend=backend)
+            assert _improves_after(result.trajectory, 8600) is improves, (factor, seed)

@@ -172,7 +172,6 @@ def test_default_sweeps():
         assert spec.n_max == 5
         assert spec.dimension == 2
         assert spec.base_seed == DEFAULT_BASE_SEED
-    assert default_sweep_a(include_vanilla=False).factors == DEFAULT_FACTORS
 
 
 # -- seed derivation ---------------------------------------------------------
