@@ -27,7 +27,7 @@ import os
 import struct
 from pathlib import Path
 
-from .benchmarks import FUNCTION_NAMES, SCALABLE_NAMES, formula_id
+from .benchmarks import FUNCTION_NAMES, formula_id, make_function
 from .rng import MASK64
 
 _SOURCE = Path(__file__).with_name("_ppa.c")
@@ -141,15 +141,6 @@ def _load() -> ctypes.CDLL:
 _lib = _load()
 
 
-def _check_function(func_id: int, dim: int) -> None:
-    """The fixed 2-D formulas read x[1]; the scalable ones assume n >= 2."""
-    if not 0 <= func_id < len(FUNCTION_NAMES):
-        raise ValueError(f"unknown function id {func_id}")
-    scalable = func_id < len(SCALABLE_NAMES)
-    if not (2 <= dim if scalable else dim == 2):
-        raise ValueError(f"function id {func_id} does not take dimension {dim}")
-
-
 def rng_u64_stream(seed: int, n: int) -> list[int]:
     """First n raw 64-bit outputs for a seed (parity/golden-vector tests)."""
     out = (ctypes.c_uint64 * n)()
@@ -170,8 +161,10 @@ def eval_function(func_id: int, x) -> float:
     This is the C core's ``ppa_eval`` with fmax = +inf, which gives the
     objective at every finite x.
     """
+    if not 0 <= func_id < len(FUNCTION_NAMES):
+        raise ValueError(f"unknown function id {func_id}")
     n = len(x)
-    _check_function(func_id, n)
+    make_function(FUNCTION_NAMES[func_id], n)  # raises for a dimension it does not take
     vector = ctypes.c_double * n
     return _lib.ppa_eval(func_id, n, vector(*x), float("inf"), vector())
 
@@ -180,8 +173,8 @@ def run(config, function, seed):
     """Generational loop; same semantics and draw order as the pure engine.
 
     `config` (a PpaConfig) and `function` (a BenchmarkFunction) made their
-    own checks; this adds only what the C core needs beyond them: a
-    registered formula that takes the function's dimension, and counts
+    own checks, the dimension of a registered formula among them; this adds
+    only what the C core needs beyond them: a registered formula, and counts
     that fit in int64. The steepness is evals/factor + 1, so factor = inf
     runs vanilla PPA.
 
@@ -196,7 +189,6 @@ def run(config, function, seed):
             f"with their built-in formula; {function.name!r} is not one"
         )
     dim = function.dimension
-    _check_function(func_id, dim)
     pop_size, n_max, budget = config.pop_size, config.n_max, config.budget
     for name, value in (("pop_size", pop_size), ("n_max", n_max), ("budget", budget)):
         if value > _INT64_MAX:

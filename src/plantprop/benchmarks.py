@@ -67,7 +67,10 @@ class Bounds(Record):
 class BenchmarkFunction(Record):
     """A named objective with bounds and its known global optimum.
 
-    `_fn` is the formula; it is left out of equality, hash and repr.
+    `_fn` is the formula; it is left out of equality, hash and repr. When it
+    is the registered formula of `name`, the dimension must be one that
+    formula takes: n >= 2 for the nine scalable ones, n = 2 for the five
+    fixed ones. A custom callable takes any dimension.
     """
 
     name: str
@@ -78,10 +81,15 @@ class BenchmarkFunction(Record):
     _fn: Callable[[Sequence[float]], float]
 
     def __post_init__(self):
-        if len(self.bounds) != self.dimension:
+        name, n = self.name, self.dimension
+        if formula_id(self) is not None:
+            if name in _SCALABLE and n < 2:
+                raise ValueError(f"{name} requires dimension >= 2, got {n}")
+            if name in _FIXED_2D and n != 2:
+                raise ValueError(f"{name} is two-dimensional only, got dimension {n}")
+        if len(self.bounds) != n:
             raise ValueError(
-                f"{self.name} has dimension {self.dimension} but "
-                f"{len(self.bounds)} bound pairs"
+                f"{name} has dimension {n} but {len(self.bounds)} bound pairs"
             )
 
     def evaluate(self, x: Sequence[float]) -> float:
@@ -282,26 +290,24 @@ def make_function(name: str, dimension: int = 2) -> BenchmarkFunction:
     """Build a registered benchmark function.
 
     Scalable functions accept any dimension >= 2 (default 2); the five
-    fixed two-dimensional functions reject anything but dimension 2.
+    fixed two-dimensional functions reject anything but dimension 2. The
+    record makes both checks.
     """
     if name in _SCALABLE:
-        if dimension < 2:
-            raise ValueError(f"{name} requires dimension >= 2, got {dimension}")
         fn, (low, high), opt_coord, opt_value = _SCALABLE[name]
+        n = max(dimension, 0)  # the record refuses n < 2 with its own message
         try:
-            bounds = Bounds((low,) * dimension, (high,) * dimension)
-            points = ((opt_coord,) * dimension,)
+            bounds = Bounds((low,) * n, (high,) * n)
+            points = ((opt_coord,) * n,)
         except (MemoryError, OverflowError):  # OverflowError: beyond a tuple's index
             raise MemoryError(
                 f"{name} at dimension {dimension} does not fit in memory"
             ) from None
         return BenchmarkFunction(name, dimension, bounds, opt_value, points, fn)
     if name in _FIXED_2D:
-        if dimension != 2:
-            raise ValueError(f"{name} is two-dimensional only, got dimension {dimension}")
         fn, dims, points, opt_value = _FIXED_2D[name]
         bounds = Bounds(tuple(d[0] for d in dims), tuple(d[1] for d in dims))
-        return BenchmarkFunction(name, 2, bounds, opt_value, tuple(points), fn)
+        return BenchmarkFunction(name, dimension, bounds, opt_value, tuple(points), fn)
     known = ", ".join(FUNCTION_NAMES)
     raise KeyError(f"unknown benchmark function {name!r}; known: {known}")
 

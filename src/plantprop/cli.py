@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -56,17 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--dimension", type=int, default=2, help="dimensionality (default 2)"
     )
-    sched = p_run.add_mutually_exclusive_group()
-    sched.add_argument(
-        "--factor",
-        type=float,
-        default=None,
-        help="steepening factor (s = evals/factor + 1)",
-    )
-    sched.add_argument(
-        "--vanilla",
-        action="store_true",
-        help="disable the schedule (s = 1 throughout, the default)",
+    p_run.add_argument(
+        "--factor", type=float, default=math.inf,
+        help="steepening factor: s = evals/factor + 1 (default inf, vanilla PPA)",
     )
     p_run.add_argument("--budget", type=int, default=10_000)
     p_run.add_argument("--pop-size", type=int, default=30)
@@ -153,10 +146,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise CliError(exc.args[0]) from None
 
-    if args.factor is not None:
-        schedule = SteepeningSchedule.linear(args.factor)
-    else:
-        schedule = SteepeningSchedule.vanilla()
+    schedule = SteepeningSchedule(args.factor)
     config = PpaConfig(
         budget=args.budget,
         pop_size=args.pop_size,
@@ -333,7 +323,12 @@ def main(argv: list[str] | None = None) -> int:
         "list-functions": _cmd_list_functions,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # stdout's reader is gone; devnull keeps exit's flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -39,13 +39,8 @@ class SteepeningSchedule(Record):
 
     @classmethod
     def linear(cls, factor: float) -> "SteepeningSchedule":
-        factor = float(factor)
-        if factor == math.inf:
-            raise ValueError(
-                "linear schedule requires a finite factor; for s = 1 use the "
-                "vanilla schedule (--vanilla)"
-            )
-        return cls(factor)
+        """The schedule of `factor`; ``linear(math.inf)`` is vanilla."""
+        return cls(float(factor))
 
 
 def steepness(evals: int, schedule: SteepeningSchedule) -> float:

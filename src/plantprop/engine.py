@@ -40,10 +40,10 @@ def run(
     fallback.
 
     Each input is checked once, where it is made: Bounds checks every
-    lower < upper, BenchmarkFunction the bounds' length, PpaConfig and
-    SteepeningSchedule the counts and the steepness. ``_kernel.run`` adds
-    what only the C core needs (a registered formula at a dimension it
-    takes, counts that fit in int64) and raises MemoryError before a run
+    lower < upper, BenchmarkFunction the bounds' length and a registered
+    formula's dimension, PpaConfig and SteepeningSchedule the counts and the
+    steepness. ``_kernel.run`` adds what only the C core needs (a registered
+    formula, counts that fit in int64) and raises MemoryError before a run
     whose buffers overflow or cannot be allocated, which the CLI reports
     as an ``error: ...`` line. The Python engine has no size limit.
     It builds ``pop_size`` individuals and each generation's offspring as

@@ -138,6 +138,9 @@ def test_make_function_rejects_unknown_name():
 def test_make_function_dimension_rules():
     with pytest.raises(ValueError):
         make_function("sphere", 1)
+    # not a MemoryError: no tuple of that length is tried
+    with pytest.raises(ValueError, match=r"^sphere requires dimension >= 2, got -\d+$"):
+        make_function("sphere", -(2**64))
     with pytest.raises(ValueError):
         make_function("branin", 3)
     assert make_function("ellipse", 7).dimension == 7
@@ -218,6 +221,26 @@ def test_infinite_box_fails_alike_before_either_engine_runs(backend):
             1,
             backend=backend,
         )
+
+
+@pytest.mark.parametrize("name, n, message", [
+    ("sphere", 1, "sphere requires dimension >= 2, got 1"),
+    ("easom", 3, "easom is two-dimensional only, got dimension 3"),
+])
+def test_a_registered_formula_takes_only_its_dimensions(name, n, message):
+    """The record states make_function's dimension rule for the registered
+    formula of its name; a custom callable takes any dimension and runs on
+    the Python engine, which `auto` falls back to."""
+    box = Bounds((-1.0,) * n, (1.0,) * n)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BenchmarkFunction(name, n, box, 0.0, (), FORMULAS[name])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_function(name, n)
+    custom = BenchmarkFunction(name, n, box, 0.0, (), lambda x: sum(v * v for v in x))
+    config = PpaConfig(budget=60, pop_size=10)
+    python = engine.run(config, custom, 1, backend="python")
+    assert engine.run(config, custom, 1) == python
+    assert python.evaluations_used == 60 and len(python.best_point) == n
 
 
 def test_function_bounds_must_match_its_dimension():

@@ -68,10 +68,12 @@ def test_run_unknown_function_fails_and_lists_names(capsys):
     assert "sphere" in err  # the message names the valid identifiers
 
 
-def test_run_factor_and_vanilla_conflict():
+def test_run_has_no_vanilla_flag(capsys):
+    # vanilla is --factor inf, the default
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--function", "sphere", "--factor", "100", "--vanilla"])
+        main(["run", "--function", "sphere", "--vanilla"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --vanilla" in capsys.readouterr().err
 
 
 def test_run_budget_equal_to_popsize(capsys):
@@ -86,10 +88,13 @@ def test_run_rejects_undersized_budget(capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_run_rejects_infinite_factor_and_points_to_vanilla(capsys):
-    code = main(["run", "--function", "sphere", "--factor", "inf"])
-    assert code == 1
-    assert "--vanilla" in capsys.readouterr().err
+def test_run_factor_inf_is_the_default_vanilla_run(capsys):
+    argv = ["run", "--function", "sphere", "--budget", "60", "--pop-size", "10"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--factor", "inf"]) == 0
+    assert capsys.readouterr().out == default
+    assert "schedule     vanilla" in default
 
 
 def test_run_writes_trajectory(tmp_path, capsys):
@@ -626,3 +631,29 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "sphere" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_closed_stdout_pipe_exits_quietly(tmp_path, command, unbuffered):
+    """With stdout's reader gone, as in `plantprop run ... | true`, the CLI
+    exits 1 and writes nothing to stderr: no error line, no traceback."""
+    import subprocess
+    import sys
+
+    if command == "run":
+        argv = ["run", "--function", "sphere", "--budget", "60", "--pop-size", "10"]
+    else:
+        argv = ["sweep", "--config", str(_config_file(tmp_path)),
+                "--out", str(tmp_path / "out"), "--jobs", "2"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "plantprop", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")

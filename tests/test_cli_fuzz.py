@@ -81,7 +81,7 @@ run_argv = _argv(
     [
         _opt("--dimension", dimensions | junk), _opt("--pop-size", pop_sizes | junk),
         _opt("--n-max", n_maxes | junk), _opt("--factor", floats | ints | junk),
-        _flag("--vanilla"), _opt("--seed", ints | junk), BACKENDS,
+        _opt("--seed", ints | junk), BACKENDS,
         _opt("--trajectory", st.sampled_from(["traj.csv", ".", "no/such/dir.csv"])),
         JUNK,
     ],

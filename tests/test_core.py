@@ -4,9 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from plantprop import engine
-from plantprop.benchmarks import Bounds, make_function
+from plantprop.benchmarks import FUNCTION_NAMES, SCALABLE_NAMES, Bounds, make_function
 from plantprop.core import (
     Individual,
     PpaConfig,
@@ -100,13 +102,11 @@ def test_schedule_validation():
             SteepeningSchedule(bad)
         with pytest.raises(ValueError, match="factor > 0"):
             SteepeningSchedule.linear(bad)
-    with pytest.raises(ValueError, match="--vanilla"):
-        SteepeningSchedule.linear(math.inf)
 
 
 def test_vanilla_is_the_infinite_factor():
     vanilla = SteepeningSchedule.vanilla()
-    assert vanilla == SteepeningSchedule(math.inf)
+    assert vanilla == SteepeningSchedule(math.inf) == SteepeningSchedule.linear(math.inf)
     for evals in (0, 1, 2**53, 2**63 - 1):
         assert steepness(evals, vanilla) == 1.0
 
@@ -148,6 +148,16 @@ def test_fitness_steepening_approaches_step():
         target = 0.0 if z < 0.5 else 1.0
         gaps = [abs(fitness(z, s) - target) for s in (1.0, 2.0, 4.0, 8.0, 16.0)]
         assert all(a > b for a, b in zip(gaps, gaps[1:])), z
+
+
+def test_fitness_of_the_best_parent_is_exactly_one_from_s_9_2561():
+    # 0.5 * (tanh(2s) + 1.0) rounds to 1.0 once tanh(2s) is 1 - 2**-53, which
+    # comes before tanh(2s) itself is 1.0 (from s = 9.5308). These values are
+    # the platform libm's, as the golden runs are.
+    assert fitness(1.0, 9.26) == 1.0
+    assert math.tanh(18.52) == 0.9999999999999999 == 1.0 - 2.0**-53
+    assert fitness(1.0, 9.25) == 0.9999999999999999
+    assert math.tanh(2 * 9.5307) < 1.0 == math.tanh(2 * 9.5308)
 
 
 def test_fitness_vanilla_equivalence_of_huge_factor():
@@ -435,11 +445,11 @@ def _improves_after(trajectory, evals):
         not engine.HAVE_KERNEL, reason="needs the compiled kernel")),
 ])
 def test_steepness_past_saturation_collapses_the_population(backend):
-    # From s = 9.53 on, tanh(2s) is exactly 1.0: the best parent's fitness is
-    # 1, its offspring are copies and the population becomes one point. A
-    # linear schedule gets there after 8.53 * factor evaluations, so at budget
-    # 10000 factor 1000 collapses near 8530 evaluations, while factor 2000
-    # ends at s = 6. Seeds 7401-7410 were not used to find this.
+    # From s = 9.2561 on, the best parent's fitness is exactly 1.0, its
+    # offspring are copies and the population becomes one point. A linear
+    # schedule gets there after 8.256 * factor evaluations, so at budget 10000
+    # factor 1000 makes copies from about 8260 evaluations on, while factor
+    # 2000 ends at s = 6. Seeds 7401-7410 were not used to find this.
     fn = make_function("sphere", 2)
     seeds = range(7401, 7411)
     for factor, improves in ((1000.0, False), (2000.0, True)):
@@ -455,3 +465,52 @@ def test_steepness_past_saturation_collapses_the_population(backend):
             else:
                 result = engine.run(config, fn, seed, backend=backend)
             assert _improves_after(result.trajectory, 8600) is improves, (factor, seed)
+
+
+# -- a run at a smaller budget -------------------------------------------------
+
+
+@st.composite
+def prefix_cases(draw, max_budget):
+    name = draw(st.sampled_from(FUNCTION_NAMES))
+    dim = draw(st.integers(2, 10)) if name in SCALABLE_NAMES else 2
+    factor = draw(st.sampled_from([100.0, 1000.0, math.inf]))
+    long = draw(st.integers(31, max_budget))
+    short = draw(st.integers(30, long - 1))
+    return make_function(name, dim), factor, draw(st.integers(0, 2**64 - 1)), short, long
+
+
+def _assert_budget_prefix(case, run):
+    """Nothing in a run reads the budget but the stop, so a run at budget B
+    is the run at any larger budget cut at B: the improvements up to B, then
+    a closing (B, best) entry unless the last improvement came at B."""
+    fn, factor, seed, short, long = case
+    short_run, long_run = (
+        run(PpaConfig(budget=b, schedule=SteepeningSchedule(factor)), fn, seed)
+        for b in (short, long)
+    )
+    prefix = tuple(step for step in long_run.trajectory if step[0] <= short)
+    closing = () if prefix[-1][0] == short else ((short, prefix[-1][1]),)
+    assert short_run.evaluations_used == short
+    assert short_run.best_value == prefix[-1][1]
+    assert short_run.trajectory == prefix + closing
+
+
+@seed(20261101)
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=prefix_cases(3000))
+# the short run's last evaluation is an improvement, so it has no closing entry
+@example(case=(make_function("ackley", 10), 1000.0, 17, 2934, 3000))
+@pytest.mark.skipif(not engine.HAVE_KERNEL, reason="needs the compiled kernel")
+def test_a_compiled_run_is_a_prefix_of_the_run_at_a_larger_budget(case):
+    _assert_budget_prefix(
+        case, lambda config, fn, seed: engine.run(config, fn, seed, backend="compiled")
+    )
+
+
+@seed(20261102)
+@settings(max_examples=12, deadline=None, database=None)
+@given(case=prefix_cases(800))
+@example(case=(make_function("rastrigin", 5), 100.0, 18, 629, 800))
+def test_a_python_run_is_a_prefix_of_the_run_at_a_larger_budget(case):
+    _assert_budget_prefix(case, run_ppa)

@@ -358,13 +358,18 @@ def test_kernel_rejects_bounds_that_bounds_rejects(lower, upper):
 
 
 def test_kernel_rejects_a_dimension_its_formula_does_not_take():
-    """A hand-built 3-D easom would have the C core read past x[1]."""
-    bounds = Bounds((-100.0,) * 3, (100.0,) * 3)
-    easom = BenchmarkFunction("easom", 3, bounds, -1.0, (), FORMULAS["easom"])
-    config = PpaConfig(budget=100)
-    assert run_ppa(config, easom, 1).evaluations_used == 100
-    with pytest.raises(ValueError, match="does not take dimension 3"):
-        engine.run(config, easom, 1, backend="compiled")
+    """A 3-D easom would have the C core read past x[1], and a 1-D sphere
+    is not a formula the core knows. The record refuses both, so neither
+    reaches an engine; eval_function applies the same rule."""
+    for name, n, message in (("easom", 3, "easom is two-dimensional only"),
+                             ("sphere", 1, "sphere requires dimension >= 2")):
+        bounds = Bounds((-100.0,) * n, (100.0,) * n)
+        with pytest.raises(ValueError, match=message):
+            BenchmarkFunction(name, n, bounds, -1.0, (), FORMULAS[name])
+        with pytest.raises(ValueError, match=message):
+            _kernel.eval_function(FUNCTION_IDS[name], [1.0] * n)
+    with pytest.raises(ValueError, match="unknown function id 14"):
+        _kernel.eval_function(len(FUNCTION_NAMES), [1.0, 2.0])
 
 
 @pytest.mark.parametrize("count", ["pop_size", "n_max", "budget"])
