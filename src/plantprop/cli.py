@@ -21,8 +21,8 @@ from .benchmarks import SCALABLE_NAMES, list_functions, make_function
 from .core import PpaConfig, SteepeningSchedule
 from .experiment import (
     DEFAULT_BASE_SEED,
-    CellResult,
     SweepSpec,
+    _median,
     default_sweep_a,
     default_sweep_b,
     run_sweep,
@@ -232,19 +232,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     total = spec.cell_count
     width = len(str(total))
 
-    def progress(cell: CellResult, done: int, count: int, elapsed: float) -> None:
+    def progress(cell, finals, done: int, count: int, elapsed: float) -> None:
         if args.quiet:
             return
+        function, factor = cell
         print(
-            f"[{done:>{width}}/{count}] {cell.function:<14} "
-            f"factor {report.factor_label(cell.factor):>7}  "
-            f"median {cell.median:.6e}  ({elapsed:.1f}s)",
+            f"[{done:>{width}}/{count}] {function:<14} "
+            f"factor {report.factor_label(factor):>7}  "
+            f"median {_median(finals):.6e}  ({elapsed:.1f}s)",
             flush=True,
         )
 
     started = time.perf_counter()
     try:
-        results = run_sweep(spec, jobs=jobs, backend=args.backend, progress=progress)
+        table = run_sweep(spec, jobs=jobs, backend=args.backend, progress=progress)
     except RuntimeError as exc:
         raise CliError(str(exc)) from None
     elapsed = time.perf_counter() - started
@@ -253,17 +254,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     backend = engine.DEFAULT_BACKEND if args.backend == "auto" else args.backend
 
-    table = report.build_table(results)
     csv_path = report.write_csv(table, out_dir / "results.csv")
     manifest_path = report.write_manifest(
-        spec, results, out_dir / "manifest.json", elapsed, backend
+        spec, table, out_dir / "manifest.json", elapsed, backend
     )
     print(
-        f"wrote {csv_path} ({len(results)} cells) and {manifest_path.name} "
+        f"wrote {csv_path} ({len(table.finals)} cells) and {manifest_path.name} "
         f"in {elapsed:.1f}s"
     )
     if recorded is not None:
-        mismatches = report.cell_mismatches(recorded, results)
+        mismatches = report.cell_mismatches(recorded, spec, table)
         if mismatches:
             raise CliError(
                 f"{len(mismatches)} cell(s) differ from {args.from_manifest}:\n  "

@@ -1,12 +1,13 @@
-"""Factor-sweep grids: specs, execution, and per-cell median aggregation.
+"""Factor-sweep grids: specs, execution, and the table of their results.
 
 A sweep runs every (function, factor) cell for a fixed number of repeats,
 each repeat with its own sub-seed derived from the base seed and the cell's
 grid indices. Cells are independent, so they can execute in any order or in
-parallel; the collected results are keyed by cell and re-sorted, which makes
-the output identical no matter how the work was scheduled. With `jobs` > 1
-the calling process runs cells too, beside `jobs - 1` child processes, and
-each takes the next cell from one shared counter.
+parallel; the collected finals are keyed by cell in a table that orders
+them itself, which makes the output identical no matter how the work was
+scheduled. With `jobs` > 1 the calling process runs cells too, beside
+`jobs - 1` child processes, and each takes the next cell from one shared
+counter.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def factor_from_json(raw) -> float:
     raise ValueError(f"factors must be numbers or the token \"vanilla\", got {raw!r}")
 
 
-ProgressCallback = Callable[["CellResult", int, int, float], None]
+# (cell, its finals, cells done, cells in all, seconds since the start)
+ProgressCallback = Callable[[tuple, tuple, int, int, float], None]
 
 
 class SweepSpec(Record):
@@ -146,14 +148,40 @@ class SweepSpec(Record):
         return cls(functions=tuple(functions), factors=tuple(factors), **integers)
 
 
-class CellResult(Record):
-    """One (function, factor) cell: the repeat finals and their median."""
+class HeatmapTable(Record):
+    """A sweep's results: the run finals of every (function, factor) cell,
+    keyed by (function, factor) with math.inf as the vanilla factor. The
+    table puts its functions in alphabetical order and its factors in
+    ascending order, vanilla last, and its cells in that order too."""
 
-    function: str
-    factor: float  # math.inf marks the vanilla column
-    finals: tuple[float, ...]
-    median: float
-    seeds: tuple[int, ...]
+    functions: tuple[str, ...]
+    factors: tuple[float, ...]
+    finals: dict[tuple[str, float], tuple[float, ...]]
+
+    def __post_init__(self):
+        functions = tuple(sorted(set(self.functions)))
+        factors = tuple(sorted(set(self.factors)))
+        cells = [(f, fac) for f in functions for fac in factors]
+        if not cells:
+            raise ValueError("a table needs at least one cell")
+        if set(self.finals) != set(cells):
+            raise ValueError(
+                "finals must cover every (function, factor) cell exactly once"
+            )
+        finals = {cell: tuple(self.finals[cell]) for cell in cells}
+        if len({len(v) for v in finals.values()}) > 1:
+            raise ValueError("all cells must have the same number of run finals")
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "finals", finals)
+
+    @property
+    def repeats(self) -> int:
+        return len(next(iter(self.finals.values())))
+
+    def median(self, function: str, factor: float) -> float:
+        """The median of a cell's run finals."""
+        return _median(self.finals[(function, factor)])
 
 
 def default_sweep_a(base_seed: int = DEFAULT_BASE_SEED) -> SweepSpec:
@@ -197,29 +225,22 @@ def cell_seeds(spec: SweepSpec) -> dict[tuple[int, int], tuple[int, ...]]:
 
 def _run_cell(
     spec: SweepSpec, key: tuple[int, int], seeds: tuple[int, ...], backend: str
-) -> CellResult:
+) -> tuple[float, ...]:
+    """The best value of each of a cell's runs, one per seed."""
     fidx, facidx = key
-    name, factor = spec.functions[fidx], spec.factors[facidx]
-    function = make_function(name, spec.dimension)
+    function = make_function(spec.functions[fidx], spec.dimension)
     config = PpaConfig(
         budget=spec.budget, pop_size=spec.pop_size, n_max=spec.n_max,
-        schedule=SteepeningSchedule(factor),
+        schedule=SteepeningSchedule(spec.factors[facidx]),
     )
     # imported here, as engine loads the compiled kernel; engine.run is looked
     # up at each call, so a wrapper installed there (a per-run probe, a
     # counting test) sees every run
     from . import engine
 
-    finals = tuple(
+    return tuple(
         engine.run(config, function, seed, backend=backend).best_value
         for seed in seeds
-    )
-    return CellResult(
-        function=name,
-        factor=factor,
-        finals=finals,
-        median=_median(finals),
-        seeds=seeds,
     )
 
 
@@ -246,10 +267,10 @@ def _take(counter, total: int) -> int:
 
 def _work(spec, cells, seeds, backend, counter, conn) -> None:
     """A child's loop: run cells until the counter is used up, sending each
-    CellResult. A cell's exception is sent in its place, and the child
-    stops. Its exit closes the pipe, which is all the parent waits for. It
-    returns normally, so its exit handlers run, and quietly on Ctrl-C,
-    which the sweep process itself reports."""
+    cell's key and finals. A cell's exception is sent in its place, and the
+    child stops. Its exit closes the pipe, which is all the parent waits
+    for. It returns normally, so its exit handlers run, and quietly on
+    Ctrl-C, which the sweep process itself reports."""
     try:
         while (index := _take(counter, len(cells))) < len(cells):
             key = cells[index]
@@ -268,14 +289,13 @@ def run_sweep(
     backend: str = "auto",
     progress: ProgressCallback | None = None,
     _cell_order: Sequence[tuple[int, int]] | None = None,
-) -> list[CellResult]:
-    """Execute every cell of the grid and return results in canonical order.
+) -> HeatmapTable:
+    """Execute every cell of the grid and return the table of their finals.
 
-    Canonical order is (function name ascending, factor ascending) with the
-    vanilla column last; it does not depend on `jobs` or `_cell_order` (a
-    test seam that permutes execution order). With `workers = min(jobs,
-    cells)`, this process and `workers - 1` child processes each take the
-    next cell from a shared counter until the grid is used up; `progress`
+    The table does not depend on `jobs` or `_cell_order` (a test seam that
+    permutes execution order). With `workers = min(jobs, cells)`, this
+    process and `workers - 1` child processes each take the next cell from
+    a shared counter until the grid is used up; `progress`
     fires once per cell as its result comes in. An exception in a child's
     cell is raised here, and a child that exits without finishing raises
     RuntimeError; either way every child is joined before this returns.
@@ -294,13 +314,14 @@ def run_sweep(
         cells = list(_cell_order)
 
     started = time.perf_counter()
-    collected: dict[tuple[int, int], CellResult] = {}
+    collected: dict[tuple[str, float], tuple[float, ...]] = {}
     total = len(cells)
 
-    def collect(key: tuple[int, int], cell: CellResult) -> None:
-        collected[key] = cell
+    def collect(key: tuple[int, int], finals: tuple[float, ...]) -> None:
+        cell = (spec.functions[key[0]], spec.factors[key[1]])
+        collected[cell] = finals
         if progress is not None:
-            progress(cell, len(collected), total, time.perf_counter() - started)
+            progress(cell, finals, len(collected), total, time.perf_counter() - started)
 
     # a child per job beyond this process, but none that would get no cell
     workers = min(jobs, total)
@@ -314,10 +335,7 @@ def run_sweep(
             "a sweep worker exited before finishing its cells "
             f"({len(collected)} of {total} came back)"
         )
-
-    results = list(collected.values())
-    results.sort(key=lambda c: (c.function, c.factor))
-    return results
+    return HeatmapTable(spec.functions, spec.factors, collected)
 
 
 def _run_parallel(
@@ -326,7 +344,7 @@ def _run_parallel(
     seeds: dict[tuple[int, int], tuple[int, ...]],
     backend: str,
     children: int,
-    collect: Callable[[tuple[int, int], CellResult], None],
+    collect: Callable[[tuple[int, int], tuple[float, ...]], None],
 ) -> None:
     """Run `cells` in this process and `children` child processes, which
     take cell indices from one shared counter, and collect every result."""

@@ -17,38 +17,21 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from . import __version__
-from ._record import Record
 from .benchmarks import FUNCTION_NAMES, make_function
-from .experiment import VANILLA, CellResult, SweepSpec, factor_from_json, factor_to_json
+from .experiment import (
+    VANILLA,
+    HeatmapTable,
+    SweepSpec,
+    _median,
+    cell_seeds,
+    factor_from_json,
+    factor_to_json,
+)
 
 MANIFEST_FORMAT = "plantprop-manifest-1"
 
 # colors below this error are indistinguishable from the optimum
 LOG_FLOOR = 1.0e-12
-
-
-class HeatmapTable(Record):
-    """Complete (function x factor) grid of medians plus the raw finals."""
-
-    functions: tuple[str, ...]
-    factors: tuple[float, ...]
-    medians: dict[tuple[str, float], float]
-    finals: dict[tuple[str, float], tuple[float, ...]]
-
-    def __post_init__(self):
-        expected = {(f, fac) for f in self.functions for fac in self.factors}
-        for name, mapping in (("medians", self.medians), ("finals", self.finals)):
-            if set(mapping) != expected:
-                raise ValueError(
-                    f"{name} must cover every (function, factor) cell exactly once"
-                )
-        lengths = {len(v) for v in self.finals.values()}
-        if len(lengths) > 1:
-            raise ValueError("all cells must have the same number of run finals")
-
-    @property
-    def repeats(self) -> int:
-        return len(next(iter(self.finals.values())))
 
 
 def read_text(path: Path) -> str:
@@ -59,42 +42,23 @@ def read_text(path: Path) -> str:
         raise ValueError(f"{path}: not valid UTF-8: {exc}") from None
 
 
-def build_table(results: Sequence[CellResult]) -> HeatmapTable:
-    """Arrange cell results into a table, functions alphabetical, factors
-    ascending with vanilla last."""
-    if not results:
-        raise ValueError("no cell results to tabulate")
-    functions = tuple(sorted({c.function for c in results}))
-    factors = tuple(sorted({c.factor for c in results}))
-    medians: dict[tuple[str, float], float] = {}
-    finals: dict[tuple[str, float], tuple[float, ...]] = {}
-    for cell in results:
-        key = (cell.function, cell.factor)
-        if key in medians:
-            raise ValueError(f"duplicate cell {key}")
-        medians[key] = cell.median
-        finals[key] = tuple(cell.finals)
-    return HeatmapTable(functions, factors, medians, finals)
-
-
 def format_float(value: float) -> str:
     # 17 significant digits round-trip any double exactly
     return f"{value:.17g}"
 
 
 def write_csv(table: HeatmapTable, path: str | Path) -> Path:
-    """Write the table; row order is deterministic (see build_table)."""
+    """Write the table, one row per cell in the table's order."""
     path = Path(path)
     repeats = table.repeats
     header = ["function", "factor", "median"]
     header += [f"run_final_{i + 1}" for i in range(repeats)]
     lines = [",".join(header)]
-    for function in table.functions:
-        for factor in table.factors:
-            key = (function, factor)
-            row = [function, format_float(factor), format_float(table.medians[key])]
-            row += [format_float(v) for v in table.finals[key]]
-            lines.append(",".join(row))
+    for (function, factor), finals in table.finals.items():
+        median = table.median(function, factor)
+        row = [function, format_float(factor), format_float(median)]
+        row += [format_float(v) for v in finals]
+        lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -102,8 +66,10 @@ def write_csv(table: HeatmapTable, path: str | Path) -> Path:
 def parse_csv(path: str | Path) -> HeatmapTable:
     """Parse a results CSV back into a table.
 
-    Malformed input fails with the offending row and column named; a
-    missing or duplicated cell fails the completeness check.
+    Malformed input fails with the offending row and column named, as
+    does a median that is not the median of its row's run finals or a
+    cell that an earlier row already has; a missing cell fails the
+    completeness check.
     """
     path = Path(path)
     lines = read_text(path).splitlines()
@@ -119,7 +85,7 @@ def parse_csv(path: str | Path) -> HeatmapTable:
     if header[3:] != expected_finals or len(header) < 4:
         raise ValueError(f"{path}:1: malformed run_final columns in header")
 
-    cells: list[CellResult] = []
+    finals: dict[tuple[str, float], tuple[float, ...]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             raise ValueError(f"{path}:{lineno}: blank row")
@@ -155,41 +121,57 @@ def parse_csv(path: str | Path) -> HeatmapTable:
                     f"{path}:{lineno}: column {colname!r}: "
                     f"not a number: {raw!r}"
                 ) from None
-        finals = tuple(values[1:])
-        cells.append(
-            CellResult(
-                function=function,
-                factor=factor,
-                finals=finals,
-                median=values[0],
-                seeds=(),
+        if values[0] != _median(values[1:]):
+            raise ValueError(
+                f"{path}:{lineno}: column 'median': {parts[2]!r} is not the "
+                "median of the row's run finals"
             )
-        )
+        key = (function, factor)
+        if key in finals:
+            raise ValueError(f"{path}:{lineno}: duplicate cell {key}")
+        finals[key] = tuple(values[1:])
     try:
-        return build_table(cells)
+        return HeatmapTable(
+            [function for function, _ in finals], [factor for _, factor in finals],
+            finals,
+        )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
+# a manifest's cells: {(function, factor): (seeds, median)}
+ManifestCells = dict[tuple[str, float], tuple[tuple[int, ...], float]]
+
+
+def _manifest_cells(spec: SweepSpec, table: HeatmapTable) -> ManifestCells:
+    """The cells of the sweep of `spec`, whose finals `table` holds, as
+    read_manifest returns a manifest's."""
+    seeds = cell_seeds(spec)
+    return {
+        (function, factor): (
+            seeds[(spec.functions.index(function), spec.factors.index(factor))],
+            table.median(function, factor),
+        )
+        for function in table.functions
+        for factor in table.factors
+    }
+
+
 def write_manifest(
     spec: SweepSpec,
-    results: Sequence[CellResult],
+    table: HeatmapTable,
     path: str | Path,
     elapsed_seconds: float,
     backend: str,
 ) -> Path:
-    """Record everything needed to reproduce the sweep bit for bit."""
+    """Record everything needed to reproduce the sweep of `spec`, whose
+    finals `table` holds, bit for bit."""
     path = Path(path)
-    cells = []
-    for cell in sorted(results, key=lambda c: (c.function, c.factor)):
-        cells.append(
-            {
-                "function": cell.function,
-                "factor": factor_to_json(cell.factor),
-                "seeds": list(cell.seeds),
-                "median": cell.median,
-            }
-        )
+    cells = [
+        {"function": function, "factor": factor_to_json(factor),
+         "seeds": list(seeds), "median": median}
+        for (function, factor), (seeds, median) in _manifest_cells(spec, table).items()
+    ]
     doc = {
         "format": MANIFEST_FORMAT,
         "tool_version": __version__,
@@ -201,10 +183,6 @@ def write_manifest(
     }
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return path
-
-
-# a manifest's cells: {(function, factor): (seeds, median)}
-ManifestCells = dict[tuple[str, float], tuple[tuple[int, ...], float]]
 
 
 def read_manifest(path: str | Path) -> tuple[SweepSpec, ManifestCells]:
@@ -239,25 +217,26 @@ def read_manifest(path: str | Path) -> tuple[SweepSpec, ManifestCells]:
     return spec, cells
 
 
-def cell_mismatches(recorded: ManifestCells, results: Sequence[CellResult]) -> list[str]:
+def cell_mismatches(
+    recorded: ManifestCells, spec: SweepSpec, table: HeatmapTable
+) -> list[str]:
     """One line per cell whose seeds or median differ between a manifest's
-    cells (as read_manifest returns them) and `results`, or that only one
-    of the two has."""
+    cells (as read_manifest returns them) and the rerun of `spec` whose
+    finals `table` holds, or that only one of the two has."""
     lines = []
     left = dict(recorded)
-    for cell in sorted(results, key=lambda c: (c.function, c.factor)):
-        name = f"{cell.function} factor {factor_label(cell.factor)}"
-        expected = left.pop((cell.function, cell.factor), None)
+    for (function, factor), (seeds, median) in _manifest_cells(spec, table).items():
+        name = f"{function} factor {factor_label(factor)}"
+        expected = left.pop((function, factor), None)
         if expected is None:
             lines.append(f"{name}: not in the manifest")
             continue
-        seeds, median = expected
-        if seeds != cell.seeds:
+        if expected[0] != seeds:
             lines.append(f"{name}: seeds differ from the manifest's")
-        if median != cell.median:
+        if expected[1] != median:
             lines.append(
-                f"{name}: median {format_float(cell.median)}, "
-                f"manifest {format_float(median)}"
+                f"{name}: median {format_float(median)}, "
+                f"manifest {format_float(expected[1])}"
             )
     for function, factor in left:
         lines.append(f"{function} factor {factor_label(factor)}: missing from the rerun")
@@ -297,14 +276,11 @@ def factor_label(factor: float) -> str:
 def _cell_values(
     table: HeatmapTable, function: str, raw: bool
 ) -> list[float]:
+    medians = [table.median(function, f) for f in table.factors]
     if raw:
-        return [table.medians[(function, f)] for f in table.factors]
+        return medians
     optimum = make_function(function, 2).known_optimum_value
-    out = []
-    for f in table.factors:
-        err = table.medians[(function, f)] - optimum
-        out.append(math.log10(max(err, LOG_FLOOR)))
-    return out
+    return [math.log10(max(m - optimum, LOG_FLOOR)) for m in medians]
 
 
 def _shade(t: float) -> str:
@@ -377,8 +353,8 @@ def render_heatmaps(
     a registered benchmark; raw=True colors by the median value itself and
     works for any names.
     """
-    for key, value in table.medians.items():
-        if not math.isfinite(value):
+    for key in table.finals:
+        if not math.isfinite(table.median(*key)):
             raise ValueError(f"cannot render non-finite median at {key}")
     if not raw:
         unknown = sorted(set(table.functions) - set(FUNCTION_NAMES))

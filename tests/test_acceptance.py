@@ -42,7 +42,7 @@ from plantprop.experiment import (
     default_sweep_b,
     run_sweep,
 )
-from plantprop.report import build_table, parse_csv, read_manifest
+from plantprop.report import parse_csv, read_manifest
 
 # every function whose landscape has competing basins; the unimodal bowls
 # (sphere, cigar, ellipse, tablet, rosenbrock, martingaddy) place no
@@ -69,7 +69,7 @@ class _Scripted:
 
 def _err(table, name, factor):
     optimum = make_function(name, 2).known_optimum_value
-    return abs(table.medians[(name, factor)] - optimum)
+    return abs(table.median(name, factor) - optimum)
 
 
 def _best_factor(table, name):
@@ -80,7 +80,7 @@ def _best_factor(table, name):
     would then prefer an exactly-equal cell over a lower one.
     """
     finite = [f for f in table.factors if math.isfinite(f)]
-    return min(finite, key=lambda f: (table.medians[(name, f)], f))
+    return min(finite, key=lambda f: (table.median(name, f), f))
 
 
 def _run_preset(preset, out_dir):
@@ -332,8 +332,8 @@ def test_c6_crevice_window(sweep_b):
             if math.isfinite(f) and 600.0 <= f <= 2700.0
         )
         beats_vanilla = (
-            table.medians[(name, _best_factor(table, name))]
-            < table.medians[(name, math.inf)]
+            table.median(name, _best_factor(table, name))
+            < table.median(name, math.inf)
         )
         if in_window and beats_vanilla:
             passing.append(name)
@@ -346,8 +346,8 @@ def test_c4_to_c6_hold_on_unscanned_base_seeds(base_seed):
     bands, and C4-C7 were pinned on it. The conditions of C4, C5 and C6,
     restated here, hold as well on two base seeds that were not scanned.
     C7's griewank band does not (the README says where it holds)."""
-    table_a = build_table(run_sweep(default_sweep_a(base_seed), jobs=2))
-    table_b = build_table(run_sweep(default_sweep_b(base_seed), jobs=2))
+    table_a = run_sweep(default_sweep_a(base_seed), jobs=2)
+    table_b = run_sweep(default_sweep_b(base_seed), jobs=2)
 
     # C4: factor 900 beats 100 and 4000 on sphere
     mid = _err(table_a, "sphere", 900.0)
@@ -375,8 +375,8 @@ def test_c4_to_c6_hold_on_unscanned_base_seeds(base_seed):
             for f in table_b.factors
             if math.isfinite(f) and 600.0 <= f <= 2700.0
         )
-        and table_b.medians[(name, _best_factor(table_b, name))]
-        < table_b.medians[(name, math.inf)]
+        and table_b.median(name, _best_factor(table_b, name))
+        < table_b.median(name, math.inf)
     ]
     assert len(passing) >= 3, passing
 

@@ -194,16 +194,21 @@ def test_cell_seeds_change_with_base_seed():
 
 
 def test_run_sweep_shape_and_order():
-    results = run_sweep(TINY)
-    assert [(c.function, c.factor) for c in results] == [
+    table = run_sweep(TINY)
+    assert (table.functions, table.factors) == (("sphere",), (200.0, VANILLA))
+    assert list(table.finals) == [
         ("sphere", 200.0),
         ("sphere", VANILLA),
     ]
-    for cell in results:
-        assert len(cell.finals) == 3
-        assert len(cell.seeds) == 3
-        assert cell.median == statistics.median(cell.finals)
-        assert all(math.isfinite(v) for v in cell.finals)
+    assert table.repeats == 3
+    for (function, factor), finals in table.finals.items():
+        assert len(finals) == 3
+        assert table.median(function, factor) == statistics.median(finals)
+        assert all(math.isfinite(v) for v in finals)
+    # functions alphabetical, whatever order the spec lists them in
+    assert run_sweep(TINY.replace(functions=("sphere", "ackley"))).functions == (
+        "ackley", "sphere"
+    )
 
 
 def test_run_sweep_is_deterministic():
@@ -373,11 +378,13 @@ def test_ctrl_c_stops_every_worker_without_worker_tracebacks(tmp_path):
     process reports it, and no process outlives it."""
     spec = TINY.replace(functions=("sphere", "ackley", "rastrigin"),
                         factors=tuple(100.0 * k for k in range(1, 11)),
-                        budget=2000)
+                        budget=30_000)
     config = tmp_path / "spec.json"
     config.write_text(json.dumps(spec.to_config_dict()), encoding="utf-8")
     src = str(Path(plantprop.__file__).resolve().parents[1])
-    # the Python engine keeps every cell running long enough to interrupt
+    # on the Python engine a cell at this budget takes about a second, so
+    # the grid has seconds of work left when its first line comes, more
+    # than a loaded machine can delay the signal by
     proc = subprocess.Popen(
         [sys.executable, "-m", "plantprop", "sweep", "--config", str(config),
          "--out", str(tmp_path / "out"), "--jobs", "3", "--backend", "python"],
@@ -411,19 +418,18 @@ def test_parallel_progress_counts_each_cell_once(jobs):
                         factors=(100.0, 200.0, 300.0, 400.0, 500.0, VANILLA))
     seen = []
     with deadline(60):
-        results = run_sweep(
+        table = run_sweep(
             spec, jobs=jobs,
-            progress=lambda cell, done, total, _: seen.append((cell, done, total)),
+            progress=lambda cell, finals, done, total, _: seen.append(
+                (cell, finals, done, total)
+            ),
         )
-    assert [(done, total) for _, done, total in seen] == [
+    assert [(done, total) for _, _, done, total in seen] == [
         (done, 18) for done in range(1, 19)
     ]
-
-    def key(cell):
-        return cell.function, cell.factor
-
-    assert sorted((cell for cell, _, _ in seen), key=key) == results
-    assert results == run_sweep(spec, jobs=1)
+    assert sorted(cell for cell, _, _, _ in seen) == sorted(table.finals)
+    assert {cell: finals for cell, finals, _, _ in seen} == table.finals
+    assert table == run_sweep(spec, jobs=1)
     assert multiprocessing.active_children() == []
 
 
@@ -442,19 +448,21 @@ def test_run_sweep_calls_engine_run_once_per_repeat(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(engine, "run", counting)
-    results = run_sweep(TINY)
+    run_sweep(TINY)
     assert len(calls) == TINY.cell_count * TINY.repeats
-    assert sorted(calls) == sorted(s for cell in results for s in cell.seeds)
+    assert sorted(calls) == sorted(s for seeds in cell_seeds(TINY).values() for s in seeds)
 
 
 def test_run_sweep_progress_reporting():
     seen = []
+    finals_seen = {}
 
-    def progress(cell, done, total, elapsed):
-        seen.append((cell.function, cell.factor, done, total))
+    def progress(cell, finals, done, total, elapsed):
+        seen.append((*cell, done, total))
+        finals_seen[cell] = finals
         assert elapsed >= 0.0
 
-    run_sweep(TINY, progress=progress)
+    assert run_sweep(TINY, progress=progress).finals == finals_seen
     assert [(d, t) for _, _, d, t in seen] == [(1, 2), (2, 2)]
     assert {(f, fac) for f, fac, _, _ in seen} == {
         ("sphere", 200.0),

@@ -8,7 +8,7 @@ import pytest
 
 from plantprop.benchmarks import FORMULAS, Bounds, make_function
 from plantprop.core import Individual, PpaConfig, RunResult, SteepeningSchedule
-from plantprop.experiment import VANILLA, CellResult, SweepSpec
+from plantprop.experiment import VANILLA, HeatmapTable, SweepSpec
 
 
 def test_reprs_read_like_the_dataclass_reprs():
@@ -72,13 +72,13 @@ def test_fields_cannot_be_assigned_or_deleted():
     assert config.budget == 100
 
 
-def test_pickle_round_trips_a_spec_and_a_cell():
+def test_pickle_round_trips_a_spec_and_a_table():
     spec = SweepSpec(["sphere", "easom"], [100, 250.5, VANILLA], repeats=3, budget=300)
-    cell = CellResult("sphere", VANILLA, (0.25, 0.5, 1.0), 0.5, (11, 12, 13))
-    for value in (spec, cell):
+    table = HeatmapTable(("sphere",), (VANILLA,), {("sphere", VANILLA): (0.25, 0.5, 1.0)})
+    for value in (spec, table):
         back = pickle.loads(pickle.dumps(value))
         assert back == value and repr(back) == repr(value)
-        assert hash(back) == hash(value)
+    assert hash(pickle.loads(pickle.dumps(spec))) == hash(spec)
 
 
 def test_replace_runs_the_checks_again():

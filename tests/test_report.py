@@ -8,14 +8,14 @@ import pytest
 
 from plantprop.experiment import (
     VANILLA,
-    CellResult,
     SweepSpec,
+    cell_seeds,
     default_sweep_b,
+    run_sweep,
 )
 from plantprop.report import (
     MANIFEST_FORMAT,
     HeatmapTable,
-    build_table,
     cell_mismatches,
     factor_label,
     parse_csv,
@@ -26,47 +26,48 @@ from plantprop.report import (
 )
 
 
-def _cell(function, factor, finals, seeds=(1, 2, 3)):
-    return CellResult(
-        function=function,
-        factor=factor,
-        finals=tuple(finals),
-        median=statistics.median(finals),
-        seeds=tuple(seeds),
-    )
+def _table(finals):
+    """The table of {(function, factor): finals}."""
+    return HeatmapTable([f for f, _ in finals], [fac for _, fac in finals], finals)
 
 
-def _sample_results():
+def _sample_finals():
     # includes awkward doubles on purpose: denormal-ish, huge, 1/3
-    return [
-        _cell("ackley", 100.0, (4.5e-16, 0.3333333333333333, 2.0)),
-        _cell("ackley", 700.0, (1.0e-300, 19.718281828459045, 0.1)),
-        _cell("ackley", VANILLA, (3.3, 2.2, 1.1)),
-        _cell("sphere", 100.0, (0.0, 1.0, 2.0)),
-        _cell("sphere", 700.0, (9.99e99, 1e-12, 7.0)),
-        _cell("sphere", VANILLA, (5.0, 5.0, 5.0)),
-    ]
+    return {
+        ("ackley", 100.0): (4.5e-16, 0.3333333333333333, 2.0),
+        ("ackley", 700.0): (1.0e-300, 19.718281828459045, 0.1),
+        ("ackley", VANILLA): (3.3, 2.2, 1.1),
+        ("sphere", 100.0): (0.0, 1.0, 2.0),
+        ("sphere", 700.0): (9.99e99, 1e-12, 7.0),
+        ("sphere", VANILLA): (5.0, 5.0, 5.0),
+    }
 
 
-# -- build_table ---------------------------------------------------------------
+# -- HeatmapTable ----------------------------------------------------------------
 
 
-def test_build_table_orders_axes():
-    table = build_table(_sample_results())
+def test_table_orders_its_axes():
+    finals = _sample_finals()
+    shuffled = dict(reversed(list(finals.items())))
+    table = HeatmapTable(("sphere", "ackley"), (VANILLA, 700.0, 100.0), shuffled)
     assert table.functions == ("ackley", "sphere")
     assert table.factors == (100.0, 700.0, VANILLA)
+    assert list(table.finals) == list(finals)  # the cells in the axes' order
+    assert table == _table(finals)
     assert table.repeats == 3
-    assert table.medians[("sphere", 100.0)] == 1.0
+    assert table.median("sphere", 100.0) == 1.0
+    assert table.median("ackley", 700.0) == statistics.median(finals[("ackley", 700.0)])
 
 
-def test_build_table_rejects_duplicates_and_holes():
-    results = _sample_results()
-    with pytest.raises(ValueError, match="duplicate"):
-        build_table(results + [results[0]])
+def test_table_rejects_holes_and_empty_grids():
+    finals = _sample_finals()
+    del finals[("sphere", VANILLA)]
     with pytest.raises(ValueError, match="exactly once"):
-        build_table(results[:-1])  # sphere/vanilla missing
-    with pytest.raises(ValueError, match="no cell results"):
-        build_table([])
+        _table(finals)
+    with pytest.raises(ValueError, match="exactly once"):
+        HeatmapTable(("sphere",), (100.0,), {("sphere", 100.0): (1.0,), ("a", 1.0): (1.0,)})
+    with pytest.raises(ValueError, match="at least one cell"):
+        _table({})
 
 
 def test_table_rejects_ragged_finals():
@@ -74,7 +75,6 @@ def test_table_rejects_ragged_finals():
         HeatmapTable(
             functions=("a",),
             factors=(1.0, 2.0),
-            medians={("a", 1.0): 0.0, ("a", 2.0): 0.0},
             finals={("a", 1.0): (0.0,), ("a", 2.0): (0.0, 0.0)},
         )
 
@@ -83,7 +83,7 @@ def test_table_rejects_ragged_finals():
 
 
 def test_write_csv_layout(tmp_path):
-    out = write_csv(build_table(_sample_results()), tmp_path / "r.csv")
+    out = write_csv(_table(_sample_finals()), tmp_path / "r.csv")
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "function,factor,median,run_final_1,run_final_2,run_final_3"
     assert len(lines) == 1 + 6
@@ -94,16 +94,32 @@ def test_write_csv_layout(tmp_path):
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    table = build_table(_sample_results())
+    table = _table(_sample_finals())
     parsed = parse_csv(write_csv(table, tmp_path / "r.csv"))
     assert parsed.functions == table.functions
     assert parsed.factors == table.factors
-    assert parsed.medians == table.medians  # float equality on purpose
-    assert parsed.finals == table.finals
+    assert parsed.finals == table.finals  # float equality on purpose
+    assert parsed == table
+
+    # a sweep's own table, serial and parallel, and its manifest's seeds
+    spec = SweepSpec(functions=("sphere", "ackley"), factors=(150.0, VANILLA),
+                     repeats=3, budget=120, pop_size=10, base_seed=77)
+    for jobs in (1, 2):
+        swept = run_sweep(spec, jobs=jobs)
+        assert parse_csv(write_csv(swept, tmp_path / f"s{jobs}.csv")) == swept
+        _, recorded = read_manifest(
+            write_manifest(spec, swept, tmp_path / f"m{jobs}.json", 0.0, "python")
+        )
+        seeds = cell_seeds(spec)
+        assert recorded == {
+            (function, factor): (seeds[(fidx, facidx)], swept.median(function, factor))
+            for fidx, function in enumerate(spec.functions)
+            for facidx, factor in enumerate(spec.factors)
+        }
 
 
 def test_csv_rewrite_is_byte_identical(tmp_path):
-    table = build_table(_sample_results())
+    table = _table(_sample_finals())
     first = write_csv(table, tmp_path / "a.csv").read_bytes()
     second = write_csv(parse_csv(tmp_path / "a.csv"), tmp_path / "b.csv").read_bytes()
     assert first == second
@@ -115,6 +131,7 @@ def test_csv_rewrite_is_byte_identical(tmp_path):
         ("sphere,abc,1,1,1,1", "column 'factor'"),
         ("sphere,-100,1,1,1,1", "positive"),
         ("sphere,100,xyz,1,1,1", "column 'median'"),
+        ("sphere,100,2,1,1,1", "column 'median'"),
         ("sphere,100,1,1,oops,1", "column 'run_final_2'"),
         ("sphere,100,1,1", "columns"),
         ("", "blank"),
@@ -144,8 +161,17 @@ def test_parse_csv_rejects_bad_header(tmp_path):
         parse_csv(path)
 
 
+def test_parse_csv_rejects_a_repeated_cell(tmp_path):
+    path = write_csv(_table(_sample_finals()), tmp_path / "r.csv")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + [lines[2]]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        parse_csv(path)
+    assert str(err.value).startswith(f"{path}:8: duplicate cell")
+
+
 def test_parse_csv_rejects_missing_cell(tmp_path):
-    table = build_table(_sample_results())
+    table = _table(_sample_finals())
     path = write_csv(table, tmp_path / "r.csv")
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
@@ -166,7 +192,7 @@ def test_manifest_round_trip(tmp_path):
         base_seed=55,
     )
     path = write_manifest(
-        spec, _sample_results(), tmp_path / "m.json", 1.25, "compiled"
+        spec, _table(_sample_finals()), tmp_path / "m.json", 1.25, "compiled"
     )
     assert read_manifest(path)[0] == spec
 
@@ -178,7 +204,14 @@ def test_manifest_round_trip(tmp_path):
     assert len(doc["cells"]) == 6
     factors = [c["factor"] for c in doc["cells"]]
     assert factors == [100.0, 700.0, "vanilla", 100.0, 700.0, "vanilla"]
-    assert all(c["seeds"] == [1, 2, 3] for c in doc["cells"])
+    assert [c["function"] for c in doc["cells"]] == ["ackley"] * 3 + ["sphere"] * 3
+    seeds = cell_seeds(spec)
+    assert [c["seeds"] for c in doc["cells"]] == [
+        list(seeds[(fidx, facidx)]) for fidx in range(2) for facidx in range(3)
+    ]
+    assert [c["median"] for c in doc["cells"]] == [
+        statistics.median(finals) for finals in _sample_finals().values()
+    ]
 
 
 def test_read_manifest_rejects_garbage(tmp_path):
@@ -199,12 +232,8 @@ def test_read_manifest_rejects_garbage(tmp_path):
 
 def test_manifest_matches_default_spec_round_trip(tmp_path):
     spec = default_sweep_b()
-    results = [
-        _cell(f, fac, (0.5, 1.5, 2.5))
-        for f in spec.functions
-        for fac in spec.factors
-    ]
-    path = write_manifest(spec, results, tmp_path / "m.json", 0.0, "python")
+    table = _table({(f, fac): (0.5, 1.5, 2.5) for f in spec.functions for fac in spec.factors})
+    path = write_manifest(spec, table, tmp_path / "m.json", 0.0, "python")
     assert read_manifest(path)[0] == spec
 
 
@@ -212,7 +241,7 @@ def test_manifest_matches_default_spec_round_trip(tmp_path):
 
 
 def test_render_per_function_files(tmp_path):
-    table = build_table(_sample_results())
+    table = _table(_sample_finals())
     written = render_heatmaps(table, tmp_path)
     assert sorted(p.name for p in written) == ["ackley.svg", "sphere.svg"]
     for p in written:
@@ -223,7 +252,7 @@ def test_render_per_function_files(tmp_path):
 
 
 def test_render_combined_single_file(tmp_path):
-    table = build_table(_sample_results())
+    table = _table(_sample_finals())
     written = render_heatmaps(table, tmp_path, combined=True)
     assert [p.name for p in written] == ["heatmap_combined.svg"]
     text = written[0].read_text(encoding="utf-8")
@@ -231,17 +260,17 @@ def test_render_combined_single_file(tmp_path):
 
 
 def test_render_is_deterministic(tmp_path):
-    table = build_table(_sample_results())
+    table = _table(_sample_finals())
     a = render_heatmaps(table, tmp_path / "a", combined=True)[0].read_bytes()
     b = render_heatmaps(table, tmp_path / "b", combined=True)[0].read_bytes()
     assert a == b
 
 
 def test_render_error_mode_needs_known_functions(tmp_path):
-    results = [_cell("custom", 100.0, (1.0, 2.0, 3.0))]
+    table = _table({("custom", 100.0): (1.0, 2.0, 3.0)})
     with pytest.raises(ValueError, match="raw"):
-        render_heatmaps(build_table(results), tmp_path)
-    written = render_heatmaps(build_table(results), tmp_path, raw=True)
+        render_heatmaps(table, tmp_path)
+    written = render_heatmaps(table, tmp_path, raw=True)
     assert [p.name for p in written] == ["custom.svg"]
 
 
@@ -249,30 +278,30 @@ def test_render_error_mode_needs_known_functions(tmp_path):
 def test_render_rejects_names_that_are_not_plain_file_names(tmp_path, name):
     # an absolute name inside tmp_path, so a faulty check writes nowhere else
     name = name.replace("{tmp}", str(tmp_path))
-    results = [_cell("sphere", 100.0, (1.0, 2.0, 3.0)), _cell(name, 100.0, (1.0, 2.0, 3.0))]
+    table = _table({("sphere", 100.0): (1.0, 2.0, 3.0), (name, 100.0): (1.0, 2.0, 3.0)})
     out_dir = tmp_path / "a" / "out"
     with pytest.raises(ValueError, match="not a plain file name"):
-        render_heatmaps(build_table(results), out_dir, raw=True)
+        render_heatmaps(table, out_dir, raw=True)
     assert list(tmp_path.rglob("*")) == []
-    written = render_heatmaps(build_table(results), out_dir, combined=True, raw=True)
+    written = render_heatmaps(table, out_dir, combined=True, raw=True)
     assert [p.name for p in written] == ["heatmap_combined.svg"]
 
 
 def test_render_rejects_non_finite_medians(tmp_path):
-    results = [_cell("sphere", 100.0, (math.inf, math.inf, math.inf))]
+    table = _table({("sphere", 100.0): (math.inf, math.inf, math.inf)})
     with pytest.raises(ValueError, match="non-finite"):
-        render_heatmaps(build_table(results), tmp_path)
+        render_heatmaps(table, tmp_path)
 
 
 def test_render_shades_span_the_gray_ramp(tmp_path):
     # sphere optimum is 0, so median 0.0 clamps at the error floor and
     # must get the darkest shade; the worst cell gets the lightest
-    results = [
-        _cell("sphere", 100.0, (0.0, 0.0, 0.0)),
-        _cell("sphere", 700.0, (1.0, 1.0, 1.0)),
-        _cell("sphere", 2000.0, (100.0, 100.0, 100.0)),
-    ]
-    svg = render_heatmaps(build_table(results), tmp_path)[0].read_text(
+    table = _table({
+        ("sphere", 100.0): (0.0, 0.0, 0.0),
+        ("sphere", 700.0): (1.0, 1.0, 1.0),
+        ("sphere", 2000.0): (100.0, 100.0, 100.0),
+    })
+    svg = render_heatmaps(table, tmp_path)[0].read_text(
         encoding="utf-8"
     )
     assert 'fill="#191919"' in svg  # darkest end of the ramp
@@ -280,11 +309,8 @@ def test_render_shades_span_the_gray_ramp(tmp_path):
 
 
 def test_render_flat_row_is_uniformly_dark(tmp_path):
-    results = [
-        _cell("sphere", 100.0, (2.0, 2.0, 2.0)),
-        _cell("sphere", 700.0, (2.0, 2.0, 2.0)),
-    ]
-    svg = render_heatmaps(build_table(results), tmp_path)[0].read_text(
+    table = _table({("sphere", 100.0): (2.0, 2.0, 2.0), ("sphere", 700.0): (2.0, 2.0, 2.0)})
+    svg = render_heatmaps(table, tmp_path)[0].read_text(
         encoding="utf-8"
     )
     assert 'fill="#191919"' in svg
@@ -312,12 +338,15 @@ def test_distinct_factors_get_distinct_labels(tmp_path):
     """Two factors that agree to six significant digits."""
     a, b = 1234.541, 1234.544
     assert (factor_label(a), factor_label(b)) == ("1234.541", "1234.544")
-    results = [_cell("sphere", f, (1.0, 2.0, 3.0)) for f in (a, b)]
-    [svg] = render_heatmaps(build_table(results), tmp_path, raw=True)
+    table = _table({("sphere", f): (1.0, 2.0, 3.0) for f in (a, b)})
+    [svg] = render_heatmaps(table, tmp_path, raw=True)
     text = svg.read_text(encoding="utf-8")
     assert ">1234.541</text>" in text and ">1234.544</text>" in text
-    recorded = {("sphere", a): ((1, 2, 3), 2.5), ("sphere", b): ((1, 2, 3), 2.0)}
-    assert cell_mismatches(recorded, results[:1] + [_cell("sphere", 1.5, (1.0,))]) == [
+    # the rerun has factors 1.5 and a; the manifest has a and b
+    spec = SweepSpec(functions=("sphere",), factors=(1.5, a), repeats=3)
+    rerun = _table({("sphere", 1.5): (1.0,) * 3, ("sphere", a): (1.0, 2.0, 3.0)})
+    recorded = {("sphere", a): (cell_seeds(spec)[(0, 1)], 2.5), ("sphere", b): ((1, 2, 3), 2.0)}
+    assert cell_mismatches(recorded, spec, rerun) == [
         "sphere factor 1.5: not in the manifest",
         "sphere factor 1234.541: median 2, manifest 2.5",
         "sphere factor 1234.544: missing from the rerun",

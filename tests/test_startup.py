@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import plantprop
-from plantprop.experiment import VANILLA, CellResult
-from plantprop.report import build_table, write_csv
+from plantprop.experiment import VANILLA, HeatmapTable
+from plantprop.report import write_csv
 
 SRC = str(Path(plantprop.__file__).resolve().parents[1])
 
@@ -51,12 +51,9 @@ def test_importing_the_cli_loads_no_avoided_module():
 
 
 def test_plot_loads_no_avoided_module(tmp_path):
-    cells = [
-        CellResult(name, factor, (1.0, 2.0, 3.0), 2.0, (1, 2, 3))
-        for name in ("sphere", "ackley")
-        for factor in (100.0, VANILLA)
-    ]
-    csv = write_csv(build_table(cells), tmp_path / "results.csv")
+    functions, factors = ("sphere", "ackley"), (100.0, VANILLA)
+    finals = {(name, factor): (1.0, 2.0, 3.0) for name in functions for factor in factors}
+    csv = write_csv(HeatmapTable(functions, factors, finals), tmp_path / "results.csv")
     out = tmp_path / "plots"
     code = (
         "from plantprop import cli\n"
