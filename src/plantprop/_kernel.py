@@ -122,7 +122,7 @@ def _load() -> ctypes.CDLL:
         ctypes.c_int, i64, f64_p, f64_p,  # function id, dim, lower, upper
         i64, i64, i64,  # pop_size, n_max, budget
         f64, u64,  # factor (inf for vanilla), seed
-        f64_p, f64_p, ctypes.POINTER(i64),  # best value, best point, evals
+        f64_p,  # best point
         ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(i64),  # trajectory
         f64_p,  # the non-finite objective value
     ]
@@ -180,7 +180,8 @@ def run(config, function, seed):
 
     Returns (best_value, best_point, trajectory, evaluations_used) with the
     trajectory as a tuple of (evaluation_index, best_so_far) pairs of int
-    and float, ready for RunResult.
+    and float, ready for RunResult. The C core closes the trajectory at
+    (evaluations_used, best_value), so both are read from its last step.
     """
     func_id = formula_id(function)
     if func_id is None:
@@ -195,17 +196,14 @@ def run(config, function, seed):
             raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")
 
     vector = ctypes.c_double * dim
-    best = ctypes.c_double()
     best_point = vector()
-    evals = ctypes.c_int64()
     steps = ctypes.c_void_p()
     n_steps = ctypes.c_int64()
     bad = ctypes.c_double()
     status = _lib.ppa_run(
         func_id, dim, vector(*function.bounds.lower), vector(*function.bounds.upper),
         pop_size, n_max, budget, config.schedule.factor, seed & MASK64,
-        ctypes.byref(best), best_point, ctypes.byref(evals),
-        ctypes.byref(steps), ctypes.byref(n_steps), ctypes.byref(bad),
+        best_point, ctypes.byref(steps), ctypes.byref(n_steps), ctypes.byref(bad),
     )
     try:
         if status == _NONFINITE:
@@ -222,5 +220,6 @@ def run(config, function, seed):
         )
     finally:
         _lib.ppa_free(steps)
-    point = tuple(best_point) if best.value < float("inf") else ()
-    return best.value, point, trajectory, evals.value
+    evals, best = trajectory[-1]
+    point = tuple(best_point) if best < float("inf") else ()
+    return best, point, trajectory, evals

@@ -706,16 +706,16 @@ static ALWAYS_INLINE double bowl_child(int fid, rng_t *rng, size_t d,
  * objectives' range checked below, every normalized value is in [0, 1],
  * and no fitness is nan.
  *
- * Fills *best_value, best_point (dim doubles, written only when some value
- * beat +inf) and *evals_used, and hands over the trajectory in
- * *trajectory / *trajectory_len, which the caller releases with ppa_free.
+ * Fills best_point (dim doubles, written only when some value beat +inf)
+ * and hands over the trajectory in *trajectory / *trajectory_len, which the
+ * caller releases with ppa_free. Its last step is the evaluations used and
+ * the best value.
  * Returns PPA_OK, PPA_NONFINITE with the offending objective value in
  * *bad_value, PPA_RANGE, or PPA_NOMEM; on an error *trajectory is NULL.
  */
 int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
             int64_t pop_size, int64_t n_max, int64_t budget, double factor,
-            uint64_t seed, double *best_value, double *best_point,
-            int64_t *evals_used, ppa_step **trajectory,
+            uint64_t seed, double *best_point, ppa_step **trajectory,
             int64_t *trajectory_len, double *bad_value)
 {
     rng_t rng;
@@ -952,6 +952,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
         }
     }
 
+    /* the last step is (evals, best): one pushed at evals already holds best */
     if ((traj.len == 0 || traj.steps[traj.len - 1].evals != evals)
         && !trajectory_push(&traj, evals, best))
         status = PPA_NOMEM;
@@ -971,8 +972,6 @@ done:
         traj.steps = NULL;
         traj.len = 0;
     }
-    *best_value = best;
-    *evals_used = evals;
     *trajectory = traj.steps;
     *trajectory_len = (int64_t)traj.len;
     return status;

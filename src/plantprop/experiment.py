@@ -202,36 +202,40 @@ def default_sweep_b(base_seed: int = DEFAULT_BASE_SEED) -> SweepSpec:
     )
 
 
-def cell_seeds(spec: SweepSpec) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Sub-seeds for every cell, hard-checked for grid-wide uniqueness."""
-    seeds: dict[tuple[int, int], tuple[int, ...]] = {}
-    seen: dict[int, tuple[int, int, int]] = {}
-    for fidx in range(len(spec.functions)):
-        for facidx in range(len(spec.factors)):
+def cell_seeds(spec: SweepSpec) -> dict[tuple[str, float], tuple[int, ...]]:
+    """Sub-seeds for every (function, factor) cell, hard-checked for
+    grid-wide uniqueness. The cells come in the spec's order, its functions
+    as listed, each over its factors, and a sweep starts them in this order.
+    This is the one place a cell becomes the grid indices that
+    derive_subseed takes."""
+    seeds: dict[tuple[str, float], tuple[int, ...]] = {}
+    seen: dict[int, tuple[str, float, int]] = {}
+    for fidx, function in enumerate(spec.functions):
+        for facidx, factor in enumerate(spec.factors):
             row = []
             for ridx in range(spec.repeats):
                 seed = derive_subseed(spec.base_seed, fidx, facidx, ridx)
                 clash = seen.get(seed)
                 if clash is not None:
                     raise RuntimeError(
-                        f"sub-seed collision: cells {clash} and "
-                        f"{(fidx, facidx, ridx)} both derived {seed}"
+                        f"sub-seed collision: runs {clash} and "
+                        f"{(function, factor, ridx)} both derived {seed}"
                     )
-                seen[seed] = (fidx, facidx, ridx)
+                seen[seed] = (function, factor, ridx)
                 row.append(seed)
-            seeds[(fidx, facidx)] = tuple(row)
+            seeds[(function, factor)] = tuple(row)
     return seeds
 
 
 def _run_cell(
-    spec: SweepSpec, key: tuple[int, int], seeds: tuple[int, ...], backend: str
+    spec: SweepSpec, cell: tuple[str, float], seeds: tuple[int, ...], backend: str
 ) -> tuple[float, ...]:
     """The best value of each of a cell's runs, one per seed."""
-    fidx, facidx = key
-    function = make_function(spec.functions[fidx], spec.dimension)
+    name, factor = cell
+    function = make_function(name, spec.dimension)
     config = PpaConfig(
         budget=spec.budget, pop_size=spec.pop_size, n_max=spec.n_max,
-        schedule=SteepeningSchedule(spec.factors[facidx]),
+        schedule=SteepeningSchedule(factor),
     )
     # imported here, as engine loads the compiled kernel; engine.run is looked
     # up at each call, so a wrapper installed there (a per-run probe, a
@@ -267,14 +271,14 @@ def _take(counter, total: int) -> int:
 
 def _work(spec, cells, seeds, backend, counter, conn) -> None:
     """A child's loop: run cells until the counter is used up, sending each
-    cell's key and finals. A cell's exception is sent in its place, and the
+    cell and its finals. A cell's exception is sent in its place, and the
     child stops. Its exit closes the pipe, which is all the parent waits
     for. It returns normally, so its exit handlers run, and quietly on
     Ctrl-C, which the sweep process itself reports."""
     try:
         while (index := _take(counter, len(cells))) < len(cells):
-            key = cells[index]
-            conn.send((key, _run_cell(spec, key, seeds[key], backend)))
+            cell = cells[index]
+            conn.send((cell, _run_cell(spec, cell, seeds[cell], backend)))
     except KeyboardInterrupt:
         pass
     except Exception as exc:
@@ -288,37 +292,27 @@ def run_sweep(
     jobs: int = 1,
     backend: str = "auto",
     progress: ProgressCallback | None = None,
-    _cell_order: Sequence[tuple[int, int]] | None = None,
 ) -> HeatmapTable:
     """Execute every cell of the grid and return the table of their finals.
 
-    The table does not depend on `jobs` or `_cell_order` (a test seam that
-    permutes execution order). With `workers = min(jobs, cells)`, this
-    process and `workers - 1` child processes each take the next cell from
-    a shared counter until the grid is used up; `progress`
-    fires once per cell as its result comes in. An exception in a child's
-    cell is raised here, and a child that exits without finishing raises
-    RuntimeError; either way every child is joined before this returns.
+    Cells start in cell_seeds order, but the table does not depend on that
+    order or on `jobs`. With `workers = min(jobs, cells)`, this process and
+    `workers - 1` child processes each take the next cell from a shared
+    counter until the grid is used up; `progress` fires once per cell as its
+    result comes in. An exception in a child's cell is raised here, and a
+    child that exits without finishing raises RuntimeError; either way every
+    child is joined before this returns.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     seeds = cell_seeds(spec)
-    cells = [
-        (fidx, facidx)
-        for fidx in range(len(spec.functions))
-        for facidx in range(len(spec.factors))
-    ]
-    if _cell_order is not None:
-        if sorted(_cell_order) != cells:
-            raise ValueError("_cell_order must be a permutation of the grid")
-        cells = list(_cell_order)
+    cells = list(seeds)
 
     started = time.perf_counter()
     collected: dict[tuple[str, float], tuple[float, ...]] = {}
     total = len(cells)
 
-    def collect(key: tuple[int, int], finals: tuple[float, ...]) -> None:
-        cell = (spec.functions[key[0]], spec.factors[key[1]])
+    def collect(cell: tuple[str, float], finals: tuple[float, ...]) -> None:
         collected[cell] = finals
         if progress is not None:
             progress(cell, finals, len(collected), total, time.perf_counter() - started)
@@ -326,8 +320,8 @@ def run_sweep(
     # a child per job beyond this process, but none that would get no cell
     workers = min(jobs, total)
     if workers == 1:
-        for key in cells:
-            collect(key, _run_cell(spec, key, seeds[key], backend))
+        for cell in cells:
+            collect(cell, _run_cell(spec, cell, seeds[cell], backend))
     else:
         _run_parallel(spec, cells, seeds, backend, workers - 1, collect)
     if len(collected) < total:  # a child exited early with code 0
@@ -340,11 +334,11 @@ def run_sweep(
 
 def _run_parallel(
     spec: SweepSpec,
-    cells: list[tuple[int, int]],
-    seeds: dict[tuple[int, int], tuple[int, ...]],
+    cells: list[tuple[str, float]],
+    seeds: dict[tuple[str, float], tuple[int, ...]],
     backend: str,
     children: int,
-    collect: Callable[[tuple[int, int], tuple[float, ...]], None],
+    collect: Callable[[tuple[str, float], tuple[float, ...]], None],
 ) -> None:
     """Run `cells` in this process and `children` child processes, which
     take cell indices from one shared counter, and collect every result."""
@@ -391,8 +385,8 @@ def _run_parallel(
             # closed here before the next fork, so only `child` holds it
             child_end.close()
         while (index := _take(counter, total)) < total:
-            key = cells[index]
-            collect(key, _run_cell(spec, key, seeds[key], backend))
+            cell = cells[index]
+            collect(cell, _run_cell(spec, cell, seeds[cell], backend))
             receive(0)
         receive(None)
     finally:

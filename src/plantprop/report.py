@@ -147,14 +147,7 @@ def _manifest_cells(spec: SweepSpec, table: HeatmapTable) -> ManifestCells:
     """The cells of the sweep of `spec`, whose finals `table` holds, as
     read_manifest returns a manifest's."""
     seeds = cell_seeds(spec)
-    return {
-        (function, factor): (
-            seeds[(spec.functions.index(function), spec.factors.index(factor))],
-            table.median(function, factor),
-        )
-        for function in table.functions
-        for factor in table.factors
-    }
+    return {cell: (seeds[cell], table.median(*cell)) for cell in table.finals}
 
 
 def write_manifest(

@@ -5,9 +5,11 @@
  *
  * with the box [lower, upper] in every coordinate and factor inf for vanilla
  * (scanf parses "inf"), and prints one line per case: status, evaluations
- * used, best value as a hex float and trajectory length. It includes the C
- * core itself, so it declares nothing of its own that could drift from
- * _ppa.c; build it alone, with the package directory on the include path.
+ * used, best value as a hex float and trajectory length, the first two read
+ * from the trajectory's last step (0 and 0x0p+0 when it is empty, as after
+ * an error). It includes the C core itself, so it declares nothing of its
+ * own that could drift from _ppa.c; build it alone, with the package
+ * directory on the include path.
  * tests/test_parity.py builds it under the address and undefined-behaviour
  * sanitizers and compares the lines with _kernel.run.
  */
@@ -32,9 +34,10 @@ int main(void)
         double *lower = malloc((size_t)dim * sizeof(double));
         double *upper = malloc((size_t)dim * sizeof(double));
         double *point = malloc((size_t)dim * sizeof(double));
-        double best = 0.0, bad = 0.0;
-        int64_t evals = 0, len = 0;
+        double bad = 0.0;
+        int64_t len = 0;
         ppa_step *steps = NULL;
+        ppa_step last = {0, 0.0};
         int status;
 
         if (lower == NULL || upper == NULL || point == NULL)
@@ -44,8 +47,11 @@ int main(void)
             upper[i] = hi;
         }
         status = ppa_run(fid, dim, lower, upper, pop, n_max, budget, factor,
-                         seed, &best, point, &evals, &steps, &len, &bad);
-        printf("%d %" PRId64 " %a %" PRId64 "\n", status, evals, best, len);
+                         seed, point, &steps, &len, &bad);
+        if (len > 0)
+            last = steps[len - 1];
+        printf("%d %" PRId64 " %a %" PRId64 "\n", status, last.evals,
+               last.value, len);
         ppa_free(steps);
         free(lower);
         free(upper);

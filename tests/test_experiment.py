@@ -28,6 +28,7 @@ from plantprop.experiment import (
     default_sweep_b,
     run_sweep,
 )
+from plantprop.rng import derive_subseed
 
 TINY = SweepSpec(
     functions=("sphere",),
@@ -187,7 +188,21 @@ def test_cell_seeds_unique_across_default_grid():
 def test_cell_seeds_change_with_base_seed():
     a = cell_seeds(default_sweep_b(base_seed=1))
     b = cell_seeds(default_sweep_b(base_seed=2))
-    assert a[(0, 0)] != b[(0, 0)]
+    assert list(a) == list(b)
+    assert all(a[cell] != b[cell] for cell in a)
+
+
+def test_cell_seeds_key_cells_by_name_in_spec_order():
+    spec = SweepSpec(functions=("sphere", "ackley"), factors=(200.0, VANILLA),
+                     repeats=2, base_seed=5)
+    seeds = cell_seeds(spec)
+    assert list(seeds) == [
+        ("sphere", 200.0), ("sphere", VANILLA), ("ackley", 200.0), ("ackley", VANILLA),
+    ]
+    # the grid indices of ackley (function 1) under vanilla (factor 1)
+    assert seeds[("ackley", VANILLA)] == (
+        derive_subseed(5, 1, 1, 0), derive_subseed(5, 1, 1, 1),
+    )
 
 
 # -- run_sweep -----------------------------------------------------------------
@@ -215,7 +230,7 @@ def test_run_sweep_is_deterministic():
     assert run_sweep(TINY) == run_sweep(TINY)
 
 
-def test_run_sweep_order_independent():
+def test_run_sweep_order_independent(monkeypatch):
     spec = SweepSpec(
         functions=("sphere", "rastrigin"),
         factors=(150.0, 900.0, VANILLA),
@@ -225,20 +240,18 @@ def test_run_sweep_order_independent():
         base_seed=4,
     )
     baseline = run_sweep(spec)
-    grid = [(f, c) for f in range(2) for c in range(3)]
-    shuffled = grid[:]
+    shuffled = list(cell_seeds(spec).items())
     random.Random(0).shuffle(shuffled)
-    assert run_sweep(spec, _cell_order=shuffled) == baseline
+    monkeypatch.setattr(experiment, "cell_seeds", lambda _spec: dict(shuffled))
+    started = []
+    assert run_sweep(spec, progress=lambda cell, *_: started.append(cell)) == baseline
+    assert started == [cell for cell, _ in shuffled]
+    assert run_sweep(spec, jobs=2) == baseline
 
 
 def test_run_sweep_parallel_matches_serial():
     results = run_sweep(TINY, jobs=2)
     assert results == run_sweep(TINY, jobs=1)
-
-
-def test_run_sweep_rejects_bad_cell_order():
-    with pytest.raises(ValueError, match="permutation"):
-        run_sweep(TINY, _cell_order=[(0, 0)])
 
 
 def test_run_sweep_rejects_bad_jobs():

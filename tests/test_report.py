@@ -112,9 +112,7 @@ def test_csv_round_trip_is_exact(tmp_path):
         )
         seeds = cell_seeds(spec)
         assert recorded == {
-            (function, factor): (seeds[(fidx, facidx)], swept.median(function, factor))
-            for fidx, function in enumerate(spec.functions)
-            for facidx, factor in enumerate(spec.factors)
+            cell: (seeds[cell], swept.median(*cell)) for cell in seeds
         }
 
 
@@ -206,9 +204,7 @@ def test_manifest_round_trip(tmp_path):
     assert factors == [100.0, 700.0, "vanilla", 100.0, 700.0, "vanilla"]
     assert [c["function"] for c in doc["cells"]] == ["ackley"] * 3 + ["sphere"] * 3
     seeds = cell_seeds(spec)
-    assert [c["seeds"] for c in doc["cells"]] == [
-        list(seeds[(fidx, facidx)]) for fidx in range(2) for facidx in range(3)
-    ]
+    assert [c["seeds"] for c in doc["cells"]] == [list(s) for s in seeds.values()]
     assert [c["median"] for c in doc["cells"]] == [
         statistics.median(finals) for finals in _sample_finals().values()
     ]
@@ -345,7 +341,7 @@ def test_distinct_factors_get_distinct_labels(tmp_path):
     # the rerun has factors 1.5 and a; the manifest has a and b
     spec = SweepSpec(functions=("sphere",), factors=(1.5, a), repeats=3)
     rerun = _table({("sphere", 1.5): (1.0,) * 3, ("sphere", a): (1.0, 2.0, 3.0)})
-    recorded = {("sphere", a): (cell_seeds(spec)[(0, 1)], 2.5), ("sphere", b): ((1, 2, 3), 2.0)}
+    recorded = {("sphere", a): (cell_seeds(spec)[("sphere", a)], 2.5), ("sphere", b): ((1, 2, 3), 2.0)}
     assert cell_mismatches(recorded, spec, rerun) == [
         "sphere factor 1.5: not in the manifest",
         "sphere factor 1234.541: median 2, manifest 2.5",
