@@ -731,7 +731,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     double *width = NULL;  /* dim: upper - lower */
     double *table = NULL;  /* dim: fill_table's constants, or the suffix
                               sums of eval's stop */
-    double *bounds = NULL; /* SCHWEFEL_BUCKETS: eval's term bounds */
+    double bounds[SCHWEFEL_BUCKETS]; /* eval's term bounds, when check */
     int64_t evals = 0, cnt, k;
     double best = INFINITY;
     double s, fmin, fmax, span, val, u, r, om, fi, cnt_d, *dst;
@@ -766,10 +766,8 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
     fits = alloc_array(pop, 1, sizeof(double));
     width = alloc_array(d, 1, sizeof(double));
     table = alloc_array(d, 1, sizeof(double));
-    bounds = alloc_array(SCHWEFEL_BUCKETS, 1, sizeof(double));
     if (pos == NULL || kidpos == NULL || par == NULL || next == NULL
-        || cand == NULL || fits == NULL || width == NULL || table == NULL
-        || bounds == NULL) {
+        || cand == NULL || fits == NULL || width == NULL || table == NULL) {
         status = PPA_NOMEM;
         goto done;
     }
@@ -966,7 +964,6 @@ done:
     free(fits);
     free(width);
     free(table);
-    free(bounds);
     if (status != PPA_OK) {
         free(traj.steps);
         traj.steps = NULL;

@@ -201,10 +201,7 @@ def _resolve_sweep_spec(
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from None
     else:
-        try:
-            spec, recorded = report.read_manifest(args.from_manifest)
-        except (OSError, ValueError) as exc:
-            raise CliError(str(exc)) from None
+        spec, recorded = report.read_manifest(args.from_manifest)
 
     if args.base_seed is not None and args.base_seed != spec.base_seed:
         spec = spec.replace(base_seed=args.base_seed)
@@ -278,16 +275,11 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         table = report.parse_csv(csv_path)
     except OSError as exc:
         raise CliError(f"cannot read {csv_path}: {exc}") from None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
     out_dir = Path(args.out) if args.out is not None else csv_path.parent
-    try:
-        written = report.render_heatmaps(
-            table, out_dir, combined=args.combined, raw=args.raw
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    written = report.render_heatmaps(
+        table, out_dir, combined=args.combined, raw=args.raw
+    )
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -13,6 +13,7 @@ counter.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections.abc import Callable, Sequence
 
@@ -151,16 +152,15 @@ class SweepSpec(Record):
 class HeatmapTable(Record):
     """A sweep's results: the run finals of every (function, factor) cell,
     keyed by (function, factor) with math.inf as the vanilla factor. The
-    table puts its functions in alphabetical order and its factors in
-    ascending order, vanilla last, and its cells in that order too."""
+    keys fix the axes: `functions` in alphabetical order and `factors` in
+    ascending order, vanilla last. The cells must fill that grid, and the
+    table puts them in its order too."""
 
-    functions: tuple[str, ...]
-    factors: tuple[float, ...]
     finals: dict[tuple[str, float], tuple[float, ...]]
 
     def __post_init__(self):
-        functions = tuple(sorted(set(self.functions)))
-        factors = tuple(sorted(set(self.factors)))
+        functions = tuple(sorted({function for function, _ in self.finals}))
+        factors = tuple(sorted({factor for _, factor in self.finals}))
         cells = [(f, fac) for f in functions for fac in factors]
         if not cells:
             raise ValueError("a table needs at least one cell")
@@ -329,7 +329,7 @@ def run_sweep(
             "a sweep worker exited before finishing its cells "
             f"({len(collected)} of {total} came back)"
         )
-    return HeatmapTable(spec.functions, spec.factors, collected)
+    return HeatmapTable(collected)
 
 
 def _run_parallel(
@@ -346,8 +346,13 @@ def _run_parallel(
     import multiprocessing
     from multiprocessing.connection import wait
 
+    # forked on Linux, whatever the default start method (forkserver from
+    # Python 3.14): a fork is the cheap start and inherits this process's
+    # modules, and is safe while the caller runs no other thread, as the CLI
+    # runs none. macOS defaults to spawn for its own reasons; Windows has no fork
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
     total = len(cells)
-    counter = multiprocessing.Value("q", 0)
+    counter = context.Value("q", 0)
     pool = []  # (child, receiving end of its pipe)
     running: dict = {}  # receiving end -> child, until EOF on it
 
@@ -375,8 +380,8 @@ def _run_parallel(
 
     try:
         for _ in range(children):
-            conn, child_end = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(
+            conn, child_end = context.Pipe(duplex=False)
+            child = context.Process(
                 target=_work, args=(spec, cells, seeds, backend, counter, child_end)
             )
             child.start()

@@ -131,10 +131,7 @@ def parse_csv(path: str | Path) -> HeatmapTable:
             raise ValueError(f"{path}:{lineno}: duplicate cell {key}")
         finals[key] = tuple(values[1:])
     try:
-        return HeatmapTable(
-            [function for function, _ in finals], [factor for _, factor in finals],
-            finals,
-        )
+        return HeatmapTable(finals)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -580,6 +580,29 @@ def test_plot_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case", ["unknown function", "missing manifest", "manifest not JSON"]
+)
+def test_a_library_error_is_one_error_line(tmp_path, capsys, case):
+    """main prints the library's own message, unwrapped, as one line."""
+    path = tmp_path / "input"
+    if case == "unknown function":
+        path.write_text("function,factor,median,run_final_1\ncustom,100,1,1\n",
+                        encoding="utf-8")
+        argv = ["plot", str(path)]
+        with pytest.raises(ValueError, match="no known optimum") as raised:
+            report.render_heatmaps(report.parse_csv(path), tmp_path)
+    else:
+        if case == "manifest not JSON":
+            path.write_text("{not json", encoding="utf-8")
+        argv = ["sweep", "--from-manifest", str(path), "--out", str(tmp_path / "out")]
+        expected = OSError if case == "missing manifest" else ValueError
+        with pytest.raises(expected) as raised:
+            report.read_manifest(path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {raised.value}\n")
+
+
 # -- list-functions and help -----------------------------------------------------
 
 

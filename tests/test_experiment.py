@@ -262,13 +262,14 @@ def test_run_sweep_rejects_bad_jobs():
 def test_run_sweep_caps_the_pool_at_the_cell_count(monkeypatch):
     """This process runs cells too, so min(jobs, cells) - 1 children start."""
     started = []
+    context = multiprocessing.get_context("fork")
 
-    class CountingProcess(multiprocessing.Process):
+    class CountingProcess(context.Process):
         def start(self):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(multiprocessing, "Process", CountingProcess)
+    monkeypatch.setattr(context, "Process", CountingProcess)
     assert run_sweep(TINY, jobs=64) == run_sweep(TINY, jobs=1)
     assert len(started) == 1
     one_cell = SweepSpec(functions=("sphere",), factors=(100.0,), repeats=2,
@@ -276,6 +277,43 @@ def test_run_sweep_caps_the_pool_at_the_cell_count(monkeypatch):
     run_sweep(one_cell, jobs=8)
     assert len(started) == 1
     assert multiprocessing.active_children() == []
+
+
+def test_run_sweep_forks_its_children_whatever_the_default():
+    """With forkserver as the default start method, the children still run
+    this process's patched _run_cell, as only a forked child can, and the
+    table equals the serial one."""
+    script = f"""
+import multiprocessing, os
+from plantprop import experiment
+from plantprop.experiment import SweepSpec
+
+multiprocessing.set_start_method("forkserver", force=True)
+spec = SweepSpec.from_config_dict({TINY.to_config_dict()!r})
+here = os.getpid()
+in_child = multiprocessing.get_context("fork").Event()
+real = experiment._run_cell
+
+def cell(*args):
+    # this process holds its first cell until a child has run one
+    if os.getpid() == here:
+        in_child.wait(timeout=20)
+    else:
+        in_child.set()
+    return real(*args)
+
+experiment._run_cell = cell
+table = experiment.run_sweep(spec, jobs=2)
+print(multiprocessing.get_start_method(), in_child.is_set(),
+      table == experiment.run_sweep(spec, jobs=1))
+"""
+    src = str(Path(plantprop.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["forkserver", "True", "True"]
 
 
 # -- the sweep's child processes ------------------------------------------------

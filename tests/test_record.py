@@ -74,7 +74,7 @@ def test_fields_cannot_be_assigned_or_deleted():
 
 def test_pickle_round_trips_a_spec_and_a_table():
     spec = SweepSpec(["sphere", "easom"], [100, 250.5, VANILLA], repeats=3, budget=300)
-    table = HeatmapTable(("sphere",), (VANILLA,), {("sphere", VANILLA): (0.25, 0.5, 1.0)})
+    table = HeatmapTable({("sphere", VANILLA): (0.25, 0.5, 1.0)})
     for value in (spec, table):
         back = pickle.loads(pickle.dumps(value))
         assert back == value and repr(back) == repr(value)

@@ -26,11 +26,6 @@ from plantprop.report import (
 )
 
 
-def _table(finals):
-    """The table of {(function, factor): finals}."""
-    return HeatmapTable([f for f, _ in finals], [fac for _, fac in finals], finals)
-
-
 def _sample_finals():
     # includes awkward doubles on purpose: denormal-ish, huge, 1/3
     return {
@@ -49,11 +44,11 @@ def _sample_finals():
 def test_table_orders_its_axes():
     finals = _sample_finals()
     shuffled = dict(reversed(list(finals.items())))
-    table = HeatmapTable(("sphere", "ackley"), (VANILLA, 700.0, 100.0), shuffled)
+    table = HeatmapTable(shuffled)
     assert table.functions == ("ackley", "sphere")
     assert table.factors == (100.0, 700.0, VANILLA)
     assert list(table.finals) == list(finals)  # the cells in the axes' order
-    assert table == _table(finals)
+    assert table == HeatmapTable(finals)
     assert table.repeats == 3
     assert table.median("sphere", 100.0) == 1.0
     assert table.median("ackley", 700.0) == statistics.median(finals[("ackley", 700.0)])
@@ -63,27 +58,23 @@ def test_table_rejects_holes_and_empty_grids():
     finals = _sample_finals()
     del finals[("sphere", VANILLA)]
     with pytest.raises(ValueError, match="exactly once"):
-        _table(finals)
+        HeatmapTable(finals)
     with pytest.raises(ValueError, match="exactly once"):
-        HeatmapTable(("sphere",), (100.0,), {("sphere", 100.0): (1.0,), ("a", 1.0): (1.0,)})
+        HeatmapTable({("sphere", 100.0): (1.0,), ("a", 1.0): (1.0,)})
     with pytest.raises(ValueError, match="at least one cell"):
-        _table({})
+        HeatmapTable({})
 
 
 def test_table_rejects_ragged_finals():
     with pytest.raises(ValueError, match="same number"):
-        HeatmapTable(
-            functions=("a",),
-            factors=(1.0, 2.0),
-            finals={("a", 1.0): (0.0,), ("a", 2.0): (0.0, 0.0)},
-        )
+        HeatmapTable({("a", 1.0): (0.0,), ("a", 2.0): (0.0, 0.0)})
 
 
 # -- CSV -----------------------------------------------------------------------
 
 
 def test_write_csv_layout(tmp_path):
-    out = write_csv(_table(_sample_finals()), tmp_path / "r.csv")
+    out = write_csv(HeatmapTable(_sample_finals()), tmp_path / "r.csv")
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "function,factor,median,run_final_1,run_final_2,run_final_3"
     assert len(lines) == 1 + 6
@@ -94,7 +85,7 @@ def test_write_csv_layout(tmp_path):
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    table = _table(_sample_finals())
+    table = HeatmapTable(_sample_finals())
     parsed = parse_csv(write_csv(table, tmp_path / "r.csv"))
     assert parsed.functions == table.functions
     assert parsed.factors == table.factors
@@ -117,7 +108,7 @@ def test_csv_round_trip_is_exact(tmp_path):
 
 
 def test_csv_rewrite_is_byte_identical(tmp_path):
-    table = _table(_sample_finals())
+    table = HeatmapTable(_sample_finals())
     first = write_csv(table, tmp_path / "a.csv").read_bytes()
     second = write_csv(parse_csv(tmp_path / "a.csv"), tmp_path / "b.csv").read_bytes()
     assert first == second
@@ -160,7 +151,7 @@ def test_parse_csv_rejects_bad_header(tmp_path):
 
 
 def test_parse_csv_rejects_a_repeated_cell(tmp_path):
-    path = write_csv(_table(_sample_finals()), tmp_path / "r.csv")
+    path = write_csv(HeatmapTable(_sample_finals()), tmp_path / "r.csv")
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(lines + [lines[2]]) + "\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
@@ -169,7 +160,7 @@ def test_parse_csv_rejects_a_repeated_cell(tmp_path):
 
 
 def test_parse_csv_rejects_missing_cell(tmp_path):
-    table = _table(_sample_finals())
+    table = HeatmapTable(_sample_finals())
     path = write_csv(table, tmp_path / "r.csv")
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
@@ -190,7 +181,7 @@ def test_manifest_round_trip(tmp_path):
         base_seed=55,
     )
     path = write_manifest(
-        spec, _table(_sample_finals()), tmp_path / "m.json", 1.25, "compiled"
+        spec, HeatmapTable(_sample_finals()), tmp_path / "m.json", 1.25, "compiled"
     )
     assert read_manifest(path)[0] == spec
 
@@ -228,7 +219,7 @@ def test_read_manifest_rejects_garbage(tmp_path):
 
 def test_manifest_matches_default_spec_round_trip(tmp_path):
     spec = default_sweep_b()
-    table = _table({(f, fac): (0.5, 1.5, 2.5) for f in spec.functions for fac in spec.factors})
+    table = HeatmapTable({(f, fac): (0.5, 1.5, 2.5) for f in spec.functions for fac in spec.factors})
     path = write_manifest(spec, table, tmp_path / "m.json", 0.0, "python")
     assert read_manifest(path)[0] == spec
 
@@ -237,7 +228,7 @@ def test_manifest_matches_default_spec_round_trip(tmp_path):
 
 
 def test_render_per_function_files(tmp_path):
-    table = _table(_sample_finals())
+    table = HeatmapTable(_sample_finals())
     written = render_heatmaps(table, tmp_path)
     assert sorted(p.name for p in written) == ["ackley.svg", "sphere.svg"]
     for p in written:
@@ -248,7 +239,7 @@ def test_render_per_function_files(tmp_path):
 
 
 def test_render_combined_single_file(tmp_path):
-    table = _table(_sample_finals())
+    table = HeatmapTable(_sample_finals())
     written = render_heatmaps(table, tmp_path, combined=True)
     assert [p.name for p in written] == ["heatmap_combined.svg"]
     text = written[0].read_text(encoding="utf-8")
@@ -256,14 +247,14 @@ def test_render_combined_single_file(tmp_path):
 
 
 def test_render_is_deterministic(tmp_path):
-    table = _table(_sample_finals())
+    table = HeatmapTable(_sample_finals())
     a = render_heatmaps(table, tmp_path / "a", combined=True)[0].read_bytes()
     b = render_heatmaps(table, tmp_path / "b", combined=True)[0].read_bytes()
     assert a == b
 
 
 def test_render_error_mode_needs_known_functions(tmp_path):
-    table = _table({("custom", 100.0): (1.0, 2.0, 3.0)})
+    table = HeatmapTable({("custom", 100.0): (1.0, 2.0, 3.0)})
     with pytest.raises(ValueError, match="raw"):
         render_heatmaps(table, tmp_path)
     written = render_heatmaps(table, tmp_path, raw=True)
@@ -274,7 +265,7 @@ def test_render_error_mode_needs_known_functions(tmp_path):
 def test_render_rejects_names_that_are_not_plain_file_names(tmp_path, name):
     # an absolute name inside tmp_path, so a faulty check writes nowhere else
     name = name.replace("{tmp}", str(tmp_path))
-    table = _table({("sphere", 100.0): (1.0, 2.0, 3.0), (name, 100.0): (1.0, 2.0, 3.0)})
+    table = HeatmapTable({("sphere", 100.0): (1.0, 2.0, 3.0), (name, 100.0): (1.0, 2.0, 3.0)})
     out_dir = tmp_path / "a" / "out"
     with pytest.raises(ValueError, match="not a plain file name"):
         render_heatmaps(table, out_dir, raw=True)
@@ -284,7 +275,7 @@ def test_render_rejects_names_that_are_not_plain_file_names(tmp_path, name):
 
 
 def test_render_rejects_non_finite_medians(tmp_path):
-    table = _table({("sphere", 100.0): (math.inf, math.inf, math.inf)})
+    table = HeatmapTable({("sphere", 100.0): (math.inf, math.inf, math.inf)})
     with pytest.raises(ValueError, match="non-finite"):
         render_heatmaps(table, tmp_path)
 
@@ -292,7 +283,7 @@ def test_render_rejects_non_finite_medians(tmp_path):
 def test_render_shades_span_the_gray_ramp(tmp_path):
     # sphere optimum is 0, so median 0.0 clamps at the error floor and
     # must get the darkest shade; the worst cell gets the lightest
-    table = _table({
+    table = HeatmapTable({
         ("sphere", 100.0): (0.0, 0.0, 0.0),
         ("sphere", 700.0): (1.0, 1.0, 1.0),
         ("sphere", 2000.0): (100.0, 100.0, 100.0),
@@ -305,7 +296,7 @@ def test_render_shades_span_the_gray_ramp(tmp_path):
 
 
 def test_render_flat_row_is_uniformly_dark(tmp_path):
-    table = _table({("sphere", 100.0): (2.0, 2.0, 2.0), ("sphere", 700.0): (2.0, 2.0, 2.0)})
+    table = HeatmapTable({("sphere", 100.0): (2.0, 2.0, 2.0), ("sphere", 700.0): (2.0, 2.0, 2.0)})
     svg = render_heatmaps(table, tmp_path)[0].read_text(
         encoding="utf-8"
     )
@@ -334,13 +325,13 @@ def test_distinct_factors_get_distinct_labels(tmp_path):
     """Two factors that agree to six significant digits."""
     a, b = 1234.541, 1234.544
     assert (factor_label(a), factor_label(b)) == ("1234.541", "1234.544")
-    table = _table({("sphere", f): (1.0, 2.0, 3.0) for f in (a, b)})
+    table = HeatmapTable({("sphere", f): (1.0, 2.0, 3.0) for f in (a, b)})
     [svg] = render_heatmaps(table, tmp_path, raw=True)
     text = svg.read_text(encoding="utf-8")
     assert ">1234.541</text>" in text and ">1234.544</text>" in text
     # the rerun has factors 1.5 and a; the manifest has a and b
     spec = SweepSpec(functions=("sphere",), factors=(1.5, a), repeats=3)
-    rerun = _table({("sphere", 1.5): (1.0,) * 3, ("sphere", a): (1.0, 2.0, 3.0)})
+    rerun = HeatmapTable({("sphere", 1.5): (1.0,) * 3, ("sphere", a): (1.0, 2.0, 3.0)})
     recorded = {("sphere", a): (cell_seeds(spec)[("sphere", a)], 2.5), ("sphere", b): ((1, 2, 3), 2.0)}
     assert cell_mismatches(recorded, spec, rerun) == [
         "sphere factor 1.5: not in the manifest",

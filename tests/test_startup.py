@@ -53,7 +53,7 @@ def test_importing_the_cli_loads_no_avoided_module():
 def test_plot_loads_no_avoided_module(tmp_path):
     functions, factors = ("sphere", "ackley"), (100.0, VANILLA)
     finals = {(name, factor): (1.0, 2.0, 3.0) for name in functions for factor in factors}
-    csv = write_csv(HeatmapTable(functions, factors, finals), tmp_path / "results.csv")
+    csv = write_csv(HeatmapTable(finals), tmp_path / "results.csv")
     out = tmp_path / "plots"
     code = (
         "from plantprop import cli\n"
