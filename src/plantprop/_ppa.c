@@ -2,10 +2,14 @@
  * Compiled engine of plantprop: xoshiro256++ stream, objective dispatch and
  * the plant propagation loop, in plain C99 behind a flat ABI for ctypes.
  *
- * This file mirrors rng.py, benchmarks.py and core.py operation for
- * operation (same draw order, same IEEE double expression shapes, same libm
- * calls), so a run here is bit-identical to the pure-Python engine. Keep the
- * four files in lockstep when touching any formula.
+ * This file computes every value of rng.py, benchmarks.py and core.py as the
+ * same double, with the same draws in the same order and the same libm
+ * calls, so a run here is bit-identical to the pure-Python engine. Mostly it
+ * takes the same IEEE double operations in the same order; where it takes
+ * another route (the per-run tables and the shortcuts below, and the
+ * mutation step in mutate_coord), the comment there proves that every
+ * result is the same. Keep the four files in lockstep when touching any
+ * formula.
  *
  * Values that stay the same for a whole run (the ellipse weights, the
  * griewank divisors, the box widths) are computed once per run into tables
@@ -641,14 +645,31 @@ void ppa_free(void *p)
     free(p);
 }
 
-/* core.mutate for one coordinate of parent value p in the box [lo, hi] of
-   width w, where om = 1 - fitness. The clamp has no branch (minsd and
-   maxsd) and gives core.mutate's if/else if result, nan included, because
-   Bounds ensures lo < hi. */
+/*
+ * core.mutate for one coordinate of parent value p in the box [lo, hi] of
+ * width w, where om = (1 - fitness) * 2^-52. The clamp has no branch (minsd
+ * and maxsd) and gives core.mutate's if/else if result, nan included,
+ * because Bounds ensures lo < hi.
+ *
+ * The step is core.mutate's 2 * (r - 0.5) * (1 - f), centred in integers.
+ * With k = u64 >> 11 < 2^53, r = k 2^-53, and r - 0.5 and the doubling are
+ * exact (Sterbenz from r = 0.25 on; below it, r - 0.5 is a multiple of
+ * 2^-53 in [-0.5, -0.25]). So core forms (k - 2^52) 2^-52 exactly and rounds
+ * once, when it multiplies by 1 - f. Here c = k - 2^52 converts exactly, and
+ * om is exact too: f is 0.5 (t + 1), t the tanh, with t + 1 rounded in
+ * [0, 2], so 1 - f is 0 or at least 2^-53 (a multiple of 2^-53 from
+ * f = 0.5 on, above 0.5 below it), and neither om nor c * om is
+ * subnormal. So c * om rounds the
+ * same real number once, and the zeros match as well: k = 2^52 gives +0 on
+ * both sides, and f = 1 gives -0 for k < 2^52 on both. This takes three of
+ * the nine float operations per coordinate off a loop bound by its float
+ * ports.
+ */
 static ALWAYS_INLINE double mutate_coord(rng_t *rng, double p, double lo,
                                          double hi, double w, double om)
 {
-    double xx = p + w * (2.0 * (rng_uniform(rng) - 0.5) * om);
+    int64_t c = (int64_t)(rng_u64(rng) >> 11) - (INT64_C(1) << 52);
+    double xx = p + w * ((double)c * om);
 
     xx = xx < lo ? lo : xx;
     return xx > hi ? hi : xx;
@@ -855,7 +876,7 @@ int ppa_run(int fid, int64_t dim, const double *lower, const double *upper,
                     cnt = n_max;
             }
             parent = par[i].x;
-            om = 1.0 - fi;
+            om = (1.0 - fi) * 0x1.0p-52; /* exact: see mutate_coord */
             for (k = 0; k < cnt; k++) {
                 double *child;
                 if (evals >= budget)

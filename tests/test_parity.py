@@ -1,7 +1,9 @@
 """Bit-level agreement between the compiled kernel and the Python engine.
 
-Every test asserts exact equality, not approximate: both sides are written
-to execute the same IEEE-754 operations in the same order.
+Every test asserts exact equality, not approximate: both sides compute every
+value as the same IEEE-754 double, mostly by the same operations in the same
+order, and where the C core takes another route its comment proves the
+result the same.
 """
 
 import ctypes
@@ -10,6 +12,7 @@ import os
 import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -33,7 +36,7 @@ from plantprop.benchmarks import (
     Bounds,
     make_function,
 )
-from plantprop.core import PpaConfig, SteepeningSchedule, run_ppa
+from plantprop.core import PpaConfig, SteepeningSchedule, fitness, run_ppa
 from plantprop.rng import Xoshiro256pp
 
 _kernel = pytest.importorskip("plantprop._kernel")
@@ -51,6 +54,17 @@ def assert_same_run(compiled, python):
         assert {tuple(map(type, step)) for step in result.trajectory} == {(int, float)}
 
 
+def with_examples(cases):
+    """@example(case=...) for each case."""
+
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+
+    return decorate
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_u64_stream_matches(seed):
     rng = Xoshiro256pp.from_seed(seed)
@@ -64,6 +78,37 @@ def test_uniform_stream_matches(seed):
     expected = [rng.next_uniform() for _ in range(512)]
     got = list(_kernel.rng_uniform_stream(seed, 512))
     assert got == expected  # exact, not approx
+
+
+# the C core's mutation step: the uniform's 53 bits k, centred in integers,
+# times om = (1 - f) * 2^-52, in place of core.mutate's 2 * (r - 0.5) * (1 - f)
+STEP_EXAMPLES = [
+    (k, om)
+    for k in (0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1)
+    for om in (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
+]
+one_minus_fitness = st.builds(
+    lambda z, s: 1.0 - fitness(z, s), st.floats(0.0, 1.0), st.floats(1.0, 1e6)
+)
+
+
+@settings(max_examples=2000, deadline=None, database=None)
+@given(case=st.tuples(st.integers(0, 2**53 - 1), one_minus_fitness))
+@with_examples(STEP_EXAMPLES)
+def test_integer_centred_mutation_step_is_core_step(case):
+    """Both steps round the same real number once, signed zeros included:
+    struct bytes, since -0.0 == 0.0."""
+    k, om = case
+    core_step = 2.0 * (k * 2.0**-53 - 0.5) * om
+    c_step = float(k - 2**52) * (om * 2.0**-52)
+    assert struct.pack("<d", c_step) == struct.pack("<d", core_step)
+
+
+@settings(max_examples=2000, deadline=None, database=None)
+@given(om=one_minus_fitness)
+def test_one_minus_fitness_is_zero_or_at_least_two_to_the_minus_53(om):
+    """The premise of the step's exactness: om * 2^-52 is exact and normal."""
+    assert om == 0.0 or om >= 2.0**-53
 
 
 @pytest.mark.parametrize("name", FUNCTION_NAMES)
@@ -183,17 +228,6 @@ def bucket_edge_cases():
             for x in around(offset + k / COS_BUCKETS):
                 cases += [("ackley", [x, 0.0], -1e300), ("rastrigin", [0.0, x], 1e300)]
     return cases
-
-
-def with_examples(cases):
-    """@example(case=...) for each case."""
-
-    def decorate(test):
-        for case in cases:
-            test = example(case=case)(test)
-        return test
-
-    return decorate
 
 
 @st.composite
