@@ -1,9 +1,12 @@
 """Compiled engine: a ctypes binding to the C core in ``_ppa.c``.
 
-``_ppa.c`` mirrors rng.py, benchmarks.py and core.py operation for
-operation, so a run here is bit-identical to the pure-Python engine. This
-module checks what the core needs and no type enforces, moves numbers across
-the boundary and turns the core's status codes into exceptions.
+``_ppa.c`` computes every value of rng.py, benchmarks.py and core.py as the
+same double, with the same draws in the same order: mostly by the same
+operations, and where it takes another route (its per-run tables, its
+shortcuts and its mutation step) by one that the comment there proves gives
+the same result. So a run here is bit-identical to the pure-Python engine.
+This module checks what the core needs and no record checks, moves numbers
+across the boundary and turns the core's status codes into exceptions.
 
 Importing the module loads the core from the per-user cache directory,
 ``$XDG_CACHE_HOME/plantprop`` or else ``~/.cache/plantprop``; a relative
@@ -173,7 +176,7 @@ def run(config, function, seed):
     """Generational loop; same semantics and draw order as the pure engine.
 
     `config` (a PpaConfig) and `function` (a BenchmarkFunction) made their
-    own checks, the dimension of a registered formula among them; this adds
+    own checks, integer counts and dimension among them; this adds
     only what the C core needs beyond them: a registered formula, and counts
     that fit in int64. The steepness is evals/factor + 1, so factor = inf
     runs vanilla PPA.

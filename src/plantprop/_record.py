@@ -9,6 +9,12 @@ not used because importing it loads ``inspect``, ``ast``, ``dis`` and
 from __future__ import annotations
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless `value` is an int; a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class Record:
     """An immutable value made of the fields its class annotates.
 

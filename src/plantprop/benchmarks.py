@@ -7,9 +7,11 @@ Formulas, domains and optima follow the standard literature definitions;
 each registered function carries its known global optimum so results can be
 reported as error-to-optimum.
 
-Evaluation is pure scalar double arithmetic (no vectorization) so that the
-compiled kernel, which mirrors these formulas operation for operation,
-produces bit-identical values.
+Evaluation is pure scalar double arithmetic (no vectorization). The C core
+in ``_ppa.c`` computes the same double for every formula: mostly by the
+same operations in the same order, and where it takes another route (its
+per-run tables and shortcuts), by one that the comment there proves gives
+the same result.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 
-from ._record import Record
+from ._record import Record, check_integer
 
 _TWO_PI = 2.0 * math.pi
 
@@ -67,10 +69,11 @@ class Bounds(Record):
 class BenchmarkFunction(Record):
     """A named objective with bounds and its known global optimum.
 
-    `_fn` is the formula; it is left out of equality, hash and repr. When it
-    is the registered formula of `name`, the dimension must be one that
-    formula takes: n >= 2 for the nine scalable ones, n = 2 for the five
-    fixed ones. A custom callable takes any dimension.
+    `_fn` is the formula; it is left out of equality, hash and repr. The
+    dimension is an integer (a bool is not). When `_fn` is the registered
+    formula of `name`, the dimension must be one that formula takes: n >= 2
+    for the nine scalable ones, n = 2 for the five fixed ones. A custom
+    callable takes any dimension.
     """
 
     name: str
@@ -82,6 +85,7 @@ class BenchmarkFunction(Record):
 
     def __post_init__(self):
         name, n = self.name, self.dimension
+        check_integer("dimension", n)
         if formula_id(self) is not None:
             if name in _SCALABLE and n < 2:
                 raise ValueError(f"{name} requires dimension >= 2, got {n}")
@@ -291,8 +295,10 @@ def make_function(name: str, dimension: int = 2) -> BenchmarkFunction:
 
     Scalable functions accept any dimension >= 2 (default 2); the five
     fixed two-dimensional functions reject anything but dimension 2. The
-    record makes both checks.
+    record makes both checks; its integer rule runs here first, as the
+    bounds are built from the dimension.
     """
+    check_integer("dimension", dimension)
     if name in _SCALABLE:
         fn, (low, high), opt_coord, opt_value = _SCALABLE[name]
         n = max(dimension, 0)  # the record refuses n < 2 with its own message

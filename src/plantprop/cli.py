@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -58,12 +57,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dimension", type=int, default=2, help="dimensionality (default 2)"
     )
     p_run.add_argument(
-        "--factor", type=float, default=math.inf,
-        help="steepening factor: s = evals/factor + 1 (default inf, vanilla PPA)",
+        "--factor", type=float, default=SteepeningSchedule.factor,
+        help="steepening factor: s = evals/factor + 1 "
+        "(default %(default)s, vanilla PPA)",
     )
-    p_run.add_argument("--budget", type=int, default=10_000)
-    p_run.add_argument("--pop-size", type=int, default=30)
-    p_run.add_argument("--n-max", type=int, default=5)
+    p_run.add_argument("--budget", type=int, default=SweepSpec.budget,
+                       help="objective evaluations (default %(default)s)")
+    p_run.add_argument("--pop-size", type=int, default=PpaConfig.pop_size,
+                       help="population size (default %(default)s)")
+    p_run.add_argument("--n-max", type=int, default=PpaConfig.n_max,
+                       help="most offspring per parent (default %(default)s)")
     p_run.add_argument(
         "--seed",
         type=int,

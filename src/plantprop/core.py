@@ -19,19 +19,27 @@ import math
 import sys
 from collections.abc import Callable, Sequence
 
-from ._record import Record
+from ._record import Record, check_integer
 from .benchmarks import BenchmarkFunction, Bounds
 from .rng import Xoshiro256pp
 
 
 class SteepeningSchedule(Record):
-    """Steepness s = evals/factor + 1; the default factor inf is vanilla, s = 1."""
+    """Steepness s = evals/factor + 1; the default factor inf is vanilla, s = 1.
+
+    The factor, an int or a float but not a bool, is held as a float, so
+    both engines divide by the same double.
+    """
 
     factor: float = math.inf
 
     def __post_init__(self):
-        if not self.factor > 0:
-            raise ValueError("linear schedule requires factor > 0")
+        factor = self.factor
+        if isinstance(factor, bool) or not isinstance(factor, (int, float)):
+            raise ValueError(f"factor must be a real number, got {factor!r}")
+        if not factor > 0:
+            raise ValueError(f"linear schedule requires factor > 0, got {factor!r}")
+        object.__setattr__(self, "factor", float(factor))
 
     @classmethod
     def vanilla(cls) -> "SteepeningSchedule":
@@ -40,7 +48,7 @@ class SteepeningSchedule(Record):
     @classmethod
     def linear(cls, factor: float) -> "SteepeningSchedule":
         """The schedule of `factor`; ``linear(math.inf)`` is vanilla."""
-        return cls(float(factor))
+        return cls(factor)
 
 
 def steepness(evals: int, schedule: SteepeningSchedule) -> float:
@@ -53,10 +61,11 @@ def steepness(evals: int, schedule: SteepeningSchedule) -> float:
 class PpaConfig(Record):
     """Run parameters: population size, offspring cap, budget, schedule.
 
-    The counts' lower limits, an n_max that a float holds and the steepness
-    are checked here, once, for both engines. No other size is capped here,
-    and the Python engine checks none; see ``engine.run`` for what the
-    compiled engine checks.
+    That the counts are integers (a bool is not), their lower limits, an
+    n_max that a float holds and the steepness are checked here, once, for
+    both engines. No other size is capped here, and the Python engine
+    checks none; see ``engine.run`` for what the compiled engine checks.
+    The defaults here are the only ones: a sweep and the CLI read them.
     """
 
     budget: int
@@ -66,6 +75,8 @@ class PpaConfig(Record):
     schedule: SteepeningSchedule = SteepeningSchedule()
 
     def __post_init__(self):
+        for name in ("budget", "pop_size", "n_max"):
+            check_integer(name, getattr(self, name))
         if self.pop_size < 1:
             raise ValueError("pop_size must be >= 1")
         if self.n_max < 1:

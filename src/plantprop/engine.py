@@ -40,12 +40,14 @@ def run(
     fallback.
 
     Each input is checked once, where it is made: Bounds checks every
-    lower < upper, BenchmarkFunction the bounds' length and a registered
-    formula's dimension, PpaConfig and SteepeningSchedule the counts and the
-    steepness. ``_kernel.run`` adds what only the C core needs (a registered
-    formula, counts that fit in int64) and raises MemoryError before a run
-    whose buffers overflow or cannot be allocated, which the CLI reports
-    as an ``error: ...`` line. The Python engine has no size limit.
+    lower < upper, BenchmarkFunction an integer dimension, the bounds'
+    length and a registered formula's dimension, PpaConfig and
+    SteepeningSchedule integer counts, a numeric factor and the steepness,
+    so a float count fails alike on both engines. ``_kernel.run`` adds
+    what only the C core needs (a registered formula, counts that fit in
+    int64) and raises MemoryError before a run whose buffers overflow or
+    cannot be allocated, which the CLI reports as an ``error: ...`` line.
+    The Python engine has no size limit.
     It builds ``pop_size`` individuals and each generation's offspring as
     Python objects, so a size that does not fit in memory fails however the
     interpreter runs out of it.

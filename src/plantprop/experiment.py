@@ -17,7 +17,7 @@ import sys
 import time
 from collections.abc import Callable, Sequence
 
-from ._record import Record
+from ._record import Record, check_integer
 from .benchmarks import FIXED_2D_NAMES, SCALABLE_NAMES, make_function
 from .core import PpaConfig, SteepeningSchedule
 from .rng import derive_subseed
@@ -55,14 +55,19 @@ ProgressCallback = Callable[[tuple, tuple, int, int, float], None]
 
 
 class SweepSpec(Record):
-    """One experiment grid: functions x factors, `repeats` runs per cell."""
+    """One experiment grid: functions x factors, `repeats` runs per cell.
+
+    A factor is checked by SteepeningSchedule, the counts by PpaConfig
+    (whose defaults these are), the dimension by make_function, and the
+    rest here.
+    """
 
     functions: tuple[str, ...]
     factors: tuple[float, ...]
     repeats: int = 10
     budget: int = 10_000
-    pop_size: int = 30
-    n_max: int = 5
+    pop_size: int = PpaConfig.pop_size
+    n_max: int = PpaConfig.n_max
     base_seed: int = DEFAULT_BASE_SEED
     dimension: int = 2
 
@@ -74,10 +79,9 @@ class SweepSpec(Record):
             raise ValueError("duplicate function identifiers in sweep")
         if not self.factors:
             raise ValueError("a sweep needs at least one factor")
-        for f in self.factors:
-            if isinstance(f, bool) or not isinstance(f, (int, float)) or not f > 0:
-                raise ValueError(f"factors must be positive reals, got {f!r}")
-        factors = tuple(float(f) for f in self.factors)
+        # each cell's config checks the counts, its factor, and the factor
+        # against the budget, before any run; its schedule holds a float
+        factors = tuple(self.cell_config(f).schedule.factor for f in self.factors)
         object.__setattr__(self, "factors", factors)
         # vanilla (inf) exceeds every numeric factor, so this one check
         # also allows at most one vanilla column and puts it last
@@ -86,6 +90,8 @@ class SweepSpec(Record):
                 "factors must be strictly increasing, with at most one "
                 "vanilla column, last"
             )
+        check_integer("repeats", self.repeats)
+        check_integer("base_seed", self.base_seed)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         for name in self.functions:
@@ -93,13 +99,12 @@ class SweepSpec(Record):
                 make_function(name, self.dimension)
             except KeyError as exc:
                 raise ValueError(exc.args[0]) from None
-        # delegates the budget/pop_size/n_max checks, and each factor's check
-        # against the budget, before any run
-        for factor in self.factors:
-            PpaConfig(
-                budget=self.budget, pop_size=self.pop_size, n_max=self.n_max,
-                schedule=SteepeningSchedule(factor),
-            )
+
+    def cell_config(self, factor: float) -> PpaConfig:
+        """The run parameters of the spec's cells under `factor`."""
+        return PpaConfig(
+            self.budget, self.pop_size, self.n_max, SteepeningSchedule(factor)
+        )
 
     @property
     def cell_count(self) -> int:
@@ -139,14 +144,7 @@ class SweepSpec(Record):
         if not isinstance(factors, list):
             raise ValueError(f"factors must be a list, got {factors!r}")
         factors = [factor_from_json(raw) for raw in factors]
-
-        integers = {
-            k: v for k, v in data.items() if k not in ("functions", "factors")
-        }
-        for key, value in integers.items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        return cls(functions=tuple(functions), factors=tuple(factors), **integers)
+        return cls(**dict(data, functions=tuple(functions), factors=tuple(factors)))
 
 
 class HeatmapTable(Record):
@@ -233,10 +231,7 @@ def _run_cell(
     """The best value of each of a cell's runs, one per seed."""
     name, factor = cell
     function = make_function(name, spec.dimension)
-    config = PpaConfig(
-        budget=spec.budget, pop_size=spec.pop_size, n_max=spec.n_max,
-        schedule=SteepeningSchedule(factor),
-    )
+    config = spec.cell_config(factor)
     # imported here, as engine loads the compiled kernel; engine.run is looked
     # up at each call, so a wrapper installed there (a per-run probe, a
     # counting test) sees every run

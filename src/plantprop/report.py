@@ -178,7 +178,10 @@ def write_manifest(
 def read_manifest(path: str | Path) -> tuple[SweepSpec, ManifestCells]:
     """The sweep spec and the cells of a manifest written by write_manifest.
 
-    A cell's factor is read as a float, with "vanilla" as VANILLA.
+    A cell's factor is read as a float, with "vanilla" as VANILLA. A cell
+    whose function is not a string, whose seeds are not a list of integers
+    or whose median is not a float fails with the cell named, as does a
+    cell that an earlier entry already has.
     """
     path = Path(path)
     try:
@@ -194,16 +197,32 @@ def read_manifest(path: str | Path) -> tuple[SweepSpec, ManifestCells]:
     if "spec" not in doc:
         raise ValueError(f"{path}: manifest is missing its 'spec' entry")
     spec = SweepSpec.from_config_dict(doc["spec"])
-    try:
-        cells = {
-            (cell["function"], factor_from_json(cell["factor"])): (
-                tuple(int(seed) for seed in cell["seeds"]),
-                float(cell["median"]),
+    entries = doc.get("cells", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: 'cells' must be a list, got {entries!r}")
+    cells: ManifestCells = {}
+    for index, cell in enumerate(entries):
+        try:
+            function, factor = cell["function"], factor_from_json(cell["factor"])
+            seeds, median = cell["seeds"], cell["median"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: malformed 'cells' entry {index}: {exc!r}"
+            ) from None
+        if not isinstance(function, str):
+            raise ValueError(
+                f"{path}: 'cells' entry {index}: function must be a string, "
+                f"got {function!r}"
             )
-            for cell in doc.get("cells", ())
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed 'cells' entry: {exc!r}") from None
+        name = f"{path}: cell {function} factor {factor_label(factor)}"
+        # type(), as a bool is an int too
+        if not isinstance(seeds, list) or not all(type(seed) is int for seed in seeds):
+            raise ValueError(f"{name}: seeds must be a list of integers, got {seeds!r}")
+        if not isinstance(median, float):  # write_manifest writes a float
+            raise ValueError(f"{name}: median must be a float, got {median!r}")
+        if (function, factor) in cells:
+            raise ValueError(f"{name}: duplicate cell")
+        cells[(function, factor)] = (tuple(seeds), median)
     return spec, cells
 
 

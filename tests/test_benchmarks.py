@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -241,6 +242,17 @@ def test_a_registered_formula_takes_only_its_dimensions(name, n, message):
     python = engine.run(config, custom, 1, backend="python")
     assert engine.run(config, custom, 1) == python
     assert python.evaluations_used == 60 and len(python.best_point) == n
+
+
+@pytest.mark.parametrize("name", ["sphere", "easom", "nosuch"])
+@pytest.mark.parametrize("dimension", [2.0, True, "2"])
+def test_a_dimension_must_be_an_integer(name, dimension):
+    message = rf"^dimension must be an integer, got {re.escape(repr(dimension))}$"
+    with pytest.raises(ValueError, match=message):
+        make_function(name, dimension)
+    box = Bounds((-1.0,) * 2, (1.0,) * 2)
+    with pytest.raises(ValueError, match=message):
+        BenchmarkFunction(name, dimension, box, 0.0, (), lambda x: 0.0)
 
 
 def test_function_bounds_must_match_its_dimension():

@@ -2,12 +2,15 @@
 
 import json
 import os
+import re
 
 import pytest
 
 from plantprop import cli, engine, report
 from plantprop.benchmarks import FUNCTION_NAMES
 from plantprop.cli import main
+from plantprop.core import PpaConfig, SteepeningSchedule
+from plantprop.experiment import SweepSpec
 
 TINY_CONFIG = {
     "functions": ["sphere"],
@@ -42,6 +45,19 @@ def test_run_output_shape(capsys):
     assert "seed         3" in out
     assert "best value   " in out
     assert "evaluations  200" in out
+
+
+def test_run_defaults_and_its_help_are_the_records(capsys):
+    args = cli._build_parser().parse_args(["run", "--function", "sphere"])
+    assert (args.budget, args.pop_size, args.n_max, args.factor) == (
+        SweepSpec.budget, PpaConfig.pop_size, PpaConfig.n_max, SteepeningSchedule.factor
+    )
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for flag, default in (("--factor", "inf"), ("--budget", "10000"),
+                          ("--pop-size", "30"), ("--n-max", "5")):
+        assert re.search(rf"{flag} [A-Z_]+ [^(]*\(default {default}\b", help_text)
 
 
 def test_run_is_deterministic(capsys):
@@ -346,6 +362,31 @@ def test_sweep_rerun_from_manifest_ignores_ppa_seed(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err.splitlines()
     assert err[0] == f"error: 1 cell(s) differ from {path}:"
     assert err[1].startswith("  sphere factor 150: median ")
+
+
+@pytest.mark.parametrize("edit", [
+    {"seeds": "123"}, {"seeds": [1.7]}, {"median": "0.25"}, None,
+])
+def test_sweep_rerun_from_a_lenient_manifest_cell_is_one_error(tmp_path, capsys, edit):
+    config = _config_file(tmp_path)
+    main(["sweep", "--config", str(config), "--out", str(tmp_path / "a"),
+          "--jobs", "1", "--quiet"])
+    path = tmp_path / "a/manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if edit is None:  # the vanilla cell twice
+        manifest["cells"].append(manifest["cells"][1])
+    else:
+        manifest["cells"][1].update(edit)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+
+    code = main(["sweep", "--from-manifest", str(path), "--out", str(tmp_path / "b"),
+                 "--jobs", "1", "--quiet"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: cell sphere factor vanilla: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "b").exists()
 
 
 def test_sweep_rerun_from_manifest_reports_cells_that_do_not_pair(tmp_path, capsys):

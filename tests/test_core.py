@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -102,6 +103,19 @@ def test_schedule_validation():
             SteepeningSchedule(bad)
         with pytest.raises(ValueError, match="factor > 0"):
             SteepeningSchedule.linear(bad)
+
+
+@pytest.mark.parametrize("bad", [True, "100", None, (100.0,)])
+def test_schedule_refuses_a_factor_that_is_not_a_number(bad):
+    with pytest.raises(ValueError, match=rf"^factor must be a real number, got {re.escape(repr(bad))}$"):
+        SteepeningSchedule(bad)
+    with pytest.raises(ValueError, match="factor must be a real number"):
+        SteepeningSchedule.linear(bad)
+
+
+def test_schedule_holds_its_factor_as_a_float():
+    assert repr(SteepeningSchedule(100)) == "SteepeningSchedule(factor=100.0)"
+    assert type(SteepeningSchedule.linear(2**53 + 1).factor) is float
 
 
 def test_vanilla_is_the_infinite_factor():
@@ -401,6 +415,17 @@ def test_config_validation():
         PpaConfig(budget=10**400, schedule=SteepeningSchedule.linear(100.0))
     # but not vanilla's, which never divides the budget by inf
     assert PpaConfig(budget=10**400).schedule == SteepeningSchedule.vanilla()
+
+
+@pytest.mark.parametrize("value", [1e4, 5.0, True, "100"])
+@pytest.mark.parametrize("field", ["budget", "pop_size", "n_max"])
+def test_config_refuses_a_count_that_is_not_an_integer(field, value):
+    """One ValueError at construction, so neither engine is reached: the
+    compiled engine's ctypes call cannot take a float count, while the
+    Python engine would run one."""
+    counts = {"budget": 10_000, "pop_size": 30, "n_max": 5, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        PpaConfig(**counts)
 
 
 def test_config_rejects_an_n_max_beyond_the_float_range():

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import signal
 import statistics
 import subprocess
@@ -17,6 +18,7 @@ import pytest
 import plantprop
 from plantprop import engine, experiment
 from plantprop.benchmarks import FUNCTION_NAMES
+from plantprop.core import PpaConfig, SteepeningSchedule
 from plantprop.cli import main
 from plantprop.experiment import (
     DEFAULT_BASE_SEED,
@@ -85,6 +87,42 @@ def test_spec_scalar_field_validation():
         SweepSpec(functions=("sphere",), factors=(100.0,), budget=5, pop_size=30)
     with pytest.raises(ValueError, match="too small for budget 300"):
         SweepSpec(functions=("sphere",), factors=(1e-306, VANILLA), budget=300)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("repeats", 2.5), ("base_seed", 1.5), ("repeats", True),  # the spec's own
+    ("budget", 1e4), ("pop_size", 30.0), ("n_max", "5"),  # PpaConfig's
+    ("dimension", 2.0),  # make_function's
+])
+def test_spec_refuses_a_count_that_is_not_an_integer(field, value):
+    """Each field's rule is its owner's, so the spec's message is the one
+    that the owner gives for the same value."""
+    message = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SweepSpec(functions=("sphere",), factors=(100.0,), **{field: value})
+
+
+def test_spec_refuses_a_factor_as_its_schedule_does():
+    for bad in (True, "100"):
+        with pytest.raises(ValueError, match="^factor must be a real number"):
+            SweepSpec(functions=("sphere",), factors=(100.0, bad))
+
+
+def test_spec_defaults_are_the_configs_and_one_method_makes_a_cells_config(
+    monkeypatch,
+):
+    spec = SweepSpec(functions=("sphere",), factors=(100, VANILLA))
+    assert (spec.pop_size, spec.n_max) == (PpaConfig.pop_size, PpaConfig.n_max)
+    assert spec.cell_config(100.0) == PpaConfig(
+        spec.budget, schedule=SteepeningSchedule(100.0)
+    )
+    made = []
+    real = SweepSpec.cell_config
+    monkeypatch.setattr(
+        SweepSpec, "cell_config", lambda self, factor: made.append(factor) or real(self, factor)
+    )
+    run_sweep(TINY)
+    assert made == [200.0, VANILLA]
 
 
 def test_spec_rejects_unknown_function_listing_known_names():
@@ -202,6 +240,17 @@ def test_cell_seeds_key_cells_by_name_in_spec_order():
     # the grid indices of ackley (function 1) under vanilla (factor 1)
     assert seeds[("ackley", VANILLA)] == (
         derive_subseed(5, 1, 1, 0), derive_subseed(5, 1, 1, 1),
+    )
+
+
+def test_cell_seeds_refuse_a_collision_naming_both_runs(monkeypatch):
+    monkeypatch.setattr(experiment, "derive_subseed", lambda *indices: 42)
+    spec = SweepSpec(functions=("sphere", "ackley"), factors=(200.0, VANILLA), repeats=2)
+    with pytest.raises(RuntimeError) as err:
+        cell_seeds(spec)
+    assert str(err.value) == (
+        "sub-seed collision: runs ('sphere', 200.0, 0) and "
+        "('sphere', 200.0, 1) both derived 42"
     )
 
 

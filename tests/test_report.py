@@ -140,6 +140,14 @@ def test_parse_csv_diagnostics_name_row_and_column(tmp_path, row, fragment):
     assert f"{path}:2" in str(err.value)
 
 
+def test_parse_csv_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        parse_csv(path)
+    assert str(err.value) == f"{path}: empty file"
+
+
 def test_parse_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("name,factor,median,run_final_1\n", encoding="utf-8")
@@ -214,6 +222,60 @@ def test_read_manifest_rejects_garbage(tmp_path):
         read_manifest(path)
     path.write_text(json.dumps([1, 2]), encoding="utf-8")
     with pytest.raises(ValueError, match="object"):
+        read_manifest(path)
+
+
+def _edited_manifest(tmp_path, edit):
+    """A manifest of a small sweep, with `edit` applied to its cells."""
+    spec = SweepSpec(functions=("ackley", "sphere"), factors=(100.0, 700.0, VANILLA),
+                     repeats=3, budget=500, pop_size=10, base_seed=55)
+    path = write_manifest(
+        spec, HeatmapTable(_sample_finals()), tmp_path / "m.json", 0.0, "python"
+    )
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc["cells"])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seeds", "123", "seeds must be a list of integers, got '123'"),
+    ("seeds", [1, 1.7, 3], "seeds must be a list of integers, got [1, 1.7, 3]"),
+    ("seeds", [True], "seeds must be a list of integers, got [True]"),
+    ("median", "0.25", "median must be a float, got '0.25'"),
+    ("median", None, "median must be a float, got None"),
+    ("median", 10**400, f"median must be a float, got {10**400!r}"),
+])
+def test_read_manifest_rejects_a_cell_naming_it(tmp_path, field, value, message):
+    path = _edited_manifest(tmp_path, lambda cells: cells[4].update({field: value}))
+    with pytest.raises(ValueError) as err:
+        read_manifest(path)
+    assert str(err.value) == f"{path}: cell sphere factor 700: {message}"
+
+
+def test_read_manifest_rejects_a_repeated_cell(tmp_path):
+    path = _edited_manifest(tmp_path, lambda cells: cells.append(dict(cells[2])))
+    with pytest.raises(ValueError) as err:
+        read_manifest(path)
+    assert str(err.value) == f"{path}: cell ackley factor vanilla: duplicate cell"
+
+
+def test_read_manifest_rejects_cells_that_are_not_a_list_of_cells(tmp_path):
+    cases = [
+        (lambda cells: cells[0].update(function=5), "'cells' entry 0: function must be a string"),
+        (lambda cells: cells[1].pop("seeds"), "malformed 'cells' entry 1: KeyError('seeds')"),
+        (lambda cells: cells.insert(0, "sphere"), "malformed 'cells' entry 0: TypeError("),
+    ]
+    for edit, message in cases:
+        path = _edited_manifest(tmp_path, edit)
+        with pytest.raises(ValueError) as err:
+            read_manifest(path)
+        assert str(err.value).startswith(f"{path}: {message}")
+    path = tmp_path / "m.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["cells"] = {"sphere": 1}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"'cells' must be a list, got \{'sphere': 1\}$"):
         read_manifest(path)
 
 
