@@ -274,6 +274,9 @@ FUNCTION_NAMES = SCALABLE_NAMES + FIXED_2D_NAMES
 
 FUNCTION_IDS = {name: i for i, name in enumerate(FUNCTION_NAMES)}
 
+# the dimension of make_function, list_functions, a sweep and `run`, unless given
+DEFAULT_DIMENSION = 2
+
 # name -> the registered formula's callable
 FORMULAS = {name: entry[0] for name, entry in {**_SCALABLE, **_FIXED_2D}.items()}
 
@@ -290,13 +293,12 @@ def formula_id(function: BenchmarkFunction) -> int | None:
     return func_id
 
 
-def make_function(name: str, dimension: int = 2) -> BenchmarkFunction:
+def make_function(name: str, dimension: int = DEFAULT_DIMENSION) -> BenchmarkFunction:
     """Build a registered benchmark function.
 
-    Scalable functions accept any dimension >= 2 (default 2); the five
-    fixed two-dimensional functions reject anything but dimension 2. The
-    record makes both checks; its integer rule runs here first, as the
-    bounds are built from the dimension.
+    Scalable functions accept any dimension >= 2, the five fixed 2-D ones
+    only 2; the record makes both checks, after the integer rule here, as
+    the bounds are built from the dimension. An unknown name is a ValueError.
     """
     check_integer("dimension", dimension)
     if name in _SCALABLE:
@@ -315,10 +317,10 @@ def make_function(name: str, dimension: int = 2) -> BenchmarkFunction:
         bounds = Bounds(tuple(d[0] for d in dims), tuple(d[1] for d in dims))
         return BenchmarkFunction(name, dimension, bounds, opt_value, tuple(points), fn)
     known = ", ".join(FUNCTION_NAMES)
-    raise KeyError(f"unknown benchmark function {name!r}; known: {known}")
+    raise ValueError(f"unknown benchmark function {name!r}; known: {known}")
 
 
-def list_functions(dimension: int = 2) -> list[BenchmarkFunction]:
+def list_functions(dimension: int = DEFAULT_DIMENSION) -> list[BenchmarkFunction]:
     """All 14 registered functions, scalable ones at the given dimension."""
     return [make_function(name, dimension if name in _SCALABLE else 2)
             for name in FUNCTION_NAMES]

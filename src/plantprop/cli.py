@@ -9,14 +9,13 @@ config/manifest value, then the built-in default.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from pathlib import Path
 
 from . import BACKENDS, __version__, report
-from .benchmarks import SCALABLE_NAMES, list_functions, make_function
+from .benchmarks import DEFAULT_DIMENSION, SCALABLE_NAMES, list_functions, make_function
 from .core import PpaConfig, SteepeningSchedule
 from .experiment import (
     DEFAULT_BASE_SEED,
@@ -30,6 +29,10 @@ from .experiment import (
 
 class CliError(Exception):
     """User-facing failure; main() prints it and exits nonzero."""
+
+
+# `sweep --preset` NAME: the function that builds the spec it runs
+_PRESETS = {"sweep-a": default_sweep_a, "sweep-b": default_sweep_b}
 
 
 def _usable_cpus() -> int:
@@ -53,9 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one optimization and print the result")
     p_run.add_argument("--function", required=True, help="benchmark function name")
-    p_run.add_argument(
-        "--dimension", type=int, default=2, help="dimensionality (default 2)"
-    )
+    p_run.add_argument("--dimension", type=int, default=DEFAULT_DIMENSION,
+                       help="dimensionality (default %(default)s)")
     p_run.add_argument(
         "--factor", type=float, default=SteepeningSchedule.factor,
         help="steepening factor: s = evals/factor + 1 "
@@ -90,9 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a (function x factor) grid, write CSV + manifest"
     )
     source = p_sweep.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--preset", choices=("sweep-a", "sweep-b"), help="a built-in grid"
-    )
+    source.add_argument("--preset", choices=_PRESETS, help="a built-in grid")
     source.add_argument("--config", metavar="SPEC.JSON", help="a sweep config file")
     source.add_argument(
         "--from-manifest",
@@ -144,11 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        function = make_function(args.function, args.dimension)
-    except KeyError as exc:
-        raise CliError(exc.args[0]) from None
-
+    function = make_function(args.function, args.dimension)
     schedule = SteepeningSchedule(args.factor)
     config = PpaConfig(
         budget=args.budget,
@@ -189,20 +185,10 @@ def _resolve_sweep_spec(
     """The spec to run, and with --from-manifest the manifest's cells to
     compare the rerun with (None when the seed was overridden)."""
     recorded = None
-    if args.preset == "sweep-a":
-        spec = default_sweep_a()
-    elif args.preset == "sweep-b":
-        spec = default_sweep_b()
+    if args.preset is not None:
+        spec = _PRESETS[args.preset]()
     elif args.config is not None:
-        path = Path(args.config)
-        try:
-            data = report.read_text(path)
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from None
-        try:
-            spec = SweepSpec.from_config_dict(json.loads(data))
-        except ValueError as exc:
-            raise CliError(f"{path}: {exc}") from None
+        spec = report.read_config(args.config)
     else:
         spec, recorded = report.read_manifest(args.from_manifest)
 
@@ -274,11 +260,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     csv_path = Path(args.csv)
-    try:
-        table = report.parse_csv(csv_path)
-    except OSError as exc:
-        raise CliError(f"cannot read {csv_path}: {exc}") from None
-
+    table = report.parse_csv(csv_path)
     out_dir = Path(args.out) if args.out is not None else csv_path.parent
     written = report.render_heatmaps(
         table, out_dir, combined=args.combined, raw=args.raw

@@ -90,7 +90,7 @@ class PpaConfig(Record):
         if math.isfinite(self.schedule.factor):
             # the fitness computes 4*s*z - 2*s; once 4*s overflows it is nan
             try:
-                s = self.budget / self.schedule.factor + 1.0
+                s = steepness(self.budget, self.schedule)
             except OverflowError:  # a budget beyond the float range
                 s = math.inf
             if not math.isfinite(4.0 * s):

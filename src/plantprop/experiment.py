@@ -18,7 +18,7 @@ import time
 from collections.abc import Callable, Sequence
 
 from ._record import Record, check_integer
-from .benchmarks import FIXED_2D_NAMES, SCALABLE_NAMES, make_function
+from .benchmarks import DEFAULT_DIMENSION, FIXED_2D_NAMES, SCALABLE_NAMES, make_function
 from .core import PpaConfig, SteepeningSchedule
 from .rng import derive_subseed
 
@@ -69,7 +69,7 @@ class SweepSpec(Record):
     pop_size: int = PpaConfig.pop_size
     n_max: int = PpaConfig.n_max
     base_seed: int = DEFAULT_BASE_SEED
-    dimension: int = 2
+    dimension: int = DEFAULT_DIMENSION
 
     def __post_init__(self):
         object.__setattr__(self, "functions", tuple(self.functions))
@@ -95,10 +95,7 @@ class SweepSpec(Record):
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         for name in self.functions:
-            try:
-                make_function(name, self.dimension)
-            except KeyError as exc:
-                raise ValueError(exc.args[0]) from None
+            make_function(name, self.dimension)
 
     def cell_config(self, factor: float) -> PpaConfig:
         """The run parameters of the spec's cells under `factor`."""
@@ -111,17 +108,12 @@ class SweepSpec(Record):
         return len(self.functions) * len(self.factors)
 
     def to_config_dict(self) -> dict:
-        """JSON-ready dict; the vanilla factor serializes as "vanilla"."""
-        return {
-            "functions": list(self.functions),
-            "dimension": self.dimension,
-            "factors": [factor_to_json(f) for f in self.factors],
-            "repeats": self.repeats,
-            "budget": self.budget,
-            "pop_size": self.pop_size,
-            "n_max": self.n_max,
-            "base_seed": self.base_seed,
-        }
+        """Every field, in field order, JSON-ready: the lists are lists and
+        the vanilla factor is "vanilla"."""
+        config = {name: getattr(self, name) for name in self._fields}
+        config["functions"] = list(self.functions)
+        config["factors"] = [factor_to_json(f) for f in self.factors]
+        return config
 
     @classmethod
     def from_config_dict(cls, data: dict) -> "SweepSpec":

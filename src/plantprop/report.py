@@ -42,6 +42,29 @@ def read_text(path: Path) -> str:
         raise ValueError(f"{path}: not valid UTF-8: {exc}") from None
 
 
+def _read_json(path: Path):
+    """A JSON file's document; bad bytes or text are a ValueError naming it."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
+def _spec(path: Path, config) -> SweepSpec:
+    """The spec of `config`, read from `path`; a fault is a ValueError naming it."""
+    try:
+        return SweepSpec.from_config_dict(config)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_config(path: str | Path) -> SweepSpec:
+    """The sweep spec of a config file. A fault in the file is a ValueError
+    naming it; one that cannot be read is an OSError, whose text names it."""
+    path = Path(path)
+    return _spec(path, _read_json(path))
+
+
 def format_float(value: float) -> str:
     # 17 significant digits round-trip any double exactly
     return f"{value:.17g}"
@@ -178,26 +201,26 @@ def write_manifest(
 def read_manifest(path: str | Path) -> tuple[SweepSpec, ManifestCells]:
     """The sweep spec and the cells of a manifest written by write_manifest.
 
-    A cell's factor is read as a float, with "vanilla" as VANILLA. A cell
-    whose function is not a string, whose seeds are not a list of integers
-    or whose median is not a float fails with the cell named, as does a
-    cell that an earlier entry already has.
+    Every fault names the file, as in a manifest without its spec or its
+    cells; the spec is read as read_config reads one. A cell's factor is
+    read as a float, with "vanilla" as VANILLA. A cell whose function is not
+    a string, whose seeds are not a list of integers or whose median is not
+    a float fails with the cell named, as does a cell that an earlier entry
+    already has.
     """
     path = Path(path)
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: manifest must be a JSON object")
     if doc.get("format") != MANIFEST_FORMAT:
         raise ValueError(
             f"{path}: unsupported manifest format {doc.get('format')!r}"
         )
-    if "spec" not in doc:
-        raise ValueError(f"{path}: manifest is missing its 'spec' entry")
-    spec = SweepSpec.from_config_dict(doc["spec"])
-    entries = doc.get("cells", [])
+    for entry in ("spec", "cells"):
+        if entry not in doc:
+            raise ValueError(f"{path}: manifest is missing its {entry!r} entry")
+    spec = _spec(path, doc["spec"])
+    entries = doc["cells"]
     if not isinstance(entries, list):
         raise ValueError(f"{path}: 'cells' must be a list, got {entries!r}")
     cells: ManifestCells = {}

@@ -131,7 +131,7 @@ def test_evaluate_rejects_wrong_dimension():
 
 
 def test_make_function_rejects_unknown_name():
-    with pytest.raises(KeyError) as exc:
+    with pytest.raises(ValueError) as exc:
         make_function("nosuch")
     assert "sphere" in str(exc.value)
 

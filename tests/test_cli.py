@@ -616,9 +616,12 @@ def test_plot_csv_that_is_not_utf8_is_named(tmp_path, capsys):
 
 
 def test_plot_missing_file(tmp_path, capsys):
-    code = main(["plot", str(tmp_path / "absent.csv")])
+    absent = tmp_path / "absent.csv"
+    code = main(["plot", str(absent)])
     assert code == 1
-    assert "cannot read" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{absent}'\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -642,6 +645,47 @@ def test_a_library_error_is_one_error_line(tmp_path, capsys, case):
             report.read_manifest(path)
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {raised.value}\n")
+
+
+# -- input files ---------------------------------------------------------------
+
+# each reader, and the faults in its file that apply to it
+_READER_FAULTS = [
+    ("plot", "missing"), ("plot", "not UTF-8"),
+    *((source, fault) for source in ("--config", "--from-manifest")
+      for fault in ("missing", "not UTF-8", "not JSON", "repeats 2.5")),
+    ("--from-manifest", "no cells"),
+]
+
+
+@pytest.mark.parametrize("reader, fault", _READER_FAULTS)
+def test_a_bad_input_file_is_one_error_line_naming_it(tmp_path, capsys, reader, fault):
+    path = tmp_path / "input"
+    doc = dict(TINY_CONFIG, repeats=2.5) if fault == "repeats 2.5" else TINY_CONFIG
+    if reader == "--from-manifest":
+        doc = {"format": report.MANIFEST_FORMAT, "spec": doc}
+        if fault != "no cells":
+            doc["cells"] = []
+    if fault == "not UTF-8":
+        path.write_bytes(b"\xff{}")
+    elif fault == "not JSON":
+        path.write_text("{not json", encoding="utf-8")
+    elif fault != "missing":
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    if reader == "plot":
+        argv = ["plot", str(path), "--out", str(out_dir)]
+    else:
+        argv = ["sweep", reader, str(path), "--out", str(out_dir), "--jobs", "1"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    if fault == "repeats 2.5":
+        assert err == f"error: {path}: repeats must be an integer, got 2.5\n"
+    if fault == "no cells":  # refused before anything runs
+        assert err == f"error: {path}: manifest is missing its 'cells' entry\n"
+    assert not out_dir.exists()
 
 
 # -- list-functions and help -----------------------------------------------------
