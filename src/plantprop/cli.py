@@ -155,10 +155,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     from . import engine  # loads the compiled kernel, which only runs need
 
-    try:
-        result = engine.run(config, function, args.seed, backend=args.backend)
-    except RuntimeError as exc:  # the compiled backend asked for but unavailable
-        raise CliError(str(exc)) from None
+    result = engine.run(config, function, args.seed, backend=args.backend)
 
     label = report.factor_label(schedule.factor)
     if label != "vanilla":
@@ -219,8 +216,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     width = len(str(total))
 
     def progress(cell, finals, done: int, count: int, elapsed: float) -> None:
-        if args.quiet:
-            return
         function, factor = cell
         print(
             f"[{done:>{width}}/{count}] {function:<14} "
@@ -231,8 +226,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     try:
-        table = run_sweep(spec, jobs=jobs, backend=args.backend, progress=progress)
-    except RuntimeError as exc:
+        table = run_sweep(
+            spec, jobs=jobs, backend=args.backend,
+            progress=None if args.quiet else progress,
+        )
+    except RuntimeError as exc:  # a sweep worker died or sub-seeds collided
         raise CliError(str(exc)) from None
     elapsed = time.perf_counter() - started
 

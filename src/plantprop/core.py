@@ -240,6 +240,7 @@ def run_ppa(
     (evaluations_used, population); it exists for invariant checks and is
     not part of the hot path.
     """
+    check_integer("seed", seed)
     bounds = objective.bounds
     lower = bounds.lower
     upper = bounds.upper

@@ -9,6 +9,7 @@ engine; observers are a feature of the reference, core.run_ppa.
 from __future__ import annotations
 
 from . import BACKENDS, core
+from ._record import check_integer
 from .benchmarks import BenchmarkFunction, formula_id
 from .core import PpaConfig, RunResult
 
@@ -37,20 +38,11 @@ def run(
     of the registered benchmarks with its built-in formula (on any bounds);
     otherwise it falls back to the Python engine. Requesting `compiled` in
     a situation the kernel cannot handle is an error rather than a silent
-    fallback.
-
-    Each input is checked once, where it is made: Bounds checks every
-    lower < upper, BenchmarkFunction an integer dimension, the bounds'
-    length and a registered formula's dimension, PpaConfig and
-    SteepeningSchedule integer counts, a numeric factor and the steepness,
-    so a float count fails alike on both engines. ``_kernel.run`` adds
-    what only the C core needs (a registered formula, counts that fit in
-    int64) and raises MemoryError before a run whose buffers overflow or
-    cannot be allocated, which the CLI reports as an ``error: ...`` line.
-    The Python engine has no size limit.
-    It builds ``pop_size`` individuals and each generation's offspring as
-    Python objects, so a size that does not fit in memory fails however the
-    interpreter runs out of it.
+    fallback. Which exception each refusal raises is stated once, under
+    "Library use" in the README. The Python engine has no size limit: it
+    builds ``pop_size`` individuals and each generation's offspring as
+    Python objects, so a size that does not fit in memory fails however
+    the interpreter runs out of it.
     """
     if backend not in BACKENDS:
         raise ValueError(
@@ -61,8 +53,9 @@ def run(
         backend = "compiled" if compiled else "python"
     if backend == "python":
         return core.run_ppa(config, function, seed)
+    check_integer("seed", seed)
     if not HAVE_KERNEL:
-        raise RuntimeError(
+        raise ValueError(
             f"the compiled backend is unavailable ({KERNEL_ERROR}); "
             "use backend='python' or 'auto'"
         )

@@ -43,19 +43,24 @@ def read_text(path: Path) -> str:
 
 
 def _read_json(path: Path):
-    """A JSON file's document; bad bytes or text are a ValueError naming it."""
+    """A JSON file's document; bad bytes or text, nesting too deep for the
+    parser or an integer too long to convert are a ValueError naming it."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _spec(path: Path, config) -> SweepSpec:
-    """The spec of `config`, read from `path`; a fault is a ValueError naming it."""
+    """The spec of `config`, read from `path`; a fault is a ValueError, and a
+    size too large for memory a MemoryError, naming it."""
     try:
         return SweepSpec.from_config_dict(config)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except MemoryError as exc:
+        raise MemoryError(f"{path}: {exc}") from None
 
 
 def read_config(path: str | Path) -> SweepSpec:
@@ -395,7 +400,10 @@ def render_heatmaps(
                 f"no known optimum for {', '.join(unknown)}; "
                 f"use raw mode or one of: {', '.join(FUNCTION_NAMES)}"
             )
-    if not combined:
+    if combined:
+        files = {"heatmap_combined.svg": table.functions}
+    else:
+        files = {}
         for function in table.functions:
             # Path(name).name drops any directory part and is "" for "."
             if function in ("", "..") or Path(function).name != function:
@@ -403,20 +411,12 @@ def render_heatmaps(
                     f"function name {function!r} is not a plain file name; "
                     "use combined mode"
                 )
+            files[f"{function}.svg"] = (function,)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    if combined:
-        target = out_dir / "heatmap_combined.svg"
-        target.write_text(
-            _render_rows(table, table.functions, raw), encoding="utf-8"
-        )
+    for name, functions in files.items():
+        target = out_dir / name
+        target.write_text(_render_rows(table, functions, raw), encoding="utf-8")
         written.append(target)
-    else:
-        for function in table.functions:
-            target = out_dir / f"{function}.svg"
-            target.write_text(
-                _render_rows(table, (function,), raw), encoding="utf-8"
-            )
-            written.append(target)
     return written

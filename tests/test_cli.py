@@ -653,7 +653,8 @@ def test_a_library_error_is_one_error_line(tmp_path, capsys, case):
 _READER_FAULTS = [
     ("plot", "missing"), ("plot", "not UTF-8"),
     *((source, fault) for source in ("--config", "--from-manifest")
-      for fault in ("missing", "not UTF-8", "not JSON", "repeats 2.5")),
+      for fault in ("missing", "not UTF-8", "not JSON", "repeats 2.5", "deep nesting",
+                    "long integer", "huge dimension")),
     ("--from-manifest", "no cells"),
 ]
 
@@ -661,7 +662,11 @@ _READER_FAULTS = [
 @pytest.mark.parametrize("reader, fault", _READER_FAULTS)
 def test_a_bad_input_file_is_one_error_line_naming_it(tmp_path, capsys, reader, fault):
     path = tmp_path / "input"
-    doc = dict(TINY_CONFIG, repeats=2.5) if fault == "repeats 2.5" else TINY_CONFIG
+    doc = {
+        "repeats 2.5": dict(TINY_CONFIG, repeats=2.5),
+        "long integer": dict(TINY_CONFIG, base_seed="DIGITS"),
+        "huge dimension": dict(TINY_CONFIG, dimension=2**62),
+    }.get(fault, TINY_CONFIG)
     if reader == "--from-manifest":
         doc = {"format": report.MANIFEST_FORMAT, "spec": doc}
         if fault != "no cells":
@@ -670,8 +675,10 @@ def test_a_bad_input_file_is_one_error_line_naming_it(tmp_path, capsys, reader, 
         path.write_bytes(b"\xff{}")
     elif fault == "not JSON":
         path.write_text("{not json", encoding="utf-8")
-    elif fault != "missing":
-        path.write_text(json.dumps(doc), encoding="utf-8")
+    elif fault == "deep nesting":
+        path.write_text("[" * 100_000, encoding="utf-8")
+    elif fault != "missing":  # a long integer has 5000 digits, past int(str)'s limit
+        path.write_text(json.dumps(doc).replace('"DIGITS"', "9" * 5000), encoding="utf-8")
     out_dir = tmp_path / "out"
     if reader == "plot":
         argv = ["plot", str(path), "--out", str(out_dir)]
@@ -685,6 +692,10 @@ def test_a_bad_input_file_is_one_error_line_naming_it(tmp_path, capsys, reader, 
         assert err == f"error: {path}: repeats must be an integer, got 2.5\n"
     if fault == "no cells":  # refused before anything runs
         assert err == f"error: {path}: manifest is missing its 'cells' entry\n"
+    if fault == "huge dimension":  # the reader keeps the type
+        read = report.read_config if reader == "--config" else report.read_manifest
+        with pytest.raises(MemoryError, match=re.escape(f"{path}: sphere at dimension")):
+            read(path)
     assert not out_dir.exists()
 
 

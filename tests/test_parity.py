@@ -918,8 +918,15 @@ def test_auto_skips_python_engine_for_registered_functions(monkeypatch):
 def test_unavailable_kernel_error_names_the_reason(monkeypatch):
     monkeypatch.setattr(engine, "HAVE_KERNEL", False)
     monkeypatch.setattr(engine, "KERNEL_ERROR", "cc: not found")
-    with pytest.raises(RuntimeError, match="cc: not found"):
+    with pytest.raises(ValueError, match="cc: not found"):
         engine.run(PpaConfig(budget=50), make_function("sphere", 2), 1, backend="compiled")
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize("seed", [1.5, "7", True])
+def test_a_seed_that_is_not_an_integer_is_refused(backend, seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        engine.run(PpaConfig(budget=50), make_function("sphere", 2), seed, backend=backend)
 
 
 def test_default_backend_reflects_build():
