@@ -7,7 +7,8 @@ parallel; the collected finals are keyed by cell in a table that orders
 them itself, which makes the output identical no matter how the work was
 scheduled. With `jobs` > 1 the calling process runs cells too, beside
 `jobs - 1` child processes, and each takes the next cell from one shared
-counter.
+counter. The file formats are report's: a spec's config dict, the results
+CSV and the manifest.
 """
 
 from __future__ import annotations
@@ -33,23 +34,6 @@ DEFAULT_FACTORS = tuple(float(f) for f in range(100, 4001, 100))
 DEFAULT_BASE_SEED = 101
 
 
-def factor_to_json(factor: float) -> float | str:
-    """A factor as written to config and manifest JSON: vanilla is "vanilla"."""
-    return "vanilla" if factor == VANILLA else factor
-
-
-def factor_from_json(raw) -> float:
-    """A factor as read from config and manifest JSON: "vanilla" is VANILLA."""
-    if raw == "vanilla":
-        return VANILLA
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        try:
-            return float(raw)
-        except OverflowError:  # an integer that json read exactly
-            raise ValueError("a factor lies beyond the float range") from None
-    raise ValueError(f"factors must be numbers or the token \"vanilla\", got {raw!r}")
-
-
 # (cell, its finals, cells done, cells in all, seconds since the start)
 ProgressCallback = Callable[[tuple, tuple, int, int, float], None]
 
@@ -59,7 +43,9 @@ class SweepSpec(Record):
 
     A factor is checked by SteepeningSchedule, the counts by PpaConfig
     (whose defaults these are), the dimension by make_function, and the
-    rest here.
+    rest here, including that a manifest's JSON can hold the base seed.
+    report.spec_from_config and spec_to_config read and write a spec as
+    the dict of a config file.
     """
 
     functions: tuple[str, ...]
@@ -92,6 +78,13 @@ class SweepSpec(Record):
             )
         check_integer("repeats", self.repeats)
         check_integer("base_seed", self.base_seed)
+        try:
+            str(self.base_seed)  # as json.dumps writes it into the manifest
+        except ValueError:  # beyond sys.get_int_max_str_digits(), where set
+            raise ValueError(
+                f"base_seed has more than {sys.get_int_max_str_digits()} "
+                "digits, which a manifest cannot hold"
+            ) from None
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         for name in self.functions:
@@ -106,37 +99,6 @@ class SweepSpec(Record):
     @property
     def cell_count(self) -> int:
         return len(self.functions) * len(self.factors)
-
-    def to_config_dict(self) -> dict:
-        """Every field, in field order, JSON-ready: the lists are lists and
-        the vanilla factor is "vanilla"."""
-        config = {name: getattr(self, name) for name in self._fields}
-        config["functions"] = list(self.functions)
-        config["factors"] = [factor_to_json(f) for f in self.factors]
-        return config
-
-    @classmethod
-    def from_config_dict(cls, data: dict) -> "SweepSpec":
-        if not isinstance(data, dict):
-            raise ValueError("sweep config must be a JSON object")
-        unknown = sorted(set(data) - set(cls._fields))
-        if unknown:
-            raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
-        for required in ("functions", "factors"):
-            if required not in data:
-                raise ValueError(f"sweep config is missing {required!r}")
-
-        functions = data["functions"]
-        if not isinstance(functions, list) or not all(
-            isinstance(f, str) for f in functions
-        ):
-            raise ValueError("functions must be a list of identifier strings")
-
-        factors = data["factors"]
-        if not isinstance(factors, list):
-            raise ValueError(f"factors must be a list, got {factors!r}")
-        factors = [factor_from_json(raw) for raw in factors]
-        return cls(**dict(data, functions=tuple(functions), factors=tuple(factors)))
 
 
 class HeatmapTable(Record):

@@ -1,11 +1,13 @@
 """Sweep artifacts: CSV tables, reproducibility manifests, SVG heatmaps.
 
-The CSV is the canonical result format: one row per (function, factor)
-cell, every float printed with 17 significant digits so parsing it back
-gives bit-identical doubles. The manifest records everything needed to
-re-run a sweep (spec, base seed, per-cell sub-seeds, tool version). The
-heatmaps are hand-assembled SVG strings, a pure function of the table, so
-the same table always renders to the same bytes.
+Every file format that the package reads or writes lives here, a spec's
+config dict among them. The CSV is the canonical result format: one row
+per (function, factor) cell, every float printed with 17 significant
+digits so parsing it back gives bit-identical doubles. The manifest
+records everything needed to re-run a sweep (spec, base seed, per-cell
+sub-seeds, tool version). The heatmaps are hand-assembled SVG strings, a
+pure function of the table, so the same table always renders to the same
+bytes.
 """
 
 from __future__ import annotations
@@ -18,15 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .benchmarks import FUNCTION_NAMES, make_function
-from .experiment import (
-    VANILLA,
-    HeatmapTable,
-    SweepSpec,
-    _median,
-    cell_seeds,
-    factor_from_json,
-    factor_to_json,
-)
+from .core import SteepeningSchedule
+from .experiment import VANILLA, HeatmapTable, SweepSpec, _median, cell_seeds
 
 MANIFEST_FORMAT = "plantprop-manifest-1"
 
@@ -52,11 +47,63 @@ def _read_json(path: Path):
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
+def _factor_to_json(factor: float) -> float | str:
+    """A factor as written to config and manifest JSON: vanilla is "vanilla"."""
+    return "vanilla" if factor == VANILLA else factor
+
+
+def _factor_from_json(raw) -> float:
+    """A factor as read from config and manifest JSON: "vanilla" is VANILLA."""
+    if raw == "vanilla":
+        return VANILLA
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except OverflowError:  # an integer that json read exactly
+            raise ValueError("a factor lies beyond the float range") from None
+    raise ValueError(f"factors must be numbers or the token \"vanilla\", got {raw!r}")
+
+
+def spec_to_config(spec: SweepSpec) -> dict:
+    """Every field of `spec`, in field order, JSON-ready: the lists are lists
+    and the vanilla factor is "vanilla"."""
+    config = {name: getattr(spec, name) for name in spec._fields}
+    config["functions"] = list(spec.functions)
+    config["factors"] = [_factor_to_json(f) for f in spec.factors]
+    return config
+
+
+def spec_from_config(data) -> SweepSpec:
+    """The spec of a config dict, as spec_to_config writes one: unknown keys
+    and a missing "functions" or "factors" are a ValueError, as is each
+    value that SweepSpec refuses; a missing field takes its default."""
+    if not isinstance(data, dict):
+        raise ValueError("sweep config must be a JSON object")
+    unknown = sorted(set(data) - set(SweepSpec._fields))
+    if unknown:
+        raise ValueError(f"unknown sweep config keys: {', '.join(unknown)}")
+    for required in ("functions", "factors"):
+        if required not in data:
+            raise ValueError(f"sweep config is missing {required!r}")
+
+    functions = data["functions"]
+    if not isinstance(functions, list) or not all(
+        isinstance(f, str) for f in functions
+    ):
+        raise ValueError("functions must be a list of identifier strings")
+
+    factors = data["factors"]
+    if not isinstance(factors, list):
+        raise ValueError(f"factors must be a list, got {factors!r}")
+    factors = tuple(_factor_from_json(raw) for raw in factors)
+    return SweepSpec(**dict(data, functions=tuple(functions), factors=factors))
+
+
 def _spec(path: Path, config) -> SweepSpec:
     """The spec of `config`, read from `path`; a fault is a ValueError, and a
     size too large for memory a MemoryError, naming it."""
     try:
-        return SweepSpec.from_config_dict(config)
+        return spec_from_config(config)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except MemoryError as exc:
@@ -95,9 +142,9 @@ def parse_csv(path: str | Path) -> HeatmapTable:
     """Parse a results CSV back into a table.
 
     Malformed input fails with the offending row and column named, as
-    does a median that is not the median of its row's run finals or a
-    cell that an earlier row already has; a missing cell fails the
-    completeness check.
+    does a factor that SteepeningSchedule refuses, a median that is not the
+    median of its row's run finals or a cell that an earlier row already
+    has; a missing cell fails the completeness check.
     """
     path = Path(path)
     lines = read_text(path).splitlines()
@@ -123,25 +170,8 @@ def parse_csv(path: str | Path) -> HeatmapTable:
                 f"{path}:{lineno}: expected {len(header)} columns, "
                 f"got {len(parts)}"
             )
-        function = parts[0]
-        raw_factor = parts[1]
-        if raw_factor == "inf":
-            factor = VANILLA
-        else:
-            try:
-                factor = float(raw_factor)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: column 'factor': "
-                    f"not a number: {raw_factor!r}"
-                ) from None
-            if not math.isfinite(factor) or factor <= 0:
-                raise ValueError(
-                    f"{path}:{lineno}: column 'factor': "
-                    f"must be positive and finite, got {raw_factor!r}"
-                )
         values = []
-        for colname, raw in zip(header[2:], parts[2:]):
+        for colname, raw in zip(header[1:], parts[1:]):
             try:
                 values.append(float(raw))
             except ValueError:
@@ -149,15 +179,21 @@ def parse_csv(path: str | Path) -> HeatmapTable:
                     f"{path}:{lineno}: column {colname!r}: "
                     f"not a number: {raw!r}"
                 ) from None
-        if values[0] != _median(values[1:]):
+        factor, median, *run_finals = values
+        try:
+            # as `run --factor` reads one: positive, any spelling of inf vanilla
+            factor = SteepeningSchedule(factor).factor
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: column 'factor': {exc}") from None
+        if median != _median(run_finals):
             raise ValueError(
                 f"{path}:{lineno}: column 'median': {parts[2]!r} is not the "
                 "median of the row's run finals"
             )
-        key = (function, factor)
+        key = (parts[0], factor)
         if key in finals:
             raise ValueError(f"{path}:{lineno}: duplicate cell {key}")
-        finals[key] = tuple(values[1:])
+        finals[key] = tuple(run_finals)
     try:
         return HeatmapTable(finals)
     except ValueError as exc:
@@ -186,7 +222,7 @@ def write_manifest(
     finals `table` holds, bit for bit."""
     path = Path(path)
     cells = [
-        {"function": function, "factor": factor_to_json(factor),
+        {"function": function, "factor": _factor_to_json(factor),
          "seeds": list(seeds), "median": median}
         for (function, factor), (seeds, median) in _manifest_cells(spec, table).items()
     ]
@@ -196,7 +232,7 @@ def write_manifest(
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "elapsed_seconds": elapsed_seconds,
         "backend": backend,
-        "spec": spec.to_config_dict(),
+        "spec": spec_to_config(spec),
         "cells": cells,
     }
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -231,7 +267,7 @@ def read_manifest(path: str | Path) -> tuple[SweepSpec, ManifestCells]:
     cells: ManifestCells = {}
     for index, cell in enumerate(entries):
         try:
-            function, factor = cell["function"], factor_from_json(cell["factor"])
+            function, factor = cell["function"], _factor_from_json(cell["factor"])
             seeds, median = cell["seeds"], cell["median"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(

@@ -30,6 +30,7 @@ from plantprop.experiment import (
     default_sweep_b,
     run_sweep,
 )
+from plantprop.report import spec_from_config, spec_to_config
 from plantprop.rng import derive_subseed
 
 TINY = SweepSpec(
@@ -102,6 +103,21 @@ def test_spec_refuses_a_count_that_is_not_an_integer(field, value):
         SweepSpec(functions=("sphere",), factors=(100.0,), **{field: value})
 
 
+def test_spec_refuses_a_base_seed_that_its_manifest_cannot_hold():
+    """Where the interpreter caps int-to-str conversion, a longer base seed
+    is refused when the spec is made, not by json.dumps once the sweep has
+    run; a seed at the cap, signed or not, is written as it is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length to str")
+    for seed in (10**limit - 1, -(10**limit - 1)):
+        spec = SweepSpec(functions=("sphere",), factors=(100.0,), base_seed=seed)
+        assert json.loads(json.dumps(spec_to_config(spec)))["base_seed"] == seed
+    for seed in (10**limit, -(10**limit), 10**5000):
+        with pytest.raises(ValueError, match=f"^base_seed has more than {limit} digits"):
+            SweepSpec(functions=("sphere",), factors=(100.0,), base_seed=seed)
+
+
 def test_spec_refuses_a_factor_as_its_schedule_does():
     for bad in (True, "100"):
         with pytest.raises(ValueError, match="^factor must be a real number"):
@@ -146,41 +162,41 @@ def test_spec_cell_count():
 
 def test_config_dict_round_trip():
     for spec in (TINY, default_sweep_a(), default_sweep_b(base_seed=77)):
-        data = spec.to_config_dict()
-        assert SweepSpec.from_config_dict(data) == spec
+        data = spec_to_config(spec)
+        assert spec_from_config(data) == spec
 
 
 def test_config_dict_serializes_vanilla_token():
-    data = TINY.to_config_dict()
+    data = spec_to_config(TINY)
     assert data["factors"] == [200.0, "vanilla"]
 
 
 def test_from_config_takes_defaults_from_the_dataclass():
-    spec = SweepSpec.from_config_dict({"functions": ["sphere"], "factors": [100]})
+    spec = spec_from_config({"functions": ["sphere"], "factors": [100]})
     assert spec == SweepSpec(("sphere",), (100.0,))
 
 
 def test_from_config_rejects_unknown_keys():
-    data = TINY.to_config_dict()
+    data = spec_to_config(TINY)
     data["colour"] = "green"
     with pytest.raises(ValueError, match="colour"):
-        SweepSpec.from_config_dict(data)
+        spec_from_config(data)
 
 
 def test_from_config_requires_functions_and_factors():
     with pytest.raises(ValueError, match="functions"):
-        SweepSpec.from_config_dict({"factors": [100]})
+        spec_from_config({"factors": [100]})
     with pytest.raises(ValueError, match="factors"):
-        SweepSpec.from_config_dict({"functions": ["sphere"]})
+        spec_from_config({"functions": ["sphere"]})
 
 
 def test_from_config_type_errors():
     with pytest.raises(ValueError, match="identifier strings"):
-        SweepSpec.from_config_dict({"functions": "sphere", "factors": [100]})
+        spec_from_config({"functions": "sphere", "factors": [100]})
     with pytest.raises(ValueError, match="vanilla"):
-        SweepSpec.from_config_dict({"functions": ["sphere"], "factors": ["inf"]})
+        spec_from_config({"functions": ["sphere"], "factors": ["inf"]})
     with pytest.raises(ValueError, match="repeats"):
-        SweepSpec.from_config_dict(
+        spec_from_config(
             {"functions": ["sphere"], "factors": [100], "repeats": 2.5}
         )
 
@@ -335,10 +351,10 @@ def test_run_sweep_forks_its_children_whatever_the_default():
     script = f"""
 import multiprocessing, os
 from plantprop import experiment
-from plantprop.experiment import SweepSpec
+from plantprop.report import spec_from_config
 
 multiprocessing.set_start_method("forkserver", force=True)
-spec = SweepSpec.from_config_dict({TINY.to_config_dict()!r})
+spec = spec_from_config({spec_to_config(TINY)!r})
 here = os.getpid()
 in_child = multiprocessing.get_context("fork").Event()
 real = experiment._run_cell
@@ -368,6 +384,48 @@ print(multiprocessing.get_start_method(), in_child.is_set(),
 # -- the sweep's child processes ------------------------------------------------
 
 THREE_CELLS = TINY.replace(factors=(200.0, 500.0, VANILLA))
+
+
+def test_run_sweep_spawns_its_children_where_fork_is_not_taken():
+    """On macOS and Windows the pool takes the default start method, spawn
+    there: each child imports the package afresh, takes cells from the
+    shared counter, and the table equals the serial one; no child outlives
+    the sweep."""
+    script = f"""
+import multiprocessing, sys, time
+from plantprop import experiment
+from plantprop.report import spec_from_config
+
+multiprocessing.set_start_method("spawn", force=True)
+sys.platform = "darwin"  # so the pool takes the default context
+spec = spec_from_config({spec_to_config(THREE_CELLS)!r})
+real = experiment._take
+taken_by_a_child = []
+
+def take(counter, total):
+    # this process takes its first cell only once a child has taken one
+    deadline = time.monotonic() + 20
+    while not counter.value and time.monotonic() < deadline:
+        time.sleep(0.01)
+    taken_by_a_child.append(counter.value > 0)
+    return real(counter, total)
+
+experiment._take = take  # in this process only: a spawned child imports its own
+spawned = []
+start = multiprocessing.context.SpawnProcess.start
+multiprocessing.context.SpawnProcess.start = lambda self: spawned.append(self) or start(self)
+table = experiment.run_sweep(spec, jobs=3)
+print(len(spawned), taken_by_a_child[0],
+      table == experiment.run_sweep(spec, jobs=1),
+      multiprocessing.active_children() == [])
+"""
+    src = str(Path(plantprop.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "True", "True", "True"]
 
 
 @contextlib.contextmanager
@@ -443,7 +501,7 @@ def test_a_child_that_exits_with_code_0_early_raises_runtime_error(monkeypatch):
 def test_sweep_cli_reports_a_child_that_exits_early(monkeypatch, tmp_path, capsys):
     fail_in_children(monkeypatch, exit_at_once)
     config = tmp_path / "spec.json"
-    config.write_text(json.dumps(THREE_CELLS.to_config_dict()), encoding="utf-8")
+    config.write_text(json.dumps(spec_to_config(THREE_CELLS)), encoding="utf-8")
     with deadline(60):
         code = main(["sweep", "--config", str(config), "--out",
                      str(tmp_path / "out"), "--jobs", "3", "--quiet"])
@@ -480,7 +538,7 @@ def test_ctrl_c_stops_every_worker_without_worker_tracebacks(tmp_path):
                         factors=tuple(100.0 * k for k in range(1, 11)),
                         budget=30_000)
     config = tmp_path / "spec.json"
-    config.write_text(json.dumps(spec.to_config_dict()), encoding="utf-8")
+    config.write_text(json.dumps(spec_to_config(spec)), encoding="utf-8")
     src = str(Path(plantprop.__file__).resolve().parents[1])
     # on the Python engine a cell at this budget takes about a second, so
     # the grid has seconds of work left when its first line comes, more

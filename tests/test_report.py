@@ -118,7 +118,10 @@ def test_csv_rewrite_is_byte_identical(tmp_path):
     "row,fragment",
     [
         ("sphere,abc,1,1,1,1", "column 'factor'"),
-        ("sphere,-100,1,1,1,1", "positive"),
+        ("sphere,-100,1,1,1,1", "factor > 0"),
+        ("sphere,nan,1,1,1,1", "column 'factor': linear schedule requires factor > 0"),
+        ("sphere,0,1,1,1,1", "column 'factor': linear schedule requires factor > 0"),
+        ("sphere,-inf,1,1,1,1", "column 'factor': linear schedule requires factor > 0"),
         ("sphere,100,xyz,1,1,1", "column 'median'"),
         ("sphere,100,2,1,1,1", "column 'median'"),
         ("sphere,100,1,1,oops,1", "column 'run_final_2'"),
@@ -138,6 +141,16 @@ def test_parse_csv_diagnostics_name_row_and_column(tmp_path, row, fragment):
         parse_csv(path)
     assert fragment in str(err.value)
     assert f"{path}:2" in str(err.value)
+
+
+@pytest.mark.parametrize("spelling", ["inf", "Infinity", "1e999"])
+def test_parse_csv_reads_any_spelling_of_inf_as_vanilla(tmp_path, spelling):
+    """A factor is read as `run --factor` reads one, by the schedule's rule."""
+    table = HeatmapTable(_sample_finals())
+    path = write_csv(table, tmp_path / "r.csv")
+    text = path.read_text(encoding="utf-8").replace(",inf,", f",{spelling},")
+    path.write_text(text, encoding="utf-8")
+    assert parse_csv(path) == table
 
 
 def test_parse_csv_rejects_an_empty_file(tmp_path):
