@@ -24,11 +24,7 @@ from .rng import Xoshiro256pp, derive_subseed
 
 __version__ = "0.1.0"
 
-# engine's backend names, defined here so that the CLI can offer them
-# without importing engine
-BACKENDS = ("auto", "compiled", "python")
-
-_FROM_ENGINE = ("DEFAULT_BACKEND", "HAVE_KERNEL", "KERNEL_ERROR", "run")
+_FROM_ENGINE = ("BACKENDS", "DEFAULT_BACKEND", "HAVE_KERNEL", "KERNEL_ERROR", "run")
 
 
 def __getattr__(name):

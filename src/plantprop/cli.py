@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import BACKENDS, __version__, report
+from . import __version__, report
 from .benchmarks import DEFAULT_DIMENSION, SCALABLE_NAMES, list_functions, make_function
 from .core import PpaConfig, SteepeningSchedule
 from .experiment import (
@@ -81,12 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write (evaluation, best_so_far) pairs to this CSV",
     )
-    p_run.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="auto",
-        help="engine backend (default auto)",
-    )
 
     p_sweep = sub.add_parser(
         "sweep", help="run a (function x factor) grid, write CSV + manifest"
@@ -115,9 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override the base seed",
-    )
-    p_sweep.add_argument(
-        "--backend", choices=BACKENDS, default="auto"
     )
     p_sweep.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress lines"
@@ -155,7 +146,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     from . import engine  # loads the compiled kernel, which only runs need
 
-    result = engine.run(config, function, args.seed, backend=args.backend)
+    result = engine.run(config, function, args.seed)
 
     label = report.factor_label(schedule.factor)
     if label != "vanilla":
@@ -167,6 +158,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"best value   {report.format_float(result.best_value)}")
     print(f"best point   {point}")
     print(f"evaluations  {result.evaluations_used}")
+    # a registered function runs on the kernel whenever it loaded
+    reason = f" ({engine.KERNEL_ERROR})" if engine.KERNEL_ERROR is not None else ""
+    print(f"backend      {engine.DEFAULT_BACKEND}{reason}")
 
     if args.trajectory:
         lines = ["evaluation,best_value"]
@@ -226,21 +220,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     try:
-        table = run_sweep(
-            spec, jobs=jobs, backend=args.backend,
-            progress=None if args.quiet else progress,
-        )
+        table = run_sweep(spec, jobs=jobs, progress=None if args.quiet else progress)
     except RuntimeError as exc:  # a sweep worker died or sub-seeds collided
         raise CliError(str(exc)) from None
     elapsed = time.perf_counter() - started
 
     from . import engine
 
-    backend = engine.DEFAULT_BACKEND if args.backend == "auto" else args.backend
-
     csv_path = report.write_csv(table, out_dir / "results.csv")
     manifest_path = report.write_manifest(
-        spec, table, out_dir / "manifest.json", elapsed, backend
+        spec, table, out_dir / "manifest.json", elapsed, engine.DEFAULT_BACKEND
     )
     print(
         f"wrote {csv_path} ({len(table.finals)} cells) and {manifest_path.name} "

@@ -8,7 +8,7 @@ engine; observers are a feature of the reference, core.run_ppa.
 
 from __future__ import annotations
 
-from . import BACKENDS, core
+from . import core
 from ._record import check_integer
 from .benchmarks import BenchmarkFunction, formula_id
 from .core import PpaConfig, RunResult
@@ -22,6 +22,8 @@ except ImportError as exc:  # pragma: no cover - depends on the build environmen
 else:
     KERNEL_ERROR = None
 
+# the values of run's `backend`
+BACKENDS = ("auto", "compiled", "python")
 HAVE_KERNEL = _kernel is not None
 DEFAULT_BACKEND = "compiled" if HAVE_KERNEL else "python"
 

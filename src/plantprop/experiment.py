@@ -103,26 +103,36 @@ class SweepSpec(Record):
 
 class HeatmapTable(Record):
     """A sweep's results: the run finals of every (function, factor) cell,
-    keyed by (function, factor) with math.inf as the vanilla factor. The
-    keys fix the axes: `functions` in alphabetical order and `factors` in
-    ascending order, vanilla last. The cells must fill that grid, and the
-    table puts them in its order too."""
+    keyed by (function, factor) with math.inf as the vanilla factor. A
+    factor must pass SteepeningSchedule and is held as the float it holds.
+    The keys fix the axes: `functions` in alphabetical order and `factors`
+    in ascending order, vanilla last. The cells must fill that grid, each
+    with the same number of run finals, at least one, and the table puts
+    them in its order too."""
 
     finals: dict[tuple[str, float], tuple[float, ...]]
 
     def __post_init__(self):
-        functions = tuple(sorted({function for function, _ in self.finals}))
-        factors = tuple(sorted({factor for _, factor in self.finals}))
+        given = {
+            (function, SteepeningSchedule(factor).factor): tuple(values)
+            for (function, factor), values in self.finals.items()
+        }
+        functions = tuple(sorted({function for function, _ in given}))
+        factors = tuple(sorted({factor for _, factor in given}))
         cells = [(f, fac) for f in functions for fac in factors]
         if not cells:
             raise ValueError("a table needs at least one cell")
-        if set(self.finals) != set(cells):
+        # `given` fills the grid if the counts agree; it is short of `finals`
+        # when two keys name one float factor, as 2**53 + 1 and 2.0**53 do
+        if not len(self.finals) == len(given) == len(cells):
             raise ValueError(
                 "finals must cover every (function, factor) cell exactly once"
             )
-        finals = {cell: tuple(self.finals[cell]) for cell in cells}
+        finals = {cell: given[cell] for cell in cells}
         if len({len(v) for v in finals.values()}) > 1:
             raise ValueError("all cells must have the same number of run finals")
+        if not finals[cells[0]]:
+            raise ValueError("a cell needs at least one run final")
         object.__setattr__(self, "functions", functions)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "finals", finals)
@@ -180,7 +190,7 @@ def cell_seeds(spec: SweepSpec) -> dict[tuple[str, float], tuple[int, ...]]:
 
 
 def _run_cell(
-    spec: SweepSpec, cell: tuple[str, float], seeds: tuple[int, ...], backend: str
+    spec: SweepSpec, cell: tuple[str, float], seeds: tuple[int, ...]
 ) -> tuple[float, ...]:
     """The best value of each of a cell's runs, one per seed."""
     name, factor = cell
@@ -188,13 +198,11 @@ def _run_cell(
     config = spec.cell_config(factor)
     # imported here, as engine loads the compiled kernel; engine.run is looked
     # up at each call, so a wrapper installed there (a per-run probe, a
-    # counting test) sees every run
+    # counting test) sees every run. A cell's function is registered, so
+    # engine.run picks the kernel whenever it loaded
     from . import engine
 
-    return tuple(
-        engine.run(config, function, seed, backend=backend).best_value
-        for seed in seeds
-    )
+    return tuple(engine.run(config, function, seed).best_value for seed in seeds)
 
 
 def _median(values: Sequence[float]) -> float:
@@ -218,7 +226,7 @@ def _take(counter, total: int) -> int:
     return index
 
 
-def _work(spec, cells, seeds, backend, counter, conn) -> None:
+def _work(spec, cells, seeds, counter, conn) -> None:
     """A child's loop: run cells until the counter is used up, sending each
     cell and its finals. A cell's exception is sent in its place, and the
     child stops. Its exit closes the pipe, which is all the parent waits
@@ -227,7 +235,7 @@ def _work(spec, cells, seeds, backend, counter, conn) -> None:
     try:
         while (index := _take(counter, len(cells))) < len(cells):
             cell = cells[index]
-            conn.send((cell, _run_cell(spec, cell, seeds[cell], backend)))
+            conn.send((cell, _run_cell(spec, cell, seeds[cell])))
     except KeyboardInterrupt:
         pass
     except Exception as exc:
@@ -239,18 +247,18 @@ def _work(spec, cells, seeds, backend, counter, conn) -> None:
 def run_sweep(
     spec: SweepSpec,
     jobs: int = 1,
-    backend: str = "auto",
     progress: ProgressCallback | None = None,
 ) -> HeatmapTable:
     """Execute every cell of the grid and return the table of their finals.
 
     Cells start in cell_seeds order, but the table does not depend on that
-    order or on `jobs`. With `workers = min(jobs, cells)`, this process and
-    `workers - 1` child processes each take the next cell from a shared
-    counter until the grid is used up; `progress` fires once per cell as its
-    result comes in. An exception in a child's cell is raised here, and a
-    child that exits without finishing raises RuntimeError; either way every
-    child is joined before this returns.
+    order, on `jobs` or on the engine, which engine.run picks. With
+    `workers = min(jobs, cells)`, this process and `workers - 1` child
+    processes each take the next cell from a shared counter until the grid
+    is used up; `progress` fires once per cell as its result comes in. An
+    exception in a child's cell is raised here, and a child that exits
+    without finishing raises RuntimeError; either way every child is joined
+    before this returns.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -270,9 +278,9 @@ def run_sweep(
     workers = min(jobs, total)
     if workers == 1:
         for cell in cells:
-            collect(cell, _run_cell(spec, cell, seeds[cell], backend))
+            collect(cell, _run_cell(spec, cell, seeds[cell]))
     else:
-        _run_parallel(spec, cells, seeds, backend, workers - 1, collect)
+        _run_parallel(spec, cells, seeds, workers - 1, collect)
     if len(collected) < total:  # a child exited early with code 0
         raise RuntimeError(
             "a sweep worker exited before finishing its cells "
@@ -285,7 +293,6 @@ def _run_parallel(
     spec: SweepSpec,
     cells: list[tuple[str, float]],
     seeds: dict[tuple[str, float], tuple[int, ...]],
-    backend: str,
     children: int,
     collect: Callable[[tuple[str, float], tuple[float, ...]], None],
 ) -> None:
@@ -331,7 +338,7 @@ def _run_parallel(
         for _ in range(children):
             conn, child_end = context.Pipe(duplex=False)
             child = context.Process(
-                target=_work, args=(spec, cells, seeds, backend, counter, child_end)
+                target=_work, args=(spec, cells, seeds, counter, child_end)
             )
             child.start()
             pool.append((child, conn))
@@ -340,7 +347,7 @@ def _run_parallel(
             child_end.close()
         while (index := _take(counter, total)) < total:
             cell = cells[index]
-            collect(cell, _run_cell(spec, cell, seeds[cell], backend))
+            collect(cell, _run_cell(spec, cell, seeds[cell]))
             receive(0)
         receive(None)
     finally:

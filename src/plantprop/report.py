@@ -123,7 +123,11 @@ def format_float(value: float) -> str:
 
 
 def write_csv(table: HeatmapTable, path: str | Path) -> Path:
-    """Write the table, one row per cell in the table's order."""
+    """Write the table, one row per cell in the table's order. A function name
+    with a comma or a break of str.splitlines is refused before the file opens."""
+    for function in table.functions:
+        if "," in function or "".join(function.splitlines()) != function:
+            raise ValueError(f"function name {function!r} holds a comma or a line break")
     path = Path(path)
     repeats = table.repeats
     header = ["function", "factor", "median"]

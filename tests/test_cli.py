@@ -23,6 +23,13 @@ TINY_CONFIG = {
 }
 
 
+def _without_kernel(monkeypatch):
+    """engine as it loads where the kernel could not be built."""
+    monkeypatch.setattr(engine, "HAVE_KERNEL", False)
+    monkeypatch.setattr(engine, "DEFAULT_BACKEND", "python")
+    monkeypatch.setattr(engine, "KERNEL_ERROR", "no C compiler")
+
+
 def _config_file(tmp_path, **overrides):
     data = dict(TINY_CONFIG, **overrides)
     path = tmp_path / "spec.json"
@@ -45,6 +52,8 @@ def test_run_output_shape(capsys):
     assert "seed         3" in out
     assert "best value   " in out
     assert "evaluations  200" in out
+    reason = "" if engine.HAVE_KERNEL else f" ({engine.KERNEL_ERROR})"
+    assert f"backend      {engine.DEFAULT_BACKEND}{reason}" in out.splitlines()
 
 
 def test_run_defaults_and_its_help_are_the_records(capsys):
@@ -92,6 +101,18 @@ def test_run_has_no_vanilla_flag(capsys):
     assert "unrecognized arguments: --vanilla" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--function", "sphere", "--backend", "compiled"],
+    ["sweep", "--preset", "sweep-b", "--out", "o", "--backend", "python"],
+], ids=["run", "sweep"])
+def test_run_and_sweep_have_no_backend_flag(capsys, argv):
+    # the engine is engine.run's pick, which `run` prints
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
 def test_run_budget_equal_to_popsize(capsys):
     code = main(["run", "--function", "sphere", "--budget", "30", "--seed", "2"])
     assert code == 0
@@ -127,15 +148,13 @@ def test_run_writes_trajectory(tmp_path, capsys):
     )
 
 
-def test_run_compiled_backend_without_the_kernel_is_an_error(monkeypatch, capsys):
-    monkeypatch.setattr(engine, "HAVE_KERNEL", False)
-    monkeypatch.setattr(engine, "KERNEL_ERROR", "no C compiler")
-    code = main(["run", "--function", "sphere", "--budget", "60", "--backend", "compiled"])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: the compiled backend is unavailable (no C compiler); "
-        "use backend='python' or 'auto'\n"
-    )
+def test_run_without_the_kernel_runs_the_python_engine_and_says_why(
+    monkeypatch, capsys
+):
+    _without_kernel(monkeypatch)
+    code = main(["run", "--function", "sphere", "--budget", "60"])
+    assert code == 0
+    assert "backend      python (no C compiler)" in capsys.readouterr().out.splitlines()
 
 
 def test_run_trajectory_into_a_directory_is_an_error(tmp_path, capsys):
@@ -149,15 +168,14 @@ def test_run_trajectory_into_a_directory_is_an_error(tmp_path, capsys):
 def test_run_unallocatable_sizes_are_an_error(capsys):
     # the C core's size_t overflow check fails before any allocation
     code = main(["run", "--function", "sphere", "--budget", str(2**62),
-                 "--pop-size", str(2**62), "--backend", "compiled"])
+                 "--pop-size", str(2**62)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: cannot allocate")
 
 
 @pytest.mark.skipif(not engine.HAVE_KERNEL, reason="needs the compiled kernel")
 def test_run_budget_beyond_int64_is_an_error(capsys):
-    code = main(["run", "--function", "sphere", "--budget", str(2**63),
-                 "--backend", "compiled"])
+    code = main(["run", "--function", "sphere", "--budget", str(2**63)])
     assert code == 1
     assert capsys.readouterr().err == "error: budget must be at most 2**63 - 1, got 9223372036854775808\n"
 
@@ -189,16 +207,19 @@ def test_run_dimension_beyond_an_index_is_an_error_with_text(capsys, dimension):
     pytest.param("compiled", marks=pytest.mark.skipif(
         not engine.HAVE_KERNEL, reason="needs the compiled kernel")),
 ])
-def test_run_seeds_are_reduced_mod_2_64(capsys, backend):
+def test_run_seeds_are_reduced_mod_2_64(monkeypatch, capsys, backend):
+    if backend == "python":
+        _without_kernel(monkeypatch)
     outputs = []
     for seed in (-5, 2**64 - 5):
         main(["run", "--function", "rastrigin", "--budget", "300",
-              "--pop-size", "15", "--seed", str(seed), "--backend", backend])
+              "--pop-size", "15", "--seed", str(seed)])
         out = capsys.readouterr().out.splitlines()
         assert f"seed         {seed}" in out
         outputs.append([line for line in out if not line.startswith("seed ")])
     assert outputs[0] == outputs[1]
     assert any(line.startswith("best point   (") for line in outputs[0])
+    assert any(line.startswith(f"backend      {backend}") for line in outputs[0])
 
 
 def test_run_seed_defaults_to_101_whatever_the_environment(monkeypatch, capsys):

@@ -72,7 +72,6 @@ def _argv(head, required, optional):
                                 *(t for group in p[-1] for t in group)])
 
 
-BACKENDS = _opt("--backend", st.sampled_from(["auto", "python", "compiled", "cython"]))
 JUNK = junk.map(lambda t: [t])
 
 run_argv = _argv(
@@ -81,7 +80,7 @@ run_argv = _argv(
     [
         _opt("--dimension", dimensions | junk), _opt("--pop-size", pop_sizes | junk),
         _opt("--n-max", n_maxes | junk), _opt("--factor", floats | ints | junk),
-        _opt("--seed", ints | junk), BACKENDS,
+        _opt("--seed", ints | junk),
         _opt("--trajectory", st.sampled_from(["traj.csv", ".", "no/such/dir.csv"])),
         JUNK,
     ],
@@ -95,7 +94,7 @@ sweep_argv = _argv(
         _opt("--jobs", st.sampled_from(["1", "2", "0", "-3", "x"])),
     ],
     [
-        _opt("--base-seed", ints | junk), BACKENDS, _flag("--quiet"),
+        _opt("--base-seed", ints | junk), _flag("--quiet"),
         # a second source is a usage error, so a preset never runs
         _opt("--preset", st.sampled_from(["sweep-a", "sweep-b"])),
         _opt("--config", files), JUNK,
@@ -220,8 +219,7 @@ def _check(argv, config=None, manifest=None, csv=None):
 @settings(FUZZ, max_examples=300)
 @given(run_argv)
 @example(["run", "--function", "sphere", "--budget", "60", "--dimension", str(2**63)])
-@example(["run", "--function", "sphere", "--budget", "60", "--n-max", str(10**400),
-          "--backend", "python"])
+@example(["run", "--function", "sphere", "--budget", "60", "--n-max", str(10**400)])
 def test_any_run_arguments_exit_cleanly(argv):
     _check(argv)
 
@@ -242,15 +240,15 @@ def test_any_plot_arguments_exit_cleanly(argv, csv):
 
 @seed(20261022)
 @FUZZ
-@given(configs(), st.sampled_from(["1", "2"]), st.sampled_from(["auto", "python"]))
-def test_any_sweep_config_exits_cleanly(config, jobs, backend):
+@given(configs(), st.sampled_from(["1", "2"]))
+def test_any_sweep_config_exits_cleanly(config, jobs):
     _check(["sweep", "--config", "config.json", "--out", "out", "--jobs", jobs,
-            "--backend", backend, "--quiet"], config=config)
+            "--quiet"], config=config)
 
 
 @seed(20261023)
 @FUZZ
-@given(manifests(), st.sampled_from(["1", "2"]), st.sampled_from(["auto", "python"]))
-def test_any_manifest_exits_cleanly(manifest, jobs, backend):
+@given(manifests(), st.sampled_from(["1", "2"]))
+def test_any_manifest_exits_cleanly(manifest, jobs):
     _check(["sweep", "--from-manifest", "manifest.json", "--out", "out", "--jobs", jobs,
-            "--backend", backend, "--quiet"], manifest=manifest)
+            "--quiet"], manifest=manifest)

@@ -530,22 +530,25 @@ def test_an_exception_in_this_process_joins_every_child(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.skipif(not engine.HAVE_KERNEL,
+                    reason="needs the compiled kernel: the pure engine takes minutes a cell")
 def test_ctrl_c_stops_every_worker_without_worker_tracebacks(tmp_path):
     """SIGINT to the sweep's process group, as Ctrl-C sends it, reaches the
     sweep process and each child while cells are running. Only the sweep
     process reports it, and no process outlives it."""
     spec = TINY.replace(functions=("sphere", "ackley", "rastrigin"),
                         factors=tuple(100.0 * k for k in range(1, 11)),
-                        budget=30_000)
+                        budget=3_000_000, dimension=30)
     config = tmp_path / "spec.json"
     config.write_text(json.dumps(spec_to_config(spec)), encoding="utf-8")
     src = str(Path(plantprop.__file__).resolve().parents[1])
-    # on the Python engine a cell at this budget takes about a second, so
-    # the grid has seconds of work left when its first line comes, more
-    # than a loaded machine can delay the signal by
+    # on the compiled engine a cell of three runs at this budget and
+    # dimension takes about a second, so the grid has seconds of work left
+    # when its first line comes, more than a loaded machine can delay the
+    # signal by
     proc = subprocess.Popen(
         [sys.executable, "-m", "plantprop", "sweep", "--config", str(config),
-         "--out", str(tmp_path / "out"), "--jobs", "3", "--backend", "python"],
+         "--out", str(tmp_path / "out"), "--jobs", "3"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
     )

@@ -604,15 +604,14 @@ def test_tiny_factor_fails_at_once_on_both_engines_and_the_cli(factor):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     messages = proc.stdout.splitlines()
-    for backend in ("python", "compiled"):
-        cli = subprocess.run(
-            [sys.executable, "-m", "plantprop", "run", "--function", "sphere",
-             "--budget", "300", "--factor", factor, "--backend", backend],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert cli.returncode == 1, cli.stderr
-        messages.append(cli.stderr.strip().removeprefix("error: "))
-    assert len(messages) == 4 and len(set(messages)) == 1, messages
+    cli = subprocess.run(
+        [sys.executable, "-m", "plantprop", "run", "--function", "sphere",
+         "--budget", "300", "--factor", factor],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert cli.returncode == 1, cli.stderr
+    messages.append(cli.stderr.strip().removeprefix("error: "))
+    assert len(messages) == 3 and len(set(messages)) == 1, messages
     assert f"factor {float(factor)!r} is too small for budget 300" in messages[0]
 
 

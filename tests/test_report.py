@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import statistics
 
 import pytest
@@ -63,11 +64,30 @@ def test_table_rejects_holes_and_empty_grids():
         HeatmapTable({("sphere", 100.0): (1.0,), ("a", 1.0): (1.0,)})
     with pytest.raises(ValueError, match="at least one cell"):
         HeatmapTable({})
+    # two keys, one float factor
+    with pytest.raises(ValueError, match="exactly once"):
+        HeatmapTable({("sphere", 2**53 + 1): (1.0,), ("sphere", 2.0**53): (1.0,)})
 
 
 def test_table_rejects_ragged_finals():
     with pytest.raises(ValueError, match="same number"):
         HeatmapTable({("a", 1.0): (0.0,), ("a", 2.0): (0.0, 0.0)})
+
+
+def test_table_rejects_cells_without_finals():
+    with pytest.raises(ValueError, match="at least one run final"):
+        HeatmapTable({("sphere", 100.0): ()})
+
+
+def test_table_holds_factors_as_the_schedule_does(tmp_path):
+    table = HeatmapTable({("sphere", 100): (1.0, 2.0), ("sphere", math.inf): (3.0, 4.0)})
+    assert [type(f) for f in table.factors] == [float, float]
+    assert table == HeatmapTable({("sphere", 100.0): (1.0, 2.0), ("sphere", VANILLA): (3.0, 4.0)})
+    [svg] = render_heatmaps(table, tmp_path, raw=True)
+    assert ">100</text>" in svg.read_text(encoding="utf-8")
+    for factor in (0, -1.0, math.nan, True, "100"):
+        with pytest.raises(ValueError, match="factor"):
+            HeatmapTable({("sphere", factor): (1.0,)})
 
 
 # -- CSV -----------------------------------------------------------------------
@@ -105,6 +125,16 @@ def test_csv_round_trip_is_exact(tmp_path):
         assert recorded == {
             cell: (seeds[cell], swept.median(*cell)) for cell in seeds
         }
+
+
+@pytest.mark.parametrize("char", [",", "\r", "\n", "\x0b", "\u2028"])
+def test_write_csv_refuses_a_name_that_cannot_be_one_cell(tmp_path, char):
+    table = HeatmapTable({(f"my{char}func", 100.0): (1.0,)})
+    with pytest.raises(ValueError, match=re.escape(repr(f"my{char}func"))):
+        write_csv(table, tmp_path / "r.csv")
+    assert list(tmp_path.iterdir()) == []
+    plain = HeatmapTable({("my func", 100.0): (1.0,)})
+    assert parse_csv(write_csv(plain, tmp_path / "r.csv")) == plain
 
 
 def test_csv_rewrite_is_byte_identical(tmp_path):
