@@ -30,7 +30,7 @@ import os
 import struct
 from pathlib import Path
 
-from .benchmarks import FUNCTION_NAMES, formula_id, make_function
+from .benchmarks import formula_id
 from .rng import MASK64
 
 _SOURCE = Path(__file__).with_name("_ppa.c")
@@ -156,20 +156,6 @@ def rng_uniform_stream(seed: int, n: int) -> list[float]:
     out = (ctypes.c_double * n)()
     _lib.ppa_rng_uniform(seed & MASK64, n, out)
     return list(out)
-
-
-def eval_function(func_id: int, x) -> float:
-    """Evaluate benchmark `func_id` at point x (parity tests).
-
-    This is the C core's ``ppa_eval`` with fmax = +inf, which gives the
-    objective at every finite x.
-    """
-    if not 0 <= func_id < len(FUNCTION_NAMES):
-        raise ValueError(f"unknown function id {func_id}")
-    n = len(x)
-    make_function(FUNCTION_NAMES[func_id], n)  # raises for a dimension it does not take
-    vector = ctypes.c_double * n
-    return _lib.ppa_eval(func_id, n, vector(*x), float("inf"), vector())
 
 
 def run(config, function, seed):

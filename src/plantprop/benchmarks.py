@@ -320,7 +320,6 @@ def make_function(name: str, dimension: int = DEFAULT_DIMENSION) -> BenchmarkFun
     raise ValueError(f"unknown benchmark function {name!r}; known: {known}")
 
 
-def list_functions(dimension: int = DEFAULT_DIMENSION) -> list[BenchmarkFunction]:
-    """All 14 registered functions, scalable ones at the given dimension."""
-    return [make_function(name, dimension if name in _SCALABLE else 2)
-            for name in FUNCTION_NAMES]
+def list_functions() -> list[BenchmarkFunction]:
+    """All 14 registered functions at the default dimension."""
+    return [make_function(name) for name in FUNCTION_NAMES]

@@ -2,8 +2,11 @@
 
 Subcommands: run (one optimization), sweep (a full grid writing
 results.csv + manifest.json), plot (SVG heatmaps from a results CSV),
-list-functions. The seed resolves as: --seed/--base-seed flag, then the
-config/manifest value, then the built-in default.
+list-functions. A sweep's spec comes from experiment.preset, a config file
+or a manifest; its seed resolves as: --base-seed, then that spec's value.
+`run --seed` defaults to the built-in seed. main prints each refusal, a
+ValueError, OSError or MemoryError from the library or from here, as one
+`error:` line and exits 1.
 """
 
 from __future__ import annotations
@@ -19,20 +22,12 @@ from .benchmarks import DEFAULT_DIMENSION, SCALABLE_NAMES, list_functions, make_
 from .core import PpaConfig, SteepeningSchedule
 from .experiment import (
     DEFAULT_BASE_SEED,
+    PRESETS,
     SweepSpec,
     _median,
-    default_sweep_a,
-    default_sweep_b,
+    preset,
     run_sweep,
 )
-
-
-class CliError(Exception):
-    """User-facing failure; main() prints it and exits nonzero."""
-
-
-# `sweep --preset` NAME: the function that builds the spec it runs
-_PRESETS = {"sweep-a": default_sweep_a, "sweep-b": default_sweep_b}
 
 
 def _usable_cpus() -> int:
@@ -86,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a (function x factor) grid, write CSV + manifest"
     )
     source = p_sweep.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", choices=_PRESETS, help="a built-in grid")
+    source.add_argument("--preset", choices=PRESETS, help="a built-in grid")
     source.add_argument("--config", metavar="SPEC.JSON", help="a sweep config file")
     source.add_argument(
         "--from-manifest",
@@ -177,7 +172,7 @@ def _resolve_sweep_spec(
     compare the rerun with (None when the seed was overridden)."""
     recorded = None
     if args.preset is not None:
-        spec = _PRESETS[args.preset]()
+        spec = preset(args.preset)
     elif args.config is not None:
         spec = report.read_config(args.config)
     else:
@@ -193,14 +188,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec, recorded = _resolve_sweep_spec(args)
     jobs = args.jobs if args.jobs is not None else _usable_cpus()
     if jobs < 1:
-        raise CliError("--jobs must be >= 1")
+        raise ValueError("--jobs must be >= 1")
 
     out_dir = Path(args.out)
     written = out_dir / "manifest.json"
     if args.from_manifest is not None and written.exists() and written.samefile(
         args.from_manifest
     ):
-        raise CliError(
+        raise ValueError(
             f"--out {out_dir} would overwrite {args.from_manifest}, the manifest "
             "this sweep reruns; choose another --out"
         )
@@ -222,7 +217,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         table = run_sweep(spec, jobs=jobs, progress=None if args.quiet else progress)
     except RuntimeError as exc:  # a sweep worker died or sub-seeds collided
-        raise CliError(str(exc)) from None
+        raise ValueError(str(exc)) from None
     elapsed = time.perf_counter() - started
 
     from . import engine
@@ -238,7 +233,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if recorded is not None:
         mismatches = report.cell_mismatches(recorded, spec, table)
         if mismatches:
-            raise CliError(
+            raise ValueError(
                 f"{len(mismatches)} cell(s) differ from {args.from_manifest}:\n  "
                 + "\n  ".join(mismatches)
             )
@@ -293,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # stdout's reader is gone; devnull keeps exit's flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (CliError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,8 +7,9 @@ parallel; the collected finals are keyed by cell in a table that orders
 them itself, which makes the output identical no matter how the work was
 scheduled. With `jobs` > 1 the calling process runs cells too, beside
 `jobs - 1` child processes, and each takes the next cell from one shared
-counter. The file formats are report's: a spec's config dict, the results
-CSV and the manifest.
+counter. The shipped grids are named in PRESETS and built by preset(name).
+The file formats are report's: a spec's config dict, the results CSV and
+the manifest.
 """
 
 from __future__ import annotations
@@ -104,19 +105,24 @@ class SweepSpec(Record):
 class HeatmapTable(Record):
     """A sweep's results: the run finals of every (function, factor) cell,
     keyed by (function, factor) with math.inf as the vanilla factor. A
-    factor must pass SteepeningSchedule and is held as the float it holds.
-    The keys fix the axes: `functions` in alphabetical order and `factors`
-    in ascending order, vanilla last. The cells must fill that grid, each
-    with the same number of run finals, at least one, and the table puts
-    them in its order too."""
+    function name must be a str, and a factor must pass SteepeningSchedule
+    and is held as the float it holds. A run final, like a factor, must be
+    an int or a float but not a bool; it is held as a float, ±inf included,
+    and must not be nan, which no CSV row can hold. The keys fix the axes:
+    `functions` in alphabetical order and `factors` in ascending order,
+    vanilla last. The cells must fill that grid, each with the same number
+    of run finals, at least one, and the table puts them in its order too."""
 
     finals: dict[tuple[str, float], tuple[float, ...]]
 
     def __post_init__(self):
-        given = {
-            (function, SteepeningSchedule(factor).factor): tuple(values)
-            for (function, factor), values in self.finals.items()
-        }
+        given = {}
+        for (function, factor), values in self.finals.items():
+            if not isinstance(function, str):
+                raise ValueError(f"a function name must be a str, got {function!r}")
+            given[(function, SteepeningSchedule(factor).factor)] = tuple(
+                map(_final, values)
+            )
         functions = tuple(sorted({function for function, _ in given}))
         factors = tuple(sorted({factor for _, factor in given}))
         cells = [(f, fac) for f in functions for fac in factors]
@@ -146,22 +152,17 @@ class HeatmapTable(Record):
         return _median(self.finals[(function, factor)])
 
 
-def default_sweep_a(base_seed: int = DEFAULT_BASE_SEED) -> SweepSpec:
-    """The nine scalable functions at n=2 over the full factor grid."""
-    return SweepSpec(
-        functions=SCALABLE_NAMES,
-        factors=DEFAULT_FACTORS + (VANILLA,),
-        base_seed=base_seed,
-    )
+# the shipped grids: `sweep --preset` NAME -> the functions preset(NAME) runs
+PRESETS = {"sweep-a": SCALABLE_NAMES, "sweep-b": FIXED_2D_NAMES}
 
 
-def default_sweep_b(base_seed: int = DEFAULT_BASE_SEED) -> SweepSpec:
-    """The five fixed 2-D functions over the full factor grid."""
-    return SweepSpec(
-        functions=FIXED_2D_NAMES,
-        factors=DEFAULT_FACTORS + (VANILLA,),
-        base_seed=base_seed,
-    )
+def preset(name: str) -> SweepSpec:
+    """The shipped grid `name`, its functions over the full factor grid and
+    vanilla at the default dimension and seed; `.replace(base_seed=...)`
+    gives it another seed. An unknown name is a ValueError."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}")
+    return SweepSpec(functions=PRESETS[name], factors=DEFAULT_FACTORS + (VANILLA,))
 
 
 def cell_seeds(spec: SweepSpec) -> dict[tuple[str, float], tuple[int, ...]]:
@@ -203,6 +204,21 @@ def _run_cell(
     from . import engine
 
     return tuple(engine.run(config, function, seed).best_value for seed in seeds)
+
+
+def _final(value) -> float:
+    """A run final as the float a table holds it as; ValueError for a bool,
+    a non-number, nan or an int beyond the float range."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if not math.isnan(final := float(value)):
+                return final
+        except OverflowError:
+            pass
+    raise ValueError(
+        "a run final must be a float other than nan, or an int a float holds, "
+        f"got {value!r}"
+    )
 
 
 def _median(values: Sequence[float]) -> float:

@@ -40,8 +40,7 @@ from plantprop.experiment import (
     DEFAULT_BASE_SEED,
     SweepSpec,
     cell_seeds,
-    default_sweep_a,
-    default_sweep_b,
+    preset,
     run_sweep,
 )
 from plantprop.report import parse_csv, read_manifest
@@ -347,8 +346,8 @@ def test_c4_to_c6_hold_on_unscanned_base_seeds(base_seed):
     bands, and C4-C7 were pinned on it. The conditions of C4, C5 and C6,
     restated here, hold as well on two base seeds that were not scanned.
     C7's griewank band does not (the README says where it holds)."""
-    table_a = run_sweep(default_sweep_a(base_seed), jobs=2)
-    table_b = run_sweep(default_sweep_b(base_seed), jobs=2)
+    table_a = run_sweep(preset("sweep-a").replace(base_seed=base_seed), jobs=2)
+    table_b = run_sweep(preset("sweep-b").replace(base_seed=base_seed), jobs=2)
 
     # C4: factor 900 beats 100 and 4000 on sphere
     mid = _err(table_a, "sphere", 900.0)
@@ -423,9 +422,9 @@ def test_c7_full_sweeps(sweep_a, sweep_b, tmp_path):
     ) == 0
     assert (parallel / "results.csv").read_bytes() == (dir_b / "results.csv").read_bytes()
 
-    assert read_manifest(dir_a / "manifest.json")[0] == default_sweep_a()
-    assert read_manifest(dir_b / "manifest.json")[0] == default_sweep_b()
-    assert default_sweep_a().base_seed == DEFAULT_BASE_SEED
+    assert read_manifest(dir_a / "manifest.json")[0] == preset("sweep-a")
+    assert read_manifest(dir_b / "manifest.json")[0] == preset("sweep-b")
+    assert preset("sweep-a").base_seed == DEFAULT_BASE_SEED
 
     for src, count in ((dir_a, 9), (dir_b, 5)):
         plot_dir = tmp_path / f"{src.name}_plots"

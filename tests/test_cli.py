@@ -753,6 +753,12 @@ def test_help_exits_zero(argv):
     assert exc.value.code == 0
 
 
+def test_sweep_preset_offers_exactly_the_two_shipped_grids(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert "--preset {sweep-a,sweep-b}" in capsys.readouterr().out
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -17,17 +17,17 @@ import pytest
 
 import plantprop
 from plantprop import engine, experiment
-from plantprop.benchmarks import FUNCTION_NAMES
+from plantprop.benchmarks import FIXED_2D_NAMES, FUNCTION_NAMES, SCALABLE_NAMES
 from plantprop.core import PpaConfig, SteepeningSchedule
 from plantprop.cli import main
 from plantprop.experiment import (
     DEFAULT_BASE_SEED,
     DEFAULT_FACTORS,
+    PRESETS,
     VANILLA,
     SweepSpec,
     cell_seeds,
-    default_sweep_a,
-    default_sweep_b,
+    preset,
     run_sweep,
 )
 from plantprop.report import spec_from_config, spec_to_config
@@ -154,14 +154,14 @@ def test_spec_rejects_fixed_2d_function_at_other_dimension():
 
 def test_spec_cell_count():
     assert TINY.cell_count == 2
-    assert default_sweep_a().cell_count == 9 * 41
+    assert preset("sweep-a").cell_count == 9 * 41
 
 
 # -- config dict round-trip ---------------------------------------------------
 
 
 def test_config_dict_round_trip():
-    for spec in (TINY, default_sweep_a(), default_sweep_b(base_seed=77)):
+    for spec in (TINY, preset("sweep-a"), preset("sweep-b").replace(base_seed=77)):
         data = spec_to_config(spec)
         assert spec_from_config(data) == spec
 
@@ -213,8 +213,8 @@ def test_default_factor_grid():
 
 
 def test_default_sweeps():
-    a = default_sweep_a()
-    b = default_sweep_b()
+    a = preset("sweep-a")
+    b = preset("sweep-b")
     assert len(a.functions) == 9
     assert len(b.functions) == 5
     assert set(a.functions).isdisjoint(b.functions)
@@ -227,21 +227,26 @@ def test_default_sweeps():
         assert spec.n_max == 5
         assert spec.dimension == 2
         assert spec.base_seed == DEFAULT_BASE_SEED
+    assert PRESETS == {"sweep-a": SCALABLE_NAMES, "sweep-b": FIXED_2D_NAMES}
+    assert b.functions == FIXED_2D_NAMES
+    unknown = "^unknown preset 'sweep-c'; known: sweep-a, sweep-b$"
+    with pytest.raises(ValueError, match=unknown):
+        preset("sweep-c")
 
 
 # -- seed derivation ---------------------------------------------------------
 
 
 def test_cell_seeds_unique_across_default_grid():
-    seeds = cell_seeds(default_sweep_a())
+    seeds = cell_seeds(preset("sweep-a"))
     flat = [s for row in seeds.values() for s in row]
     assert len(flat) == 9 * 41 * 10
     assert len(set(flat)) == len(flat)
 
 
 def test_cell_seeds_change_with_base_seed():
-    a = cell_seeds(default_sweep_b(base_seed=1))
-    b = cell_seeds(default_sweep_b(base_seed=2))
+    a = cell_seeds(preset("sweep-b").replace(base_seed=1))
+    b = cell_seeds(preset("sweep-b").replace(base_seed=2))
     assert list(a) == list(b)
     assert all(a[cell] != b[cell] for cell in a)
 

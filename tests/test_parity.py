@@ -123,7 +123,7 @@ def test_function_values_match_to_the_bit(name):
                 for a, b in zip(fn.bounds.lower, fn.bounds.upper)
             )
             py = fn.evaluate(x)
-            cy = _kernel.eval_function(FUNCTION_IDS[name], list(x))
+            cy = bounded_value(name, x, math.inf)
             assert math.isfinite(py)
             assert py == cy, (name, dim, x)
 
@@ -307,7 +307,7 @@ def test_bounded_value_is_the_objective_or_no_survivor(case):
     objective nan, which never survives either.
     """
     name, x, far = case
-    value = _kernel.eval_function(FUNCTION_IDS[name], x)
+    value = bounded_value(name, x, math.inf)
     near = (value, math.nextafter(value, math.inf), math.nextafter(value, -math.inf))
     for fmax in (*near, far) if math.isfinite(value) else (far,):
         got = bounded_value(name, x, fmax)
@@ -338,7 +338,7 @@ def test_term_bounds_are_capped(name, x, gap):
     the largest |x| in its bucket). So an offspring `gap` above the worst
     parent stops; the uncapped entries would let it run. The capped term
     comes last, where no exact term summed before it can make up for it."""
-    value = _kernel.eval_function(FUNCTION_IDS[name], x)
+    value = bounded_value(name, x, math.inf)
     assert bounded_value(name, x, value - gap) == value - gap
 
 
@@ -359,7 +359,7 @@ def test_easom_and_branin_stop_on_their_bound(name, x):
     else:
         t = x[1] - _BRANIN_B * (x[0] * x[0]) + _BRANIN_C * x[0] - 6.0
         bound = t * t + 10.0 * (1.0 - _BRANIN_T) * (-1.0) + 10.0
-    value = _kernel.eval_function(FUNCTION_IDS[name], x)
+    value = bounded_value(name, x, math.inf)
     assert value.hex() != bound.hex() and not value < bound
     for fmax in (bound, 0.0) if bound == 0.0 else (bound,):
         assert bounded_value(name, x, fmax).hex() == fmax.hex()
@@ -372,7 +372,7 @@ def test_bound_stops_only_inside_its_box(name, edge):
     cosine's, |x| <= 500 for schwefel's), the plain loop runs."""
     beyond = math.nextafter(edge, math.inf)
     for x, stops in (([edge, -edge], True), ([beyond, 0.0], False), ([-1e6, 1e6], False)):
-        value = _kernel.eval_function(FUNCTION_IDS[name], x)
+        value = bounded_value(name, x, math.inf)
         got = bounded_value(name, x, -1.0)
         assert got == (-1.0 if stops else value) and value > 0.0, x
 
@@ -394,16 +394,12 @@ def test_kernel_rejects_bounds_that_bounds_rejects(lower, upper):
 def test_kernel_rejects_a_dimension_its_formula_does_not_take():
     """A 3-D easom would have the C core read past x[1], and a 1-D sphere
     is not a formula the core knows. The record refuses both, so neither
-    reaches an engine; eval_function applies the same rule."""
+    reaches an engine, which takes only a BenchmarkFunction."""
     for name, n, message in (("easom", 3, "easom is two-dimensional only"),
                              ("sphere", 1, "sphere requires dimension >= 2")):
         bounds = Bounds((-100.0,) * n, (100.0,) * n)
         with pytest.raises(ValueError, match=message):
             BenchmarkFunction(name, n, bounds, -1.0, (), FORMULAS[name])
-        with pytest.raises(ValueError, match=message):
-            _kernel.eval_function(FUNCTION_IDS[name], [1.0] * n)
-    with pytest.raises(ValueError, match="unknown function id 14"):
-        _kernel.eval_function(len(FUNCTION_NAMES), [1.0, 2.0])
 
 
 @pytest.mark.parametrize("count", ["pop_size", "n_max", "budget"])

@@ -11,7 +11,7 @@ from plantprop.experiment import (
     VANILLA,
     SweepSpec,
     cell_seeds,
-    default_sweep_b,
+    preset,
     run_sweep,
 )
 from plantprop.report import (
@@ -88,6 +88,35 @@ def test_table_holds_factors_as_the_schedule_does(tmp_path):
     for factor in (0, -1.0, math.nan, True, "100"):
         with pytest.raises(ValueError, match="factor"):
             HeatmapTable({("sphere", factor): (1.0,)})
+
+
+@pytest.mark.parametrize(
+    "finals, message",
+    [
+        ({(5, 1.0): (1.0,)}, "function name must be a str, got 5"),
+        ({(5, 1.0): (1.0,), ("a", 1.0): (1.0,)}, "function name must be a str"),
+        ({("a", 1.0): (1.0, "x")}, "run final .* got 'x'"),
+        ({("a", 1.0): (True,)}, "run final .* got True"),
+        ({("a", 1.0): (None,)}, "run final .* got None"),
+        ({("a", 1.0): (10**400,)}, "run final .* an int a float holds"),
+        ({("a", 1.0): (math.nan,)}, "run final .* got nan"),
+        ({("a", 1.0): (1.0, math.nan, 2.0)}, "run final .* got nan"),
+    ],
+    ids=["int name", "mixed names", "str final", "bool final", "None final",
+         "huge int final", "nan final", "nan among finals"],
+)
+def test_table_refuses_what_it_cannot_write_or_read_back(finals, message):
+    with pytest.raises(ValueError, match=message):
+        HeatmapTable(finals)
+
+
+def test_table_holds_finals_as_floats_and_round_trips_inf(tmp_path):
+    table = HeatmapTable({("a", 1.0): (1, math.inf, -math.inf), ("a", VANILLA): (2, 3, 4)})
+    assert table.finals[("a", 1.0)] == (1.0, math.inf, -math.inf)
+    assert {type(v) for row in table.finals.values() for v in row} == {float}
+    assert table == HeatmapTable({("a", 1.0): (1.0, math.inf, -math.inf),
+                                  ("a", VANILLA): (2.0, 3.0, 4.0)})
+    assert parse_csv(write_csv(table, tmp_path / "r.csv")) == table
 
 
 # -- CSV -----------------------------------------------------------------------
@@ -323,7 +352,7 @@ def test_read_manifest_rejects_cells_that_are_not_a_list_of_cells(tmp_path):
 
 
 def test_manifest_matches_default_spec_round_trip(tmp_path):
-    spec = default_sweep_b()
+    spec = preset("sweep-b")
     table = HeatmapTable({(f, fac): (0.5, 1.5, 2.5) for f in spec.functions for fac in spec.factors})
     path = write_manifest(spec, table, tmp_path / "m.json", 0.0, "python")
     assert read_manifest(path)[0] == spec
