@@ -162,23 +162,17 @@ def run(config, function, seed):
     """Generational loop; same semantics and draw order as the pure engine.
 
     `config` (a PpaConfig) and `function` (a BenchmarkFunction) made their
-    own checks, integer counts and dimension among them; this adds
-    only what the C core needs beyond them: a registered formula, and counts
-    that fit in int64. The steepness is evals/factor + 1, so factor = inf
-    runs vanilla PPA.
+    own checks, integer counts and dimension among them, and the function
+    is a registered formula (engine.run sends no other); this adds only what
+    the C core needs beyond them, counts that fit in int64. The steepness is
+    evals/factor + 1, so factor = inf runs vanilla PPA.
 
     Returns (best_value, best_point, trajectory, evaluations_used) with the
     trajectory as a tuple of (evaluation_index, best_so_far) pairs of int
     and float, ready for RunResult. The C core closes the trajectory at
     (evaluations_used, best_value), so both are read from its last step.
     """
-    func_id = formula_id(function)
-    if func_id is None:
-        raise ValueError(
-            f"the compiled backend only runs registered benchmark functions "
-            f"with their built-in formula; {function.name!r} is not one"
-        )
-    dim = function.dimension
+    func_id, dim = formula_id(function), function.dimension
     pop_size, n_max, budget = config.pop_size, config.n_max, config.budget
     for name, value in (("pop_size", pop_size), ("n_max", n_max), ("budget", budget)):
         if value > _INT64_MAX:

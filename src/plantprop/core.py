@@ -37,9 +37,13 @@ class SteepeningSchedule(Record):
         factor = self.factor
         if isinstance(factor, bool) or not isinstance(factor, (int, float)):
             raise ValueError(f"factor must be a real number, got {factor!r}")
+        try:
+            factor = float(factor)
+        except OverflowError:  # an int beyond the float range, of either sign
+            raise ValueError("a factor lies beyond the float range") from None
         if not factor > 0:
             raise ValueError(f"linear schedule requires factor > 0, got {factor!r}")
-        object.__setattr__(self, "factor", float(factor))
+        object.__setattr__(self, "factor", factor)
 
     @classmethod
     def vanilla(cls) -> "SteepeningSchedule":

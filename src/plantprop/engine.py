@@ -23,7 +23,7 @@ else:
     KERNEL_ERROR = None
 
 # the values of run's `backend`
-BACKENDS = ("auto", "compiled", "python")
+BACKENDS = ("auto", "python")
 HAVE_KERNEL = _kernel is not None
 DEFAULT_BACKEND = "compiled" if HAVE_KERNEL else "python"
 
@@ -34,32 +34,23 @@ def run(
     seed: int,
     backend: str = "auto",
 ) -> RunResult:
-    """Run one optimization with an explicit or automatically chosen backend.
+    """Run one optimization on the engine that the code picks, or on Python.
 
-    `auto` picks the compiled kernel when it loaded and the function is one
-    of the registered benchmarks with its built-in formula (on any bounds);
-    otherwise it falls back to the Python engine. Requesting `compiled` in
-    a situation the kernel cannot handle is an error rather than a silent
-    fallback. Which exception each refusal raises is stated once, under
-    "Library use" in the README. The Python engine has no size limit: it
-    builds ``pop_size`` individuals and each generation's offspring as
-    Python objects, so a size that does not fit in memory fails however
-    the interpreter runs out of it.
+    `auto` runs the compiled kernel when it loaded and the function is one
+    of the registered benchmarks with its built-in formula (on any bounds),
+    and the Python engine otherwise; `python` always runs the Python engine.
+    Which exception each refusal raises is stated once, under "Library use"
+    in the README. The Python engine has no size limit: it builds
+    ``pop_size`` individuals and each generation's offspring as Python
+    objects, so a size that does not fit in memory fails however the
+    interpreter runs out of it.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
         )
-    if backend == "auto":
-        compiled = HAVE_KERNEL and formula_id(function) is not None
-        backend = "compiled" if compiled else "python"
-    if backend == "python":
+    if backend == "python" or not HAVE_KERNEL or formula_id(function) is None:
         return core.run_ppa(config, function, seed)
     check_integer("seed", seed)
-    if not HAVE_KERNEL:
-        raise ValueError(
-            f"the compiled backend is unavailable ({KERNEL_ERROR}); "
-            "use backend='python' or 'auto'"
-        )
     best, best_point, trajectory, evals = _kernel.run(config, function, seed)
     return RunResult(best, best_point, trajectory, evals, seed)

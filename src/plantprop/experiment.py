@@ -111,18 +111,26 @@ class HeatmapTable(Record):
     and must not be nan, which no CSV row can hold. The keys fix the axes:
     `functions` in alphabetical order and `factors` in ascending order,
     vanilla last. The cells must fill that grid, each with the same number
-    of run finals, at least one, and the table puts them in its order too."""
+    of run finals, at least one, and the table puts them in its order too.
+    A key must be a (function, factor) pair, and its finals a tuple or a
+    list."""
 
     finals: dict[tuple[str, float], tuple[float, ...]]
 
     def __post_init__(self):
         given = {}
-        for (function, factor), values in self.finals.items():
+        for key, values in self.finals.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValueError(
+                    f"a cell's key must be a (function, factor) pair, got {key!r}"
+                )
+            function, factor = key
             if not isinstance(function, str):
                 raise ValueError(f"a function name must be a str, got {function!r}")
-            given[(function, SteepeningSchedule(factor).factor)] = tuple(
-                map(_final, values)
-            )
+            factor = SteepeningSchedule(factor).factor
+            if not isinstance(values, (tuple, list)):
+                raise ValueError(f"the run finals of {key!r} must be a tuple or a list")
+            given[(function, factor)] = tuple(map(_final, values))
         functions = tuple(sorted({function for function, _ in given}))
         factors = tuple(sorted({factor for _, factor in given}))
         cells = [(f, fac) for f in functions for fac in factors]

@@ -211,7 +211,7 @@ def test_bounds_reject_infinite_entries(lower, upper):
         Bounds(lower, upper)
 
 
-@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize("backend", ["python", pytest.param("auto", id="compiled")])
 def test_infinite_box_fails_alike_before_either_engine_runs(backend):
     """One error, at construction, whichever engine the run would take."""
     griewank = make_function("griewank", 2)
@@ -266,7 +266,7 @@ def test_function_bounds_must_match_its_dimension():
 @pytest.mark.parametrize(
     "backend",
     ["python",
-     pytest.param("compiled", marks=pytest.mark.skipif(
+     pytest.param("auto", id="compiled", marks=pytest.mark.skipif(
          not engine.HAVE_KERNEL, reason=str(engine.KERNEL_ERROR)))],
 )
 @pytest.mark.parametrize("factor, seed", [(math.inf, 1), (700.0, 2)])
@@ -274,6 +274,8 @@ def test_cigar_and_ellipse_are_one_landscape_at_two_dimensions(backend, factor, 
     """At n = 2 cigar and ellipse are both x0**2 + 1e6 * x1**2, rounded the
     same way, so a seed gives the same run on either; tablet, 1e6 * x0**2 +
     x1**2, is the mirror image, and its run differs."""
+    if backend == "auto":
+        assert engine.DEFAULT_BACKEND == "compiled"
     config = PpaConfig(budget=10_000, schedule=SteepeningSchedule(factor))
     cigar, ellipse, tablet = (
         engine.run(config, make_function(name, 2), seed, backend=backend)

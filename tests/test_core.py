@@ -450,8 +450,8 @@ def test_config_accepts_the_smallest_factors_that_stay_finite():
         python = run_ppa(config, make_function("sphere", 2), seed=1)
         assert python.evaluations_used == budget
         if engine.HAVE_KERNEL:
-            compiled = engine.run(config, make_function("sphere", 2), 1, backend="compiled")
-            assert compiled == python
+            assert engine.DEFAULT_BACKEND == "compiled"
+            assert engine.run(config, make_function("sphere", 2), 1) == python
 
 
 # -- where steepening stops ----------------------------------------------------
@@ -466,7 +466,7 @@ def _improves_after(trajectory, evals):
 
 @pytest.mark.parametrize("backend", [
     "python",
-    pytest.param("compiled", marks=pytest.mark.skipif(
+    pytest.param("auto", id="compiled", marks=pytest.mark.skipif(
         not engine.HAVE_KERNEL, reason="needs the compiled kernel")),
 ])
 def test_steepness_past_saturation_collapses_the_population(backend):
@@ -488,7 +488,8 @@ def test_steepness_past_saturation_collapses_the_population(backend):
                 positions = {ind.position for ind in final[-1]}
                 assert (len(positions) == 1) is not improves, (factor, seed)
             else:
-                result = engine.run(config, fn, seed, backend=backend)
+                assert engine.DEFAULT_BACKEND == "compiled"
+                result = engine.run(config, fn, seed)
             assert _improves_after(result.trajectory, 8600) is improves, (factor, seed)
 
 
@@ -528,9 +529,8 @@ def _assert_budget_prefix(case, run):
 @example(case=(make_function("ackley", 10), 1000.0, 17, 2934, 3000))
 @pytest.mark.skipif(not engine.HAVE_KERNEL, reason="needs the compiled kernel")
 def test_a_compiled_run_is_a_prefix_of_the_run_at_a_larger_budget(case):
-    _assert_budget_prefix(
-        case, lambda config, fn, seed: engine.run(config, fn, seed, backend="compiled")
-    )
+    assert engine.DEFAULT_BACKEND == "compiled"
+    _assert_budget_prefix(case, engine.run)
 
 
 @seed(20261102)

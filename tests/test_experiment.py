@@ -25,6 +25,7 @@ from plantprop.experiment import (
     DEFAULT_FACTORS,
     PRESETS,
     VANILLA,
+    HeatmapTable,
     SweepSpec,
     cell_seeds,
     preset,
@@ -122,6 +123,20 @@ def test_spec_refuses_a_factor_as_its_schedule_does():
     for bad in (True, "100"):
         with pytest.raises(ValueError, match="^factor must be a real number"):
             SweepSpec(functions=("sphere",), factors=(100.0, bad))
+
+
+@pytest.mark.parametrize("make", [
+    SteepeningSchedule,
+    lambda factor: SweepSpec(functions=("sphere",), factors=(factor,)),
+    lambda factor: HeatmapTable({("a", factor): (1.0,)}),
+], ids=["schedule", "spec", "table"])
+@pytest.mark.parametrize("factor", [10**400, -10**400, -10**5000],
+                         ids=["10**400", "-10**400", "-10**5000"])
+def test_a_factor_beyond_the_float_range_is_one_value_error(make, factor):
+    """The int is converted before its sign is checked, and no message
+    holds it: one beyond sys.get_int_max_str_digits() has no repr."""
+    with pytest.raises(ValueError, match="^a factor lies beyond the float range$"):
+        make(factor)
 
 
 def test_spec_defaults_are_the_configs_and_one_method_makes_a_cells_config(

@@ -18,10 +18,12 @@ from plantprop.core import PpaConfig, SteepeningSchedule
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_runs.json").read_text())
 CASES = GOLDEN["runs"]
 
+# `auto` runs the kernel on every case here once it loaded
 BACKENDS = [
     "python",
     pytest.param(
-        "compiled",
+        "auto",
+        id="compiled",
         marks=pytest.mark.skipif(not engine.HAVE_KERNEL, reason=str(engine.KERNEL_ERROR)),
     ),
 ]
@@ -42,6 +44,8 @@ def test_run_matches_golden(case, backend):
     )
     config = PpaConfig(budget=case["budget"], schedule=schedule)
     fn = make_function(case["function"], case["dimension"])
+    if backend == "auto":
+        assert engine.DEFAULT_BACKEND == "compiled"
     result = engine.run(config, fn, case["seed"], backend=backend)
     assert result.best_value.hex() == case["best_value"]
     assert result.evaluations_used == case["evaluations_used"]

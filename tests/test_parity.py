@@ -139,7 +139,7 @@ def test_full_runs_are_bit_identical(name):
         for seed in (3, 777):
             config = PpaConfig(budget=2_000, schedule=schedule)
             py = run_ppa(config, fn, seed)
-            cy = engine.run(config, fn, seed, backend="compiled")
+            cy = engine.run(config, fn, seed)
             assert_same_run(cy, py)
 
 
@@ -147,7 +147,7 @@ def test_longer_run_with_scalable_dimension():
     fn = make_function("rastrigin", 5)
     config = PpaConfig(budget=10_000, schedule=SteepeningSchedule.linear(1500.0))
     py = run_ppa(config, fn, seed=11)
-    cy = engine.run(config, fn, seed=11, backend="compiled")
+    cy = engine.run(config, fn, seed=11)
     assert py == cy
 
 
@@ -156,7 +156,7 @@ def test_runs_at_thirty_dimensions_are_bit_identical(name):
     fn = make_function(name, 30)
     for schedule in (SteepeningSchedule.vanilla(), SteepeningSchedule.linear(150.0)):
         config = PpaConfig(budget=600, schedule=schedule)
-        cy = engine.run(config, fn, 21, backend="compiled")
+        cy = engine.run(config, fn, 21)
         assert_same_run(cy, run_ppa(config, fn, 21))
 
 
@@ -192,7 +192,7 @@ def test_runs_on_a_narrow_box_are_bit_identical(name, dim):
     fn = narrow_box(name, dim)
     for schedule in (SteepeningSchedule.vanilla(), SteepeningSchedule.linear(150.0)):
         config = PpaConfig(budget=1_000, schedule=schedule)
-        cy = engine.run(config, fn, 5, backend="compiled")
+        cy = engine.run(config, fn, 5)
         assert_same_run(cy, run_ppa(config, fn, 5))
 
 
@@ -408,7 +408,7 @@ def test_kernel_rejects_counts_beyond_int64(count):
     sizes = {"pop_size": 30, "n_max": 5, "budget": 2**63 if count == "pop_size" else 100}
     config = PpaConfig(**{**sizes, count: 2**63})
     with pytest.raises(ValueError, match=rf"^{count} must be at most 2\*\*63 - 1"):
-        engine.run(config, make_function("sphere", 2), 1, backend="compiled")
+        engine.run(config, make_function("sphere", 2), 1)
 
 
 @st.composite
@@ -492,7 +492,7 @@ def run_cases(draw):
 )
 def test_random_runs_are_bit_identical(case):
     fn, config, seed = case
-    compiled = engine.run(config, fn, seed, backend="compiled")
+    compiled = engine.run(config, fn, seed)
     assert_same_run(compiled, run_ppa(config, fn, seed))
 
 
@@ -530,7 +530,7 @@ def test_non_finite_objective_fails_alike():
     with pytest.raises(ValueError, match="non-finite") as py:
         run_ppa(config, fn, 1)
     with pytest.raises(ValueError, match="non-finite") as cy:
-        engine.run(config, fn, 1, backend="compiled")
+        engine.run(config, fn, 1)
     assert str(cy.value) == str(py.value)
 
 
@@ -547,7 +547,7 @@ def test_objectives_too_far_apart_fail_alike(budget):
     with pytest.raises(ValueError, match=message):
         run_ppa(config, fn, 1)
     with pytest.raises(ValueError, match=message):
-        engine.run(config, fn, 1, backend="compiled")
+        engine.run(config, fn, 1)
 
 
 def test_huge_offspring_cap_does_not_crash():
@@ -561,8 +561,7 @@ def test_huge_offspring_cap_does_not_crash():
         "from plantprop.benchmarks import make_function\n"
         "from plantprop.core import PpaConfig\n"
         "config = PpaConfig(budget=65536, pop_size=65536, n_max=65535)\n"
-        "print(repr(engine.run(config, make_function('sphere', 2), 1, "
-        "backend='compiled')))\n"
+        "print(repr(engine.run(config, make_function('sphere', 2), 1)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -588,7 +587,7 @@ def test_tiny_factor_fails_at_once_on_both_engines_and_the_cli(factor):
         "from plantprop import engine\n"
         "from plantprop.benchmarks import make_function\n"
         "from plantprop.core import PpaConfig, SteepeningSchedule\n"
-        "for backend in ('python', 'compiled'):\n"
+        "for backend in ('python', 'auto'):\n"
         "    try:\n"
         f"        schedule = SteepeningSchedule.linear({factor})\n"
         "        config = PpaConfig(budget=300, schedule=schedule)\n"
@@ -614,7 +613,7 @@ def test_tiny_factor_fails_at_once_on_both_engines_and_the_cli(factor):
 def test_unallocatable_run_raises_memory_error():
     config = PpaConfig(budget=2**62, pop_size=2**61, n_max=2)
     with pytest.raises(MemoryError):
-        engine.run(config, make_function("sphere", 2), 1, backend="compiled")
+        engine.run(config, make_function("sphere", 2), 1)
 
 
 # -- loading the C core -------------------------------------------------------
@@ -852,18 +851,12 @@ def test_unknown_backend_rejected():
         engine.run(PpaConfig(budget=50), fn, 1, backend="fortran")
 
 
-def test_compiled_rejects_unregistered_function():
-    base = make_function("sphere", 2)
-    custom = type(base)(
-        name="mystery",
-        dimension=2,
-        bounds=base.bounds,
-        known_optimum_value=0.0,
-        known_optimum_points=((0.0, 0.0),),
-        _fn=lambda x: sum(v * v for v in x),
-    )
-    with pytest.raises(ValueError, match="mystery"):
-        engine.run(PpaConfig(budget=50), custom, 1, backend="compiled")
+def test_only_the_python_engine_can_be_forced():
+    """`auto` runs the kernel whenever it can, so no value forces it."""
+    assert plantprop.BACKENDS == ("auto", "python")
+    message = "unknown backend 'compiled'; expected one of auto, python"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        engine.run(PpaConfig(budget=50), make_function("sphere", 2), 1, backend="compiled")
 
 
 def test_registered_name_with_custom_callable_is_not_compiled():
@@ -871,8 +864,6 @@ def test_registered_name_with_custom_callable_is_not_compiled():
     config = PpaConfig(budget=200)
     assert engine.run(config, fn, 1) == run_ppa(config, fn, 1)
     assert engine.run(config, fn, 1).best_value < 0.0
-    with pytest.raises(ValueError, match="sphere"):
-        engine.run(config, fn, 1, backend="compiled")
 
 
 def test_auto_uses_python_engine_for_custom_functions(monkeypatch):
@@ -910,14 +901,7 @@ def test_auto_skips_python_engine_for_registered_functions(monkeypatch):
     assert engine.run(PpaConfig(budget=60), boxed, 1).evaluations_used == 60
 
 
-def test_unavailable_kernel_error_names_the_reason(monkeypatch):
-    monkeypatch.setattr(engine, "HAVE_KERNEL", False)
-    monkeypatch.setattr(engine, "KERNEL_ERROR", "cc: not found")
-    with pytest.raises(ValueError, match="cc: not found"):
-        engine.run(PpaConfig(budget=50), make_function("sphere", 2), 1, backend="compiled")
-
-
-@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize("backend", ["python", pytest.param("auto", id="compiled")])
 @pytest.mark.parametrize("seed", [1.5, "7", True])
 def test_a_seed_that_is_not_an_integer_is_refused(backend, seed):
     with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):

@@ -110,6 +110,22 @@ def test_table_refuses_what_it_cannot_write_or_read_back(finals, message):
         HeatmapTable(finals)
 
 
+@pytest.mark.parametrize(
+    "finals, message",
+    [
+        ({("a", 1.0): 1.0}, r"the run finals of \('a', 1\.0\) must be a tuple or a list"),
+        ({("a", 1.0): "1.0"}, r"the run finals of \('a', 1\.0\) must be a tuple or a list"),
+        ({"a": (1.0,)}, r"key must be a \(function, factor\) pair, got 'a'"),
+        ({("a", 1.0, 2): (1.0,)}, r"pair, got \('a', 1\.0, 2\)"),
+        ({5: (1.0,)}, "pair, got 5"),
+    ],
+    ids=["float finals", "str finals", "str key", "triple key", "int key"],
+)
+def test_table_refuses_a_malformed_cell_naming_its_key(finals, message):
+    with pytest.raises(ValueError, match=message):
+        HeatmapTable(finals)
+
+
 def test_table_holds_finals_as_floats_and_round_trips_inf(tmp_path):
     table = HeatmapTable({("a", 1.0): (1, math.inf, -math.inf), ("a", VANILLA): (2, 3, 4)})
     assert table.finals[("a", 1.0)] == (1.0, math.inf, -math.inf)
