@@ -5,8 +5,10 @@ same double, with the same draws in the same order: mostly by the same
 operations, and where it takes another route (its per-run tables, its
 shortcuts and its mutation step) by one that the comment there proves gives
 the same result. So a run here is bit-identical to the pure-Python engine.
-This module checks what the core needs and no record checks, moves numbers
-across the boundary and turns the core's status codes into exceptions.
+This module declares the core's three exports (``ppa_run``, ``ppa_free`` and
+``ppa_eval``, the tests' entry to the objective), checks what the core needs
+and no record checks, moves numbers across the boundary and turns the core's
+status codes into exceptions.
 
 Importing the module loads the core from the per-user cache directory,
 ``$XDG_CACHE_HOME/plantprop`` or else ``~/.cache/plantprop``; a relative
@@ -132,30 +134,12 @@ def _load() -> ctypes.CDLL:
     lib.ppa_run.restype = ctypes.c_int
     lib.ppa_eval.argtypes = [ctypes.c_int, i64, f64_p, f64, f64_p]  # ..., x, fmax, scratch
     lib.ppa_eval.restype = f64
-    lib.ppa_rng_u64.argtypes = [u64, ctypes.c_size_t, ctypes.POINTER(u64)]
-    lib.ppa_rng_u64.restype = None
-    lib.ppa_rng_uniform.argtypes = [u64, ctypes.c_size_t, f64_p]
-    lib.ppa_rng_uniform.restype = None
     lib.ppa_free.argtypes = [ctypes.c_void_p]
     lib.ppa_free.restype = None
     return lib
 
 
 _lib = _load()
-
-
-def rng_u64_stream(seed: int, n: int) -> list[int]:
-    """First n raw 64-bit outputs for a seed (parity/golden-vector tests)."""
-    out = (ctypes.c_uint64 * n)()
-    _lib.ppa_rng_u64(seed & MASK64, n, out)
-    return list(out)
-
-
-def rng_uniform_stream(seed: int, n: int) -> list[float]:
-    """First n uniform doubles in [0, 1) for a seed."""
-    out = (ctypes.c_double * n)()
-    _lib.ppa_rng_uniform(seed & MASK64, n, out)
-    return list(out)
 
 
 def run(config, function, seed):

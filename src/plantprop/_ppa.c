@@ -1,6 +1,11 @@
 /*
  * Compiled engine of plantprop: xoshiro256++ stream, objective dispatch and
- * the plant propagation loop, in plain C99 behind a flat ABI for ctypes.
+ * the plant propagation loop, in plain C99 behind a flat ABI for ctypes. It
+ * exports three functions: ppa_run, a whole run; ppa_free, which frees the
+ * trajectory ppa_run hands over; and ppa_eval, the tests' one entry to
+ * eval's stops, which no run can aim at a chosen point. Everything else is
+ * static. The stream has no export of its own: a run reads at most the top
+ * 53 bits of each output, and the parity tests compare whole runs.
  *
  * This file computes every value of rng.py, benchmarks.py and core.py as the
  * same double, with the same draws in the same order and the same libm
@@ -603,24 +608,6 @@ static int trajectory_push(trajectory_t *t, int64_t evals, double value)
     t->steps[t->len].value = value;
     t->len++;
     return 1;
-}
-
-void ppa_rng_u64(uint64_t seed, size_t n, uint64_t *out)
-{
-    rng_t rng;
-    size_t i;
-    rng_seed(&rng, seed);
-    for (i = 0; i < n; i++)
-        out[i] = rng_u64(&rng);
-}
-
-void ppa_rng_uniform(uint64_t seed, size_t n, double *out)
-{
-    rng_t rng;
-    size_t i;
-    rng_seed(&rng, seed);
-    for (i = 0; i < n; i++)
-        out[i] = rng_uniform(&rng);
 }
 
 /* the exported entry to eval, for the tests: what ppa_run gives an

@@ -127,10 +127,10 @@ class HeatmapTable(Record):
             function, factor = key
             if not isinstance(function, str):
                 raise ValueError(f"a function name must be a str, got {function!r}")
-            factor = SteepeningSchedule(factor).factor
+            cell = (function, SteepeningSchedule(factor).factor)
             if not isinstance(values, (tuple, list)):
-                raise ValueError(f"the run finals of {key!r} must be a tuple or a list")
-            given[(function, factor)] = tuple(map(_final, values))
+                raise ValueError(f"the run finals of {cell!r} must be a tuple or a list")
+            given[cell] = tuple(_final(cell, value) for value in values)
         functions = tuple(sorted({function for function, _ in given}))
         factors = tuple(sorted({factor for _, factor in given}))
         cells = [(f, fac) for f in functions for fac in factors]
@@ -214,18 +214,22 @@ def _run_cell(
     return tuple(engine.run(config, function, seed).best_value for seed in seeds)
 
 
-def _final(value) -> float:
-    """A run final as the float a table holds it as; ValueError for a bool,
-    a non-number, nan or an int beyond the float range."""
+def _final(cell, value) -> float:
+    """A run final of `cell` as the float a table holds it as; ValueError,
+    naming the cell, for a bool, a non-number, nan or an int beyond the
+    float range, whose digits it leaves out as SteepeningSchedule does."""
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
-            if not math.isnan(final := float(value)):
-                return final
-        except OverflowError:
-            pass
+            final = float(value)
+        except OverflowError:  # an int beyond the float range, of either sign
+            raise ValueError(
+                f"a run final of {cell!r} lies beyond the float range"
+            ) from None
+        if not math.isnan(final):
+            return final
     raise ValueError(
-        "a run final must be a float other than nan, or an int a float holds, "
-        f"got {value!r}"
+        f"a run final of {cell!r} must be a float other than nan, or an int "
+        f"a float holds, got {value!r}"
     )
 
 

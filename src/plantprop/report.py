@@ -189,7 +189,9 @@ def parse_csv(path: str | Path) -> HeatmapTable:
             factor = SteepeningSchedule(factor).factor
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: column 'factor': {exc}") from None
-        if median != _median(run_finals):
+        expected = _median(run_finals)
+        # nan counts as nan's equal: the median of -inf and inf is nan
+        if median != expected and not (math.isnan(median) and math.isnan(expected)):
             raise ValueError(
                 f"{path}:{lineno}: column 'median': {parts[2]!r} is not the "
                 "median of the row's run finals"

@@ -90,20 +90,29 @@ def test_table_holds_factors_as_the_schedule_does(tmp_path):
             HeatmapTable({("sphere", factor): (1.0,)})
 
 
+BEYOND_FLOATS = r"^a run final of \('a', 1\.0\) lies beyond the float range$"
+
+
 @pytest.mark.parametrize(
     "finals, message",
     [
         ({(5, 1.0): (1.0,)}, "function name must be a str, got 5"),
         ({(5, 1.0): (1.0,), ("a", 1.0): (1.0,)}, "function name must be a str"),
-        ({("a", 1.0): (1.0, "x")}, "run final .* got 'x'"),
-        ({("a", 1.0): (True,)}, "run final .* got True"),
-        ({("a", 1.0): (None,)}, "run final .* got None"),
-        ({("a", 1.0): (10**400,)}, "run final .* an int a float holds"),
-        ({("a", 1.0): (math.nan,)}, "run final .* got nan"),
-        ({("a", 1.0): (1.0, math.nan, 2.0)}, "run final .* got nan"),
+        ({("a", 1.0): (1.0, "x")}, r"run final of \('a', 1\.0\) .* got 'x'"),
+        ({("a", 1.0): (True,)}, r"run final of \('a', 1\.0\) .* got True"),
+        ({("a", 1.0): (None,)}, r"run final of \('a', 1\.0\) .* got None"),
+        # one message for either sign, without the int's digits: a repr of
+        # 10**5000 would pass the int-to-str limit and raise in turn
+        ({("a", 1.0): (10**400,)}, BEYOND_FLOATS),
+        ({("a", 1.0): (-(10**400),)}, BEYOND_FLOATS),
+        ({("a", 1.0): (2.0, 10**5000)}, BEYOND_FLOATS),
+        ({("a", 1): (-(10**5000),)}, BEYOND_FLOATS),
+        ({("a", 1.0): (math.nan,)}, r"run final of \('a', 1\.0\) .* got nan"),
+        ({("a", 1.0): (1.0, math.nan, 2.0)}, r"run final of \('a', 1\.0\) .* got nan"),
     ],
     ids=["int name", "mixed names", "str final", "bool final", "None final",
-         "huge int final", "nan final", "nan among finals"],
+         "huge int final", "huge negative int final", "int final past str",
+         "negative int final past str", "nan final", "nan among finals"],
 )
 def test_table_refuses_what_it_cannot_write_or_read_back(finals, message):
     with pytest.raises(ValueError, match=message):
@@ -133,6 +142,10 @@ def test_table_holds_finals_as_floats_and_round_trips_inf(tmp_path):
     assert table == HeatmapTable({("a", 1.0): (1.0, math.inf, -math.inf),
                                   ("a", VANILLA): (2.0, 3.0, 4.0)})
     assert parse_csv(write_csv(table, tmp_path / "r.csv")) == table
+    # the median of -inf and inf is nan, which the CSV holds and reads back
+    split = HeatmapTable({("sphere", 100.0): (math.inf, -math.inf)})
+    assert math.isnan(split.median("sphere", 100.0))
+    assert parse_csv(write_csv(split, tmp_path / "split.csv")) == split
 
 
 # -- CSV -----------------------------------------------------------------------
@@ -199,6 +212,7 @@ def test_csv_rewrite_is_byte_identical(tmp_path):
         ("sphere,-inf,1,1,1,1", "column 'factor': linear schedule requires factor > 0"),
         ("sphere,100,xyz,1,1,1", "column 'median'"),
         ("sphere,100,2,1,1,1", "column 'median'"),
+        ("sphere,100,nan,1,1,1", "column 'median'"),
         ("sphere,100,1,1,oops,1", "column 'run_final_2'"),
         ("sphere,100,1,1", "columns"),
         ("", "blank"),
