@@ -6,9 +6,9 @@ operations, and where it takes another route (its per-run tables, its
 shortcuts and its mutation step) by one that the comment there proves gives
 the same result. So a run here is bit-identical to the pure-Python engine.
 This module declares the core's three exports (``ppa_run``, ``ppa_free`` and
-``ppa_eval``, the tests' entry to the objective), checks what the core needs
-and no record checks, moves numbers across the boundary and turns the core's
-status codes into exceptions.
+``ppa_eval``, the tests' entry to the objective), moves numbers across the
+boundary and turns the core's status codes into exceptions; the records it
+is given have checked every input.
 
 Importing the module loads the core from the per-user cache directory,
 ``$XDG_CACHE_HOME/plantprop`` or else ``~/.cache/plantprop``; a relative
@@ -41,8 +41,6 @@ _FLAGS = ("-std=c99", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _LIBS = ("-lm",)
 _COMPILE_TIMEOUT_S = 300
 _KEEP = 4  # compiled libraries left in the cache after a miss, the new one included
-
-_INT64_MAX = 2**63 - 1
 
 # ppa_run's status codes, PPA_* in _ppa.c (0 is success)
 _NONFINITE, _NOMEM, _RANGE = 1, 2, 3
@@ -146,10 +144,10 @@ def run(config, function, seed):
     """Generational loop; same semantics and draw order as the pure engine.
 
     `config` (a PpaConfig) and `function` (a BenchmarkFunction) made their
-    own checks, integer counts and dimension among them, and the function
-    is a registered formula (engine.run sends no other); this adds only what
-    the C core needs beyond them, counts that fit in int64. The steepness is
-    evals/factor + 1, so factor = inf runs vanilla PPA.
+    own checks, counts that fit in int64 and the dimension among them, and
+    the function is a registered formula (engine.run sends no other); this
+    only marshals. The steepness is evals/factor + 1, so factor = inf runs
+    vanilla PPA.
 
     Returns (best_value, best_point, trajectory, evaluations_used) with the
     trajectory as a tuple of (evaluation_index, best_so_far) pairs of int
@@ -158,9 +156,6 @@ def run(config, function, seed):
     """
     func_id, dim = formula_id(function), function.dimension
     pop_size, n_max, budget = config.pop_size, config.n_max, config.budget
-    for name, value in (("pop_size", pop_size), ("n_max", n_max), ("budget", budget)):
-        if value > _INT64_MAX:
-            raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")
 
     vector = ctypes.c_double * dim
     best_point = vector()

@@ -173,9 +173,10 @@
  * part of the contract, and a fused multiply-add rounds once where Python
  * rounds twice. _kernel.py compiles and loads it. The core trusts its
  * arguments (see ppa_run), and each is checked once, in Python: Bounds
- * checks every lower[j] < upper[j], BenchmarkFunction the bounds' length,
- * PpaConfig and SteepeningSchedule the counts and the steepness, and
- * _kernel.run the function id, the dimension and the counts' int64 range.
+ * checks every lower[j] < upper[j]; BenchmarkFunction the bounds' length
+ * and the dimension its formula takes; PpaConfig the counts, their int64
+ * range and, with SteepeningSchedule, the steepness; and engine.run sends
+ * only a registered formula, whose id _kernel.run looks up.
  * Sizes derived here are checked here.
  */
 

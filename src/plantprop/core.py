@@ -16,7 +16,6 @@ C core in ``_ppa.c``, loaded by ``_kernel``, replicates it bit for bit.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Callable, Sequence
 
 from ._record import Record, check_integer
@@ -65,11 +64,11 @@ def steepness(evals: int, schedule: SteepeningSchedule) -> float:
 class PpaConfig(Record):
     """Run parameters: population size, offspring cap, budget, schedule.
 
-    That the counts are integers (a bool is not), their lower limits, an
-    n_max that a float holds and the steepness are checked here, once, for
-    both engines. No other size is capped here, and the Python engine
-    checks none; see ``engine.run`` for what the compiled engine checks.
-    The defaults here are the only ones: a sweep and the CLI read them.
+    That the counts are integers (a bool is not), their limits and the
+    steepness are checked here, once, for both engines. Each count is at
+    most 2**63 - 1, as the C core holds it in an int64_t; no other size is
+    capped here, and the Python engine checks none. The defaults here are
+    the only ones: a sweep and the CLI read them.
     """
 
     budget: int
@@ -79,30 +78,26 @@ class PpaConfig(Record):
     schedule: SteepeningSchedule = SteepeningSchedule()
 
     def __post_init__(self):
-        for name in ("budget", "pop_size", "n_max"):
-            check_integer(name, getattr(self, name))
+        for name in ("pop_size", "n_max", "budget"):
+            value = getattr(self, name)
+            check_integer(name, value)
+            if value > 2**63 - 1:
+                raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")
         if self.pop_size < 1:
             raise ValueError("pop_size must be >= 1")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        # the offspring count ceil(n_max * f * r) is computed in floats
-        if self.n_max > sys.float_info.max:
-            raise ValueError(f"n_max must be at most {sys.float_info.max!r}")
         if self.budget < self.pop_size:
             raise ValueError("budget must cover at least the initial population")
-        # inf is vanilla, s = 1, and 10**400 / inf would raise OverflowError
-        if math.isfinite(self.schedule.factor):
-            # the fitness computes 4*s*z - 2*s; once 4*s overflows it is nan
-            try:
-                s = steepness(self.budget, self.schedule)
-            except OverflowError:  # a budget beyond the float range
-                s = math.inf
-            if not math.isfinite(4.0 * s):
-                raise ValueError(
-                    f"factor {self.schedule.factor!r} is too small for budget "
-                    f"{self.budget}: the steepness budget/factor + 1 = {s!r} "
-                    "overflows the fitness"
-                )
+        # the fitness computes 4*s*z - 2*s; once 4*s overflows it is nan.
+        # A budget below 2**63 converts to a float, and budget/inf + 1 is 1
+        s = steepness(self.budget, self.schedule)
+        if not math.isfinite(4.0 * s):
+            raise ValueError(
+                f"factor {self.schedule.factor!r} is too small for budget "
+                f"{self.budget}: the steepness budget/factor + 1 = {s!r} "
+                "overflows the fitness"
+            )
 
 
 class Individual(Record):

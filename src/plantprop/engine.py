@@ -40,7 +40,8 @@ def run(
     of the registered benchmarks with its built-in formula (on any bounds),
     and the Python engine otherwise; `python` always runs the Python engine.
     Which exception each refusal raises is stated once, under "Library use"
-    in the README. The Python engine has no size limit: it builds
+    in the README. Both engines take the counts that PpaConfig admits, up to
+    2**63 - 1. The Python engine has no other size limit: it builds
     ``pop_size`` individuals and each generation's offspring as Python
     objects, so a size that does not fit in memory fails however the
     interpreter runs out of it.

@@ -288,6 +288,7 @@ def run_sweep(
     without finishing raises RuntimeError; either way every child is joined
     before this returns.
     """
+    check_integer("jobs", jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     seeds = cell_seeds(spec)

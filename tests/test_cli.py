@@ -675,7 +675,8 @@ _READER_FAULTS = [
     ("plot", "missing"), ("plot", "not UTF-8"),
     *((source, fault) for source in ("--config", "--from-manifest")
       for fault in ("missing", "not UTF-8", "not JSON", "repeats 2.5", "deep nesting",
-                    "long integer", "huge dimension")),
+                    "long integer", "huge dimension", "n_max beyond int64",
+                    "budget beyond int64")),
     ("--from-manifest", "no cells"),
 ]
 
@@ -687,6 +688,8 @@ def test_a_bad_input_file_is_one_error_line_naming_it(tmp_path, capsys, reader, 
         "repeats 2.5": dict(TINY_CONFIG, repeats=2.5),
         "long integer": dict(TINY_CONFIG, base_seed="DIGITS"),
         "huge dimension": dict(TINY_CONFIG, dimension=2**62),
+        "n_max beyond int64": dict(TINY_CONFIG, n_max=2**63),
+        "budget beyond int64": dict(TINY_CONFIG, budget=2**63),
     }.get(fault, TINY_CONFIG)
     if reader == "--from-manifest":
         doc = {"format": report.MANIFEST_FORMAT, "spec": doc}
@@ -711,6 +714,9 @@ def test_a_bad_input_file_is_one_error_line_naming_it(tmp_path, capsys, reader, 
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
     if fault == "repeats 2.5":
         assert err == f"error: {path}: repeats must be an integer, got 2.5\n"
+    if fault.endswith("beyond int64"):  # PpaConfig's limit, for both engines
+        count = fault.split()[0]
+        assert err == f"error: {path}: {count} must be at most 2**63 - 1, got {2**63}\n"
     if fault == "no cells":  # refused before anything runs
         assert err == f"error: {path}: manifest is missing its 'cells' entry\n"
     if fault == "huge dimension":  # the reader keeps the type

@@ -410,11 +410,12 @@ def test_config_validation():
         PpaConfig(budget=100, pop_size=0)
     with pytest.raises(ValueError):
         PpaConfig(budget=100, n_max=0)
-    # a budget beyond the float range overflows the steepness too
-    with pytest.raises(ValueError, match="too small"):
+    # a budget beyond int64 is refused under every schedule, vanilla's too
+    beyond = rf"^budget must be at most 2\*\*63 - 1, got {10**400}$"
+    with pytest.raises(ValueError, match=beyond):
         PpaConfig(budget=10**400, schedule=SteepeningSchedule.linear(100.0))
-    # but not vanilla's, which never divides the budget by inf
-    assert PpaConfig(budget=10**400).schedule == SteepeningSchedule.vanilla()
+    with pytest.raises(ValueError, match=beyond):
+        PpaConfig(budget=10**400)
 
 
 @pytest.mark.parametrize("value", [1e4, 5.0, True, "100"])
@@ -428,11 +429,12 @@ def test_config_refuses_a_count_that_is_not_an_integer(field, value):
         PpaConfig(**counts)
 
 
-def test_config_rejects_an_n_max_beyond_the_float_range():
-    # the Python engine computes the offspring count ceil(n_max * f * r) in floats
-    with pytest.raises(ValueError, match=r"^n_max must be at most 1\.7976931348623157e\+308$"):
-        PpaConfig(budget=100, n_max=10**400)
-    config = PpaConfig(budget=60, pop_size=10, n_max=2**1023)
+def test_config_rejects_an_n_max_beyond_int64():
+    # the C core holds n_max in an int64_t; the Python engine is refused it too
+    for n_max in (2**63, 10**400):
+        with pytest.raises(ValueError, match=rf"^n_max must be at most 2\*\*63 - 1, got {n_max}$"):
+            PpaConfig(budget=100, n_max=n_max)
+    config = PpaConfig(budget=60, pop_size=10, n_max=2**63 - 1)
     assert run_ppa(config, make_function("sphere", 2), seed=1).evaluations_used == 60
 
 

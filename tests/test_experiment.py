@@ -342,6 +342,10 @@ def test_run_sweep_parallel_matches_serial():
 def test_run_sweep_rejects_bad_jobs():
     with pytest.raises(ValueError, match="jobs"):
         run_sweep(TINY, jobs=0)
+    # TINY has two cells, so a count of two would start a child
+    for jobs in (2.0, 2.5, True, "2"):
+        with pytest.raises(ValueError, match=rf"^jobs must be an integer, got {re.escape(repr(jobs))}$"):
+            run_sweep(TINY, jobs=jobs)
 
 
 def test_run_sweep_caps_the_pool_at_the_cell_count(monkeypatch):

@@ -386,11 +386,12 @@ def test_kernel_rejects_a_dimension_its_formula_does_not_take():
 
 @pytest.mark.parametrize("count", ["pop_size", "n_max", "budget"])
 def test_kernel_rejects_counts_beyond_int64(count):
+    """The C core holds each count in an int64_t; PpaConfig refuses a larger
+    one for both engines, so no engine is reached."""
     # budget >= pop_size, so a pop_size of 2**63 comes with such a budget
     sizes = {"pop_size": 30, "n_max": 5, "budget": 2**63 if count == "pop_size" else 100}
-    config = PpaConfig(**{**sizes, count: 2**63})
-    with pytest.raises(ValueError, match=rf"^{count} must be at most 2\*\*63 - 1"):
-        engine.run(config, make_function("sphere", 2), 1)
+    with pytest.raises(ValueError, match=rf"^{count} must be at most 2\*\*63 - 1, got {2**63}$"):
+        PpaConfig(**{**sizes, count: 2**63})
 
 
 @st.composite
@@ -439,6 +440,16 @@ def run_cases(draw):
 @example(
     case=(make_function("rastrigin", 4), PpaConfig(budget=5000, pop_size=6, n_max=1000), 3)
 )
+# the largest n_max PpaConfig admits: the first parent's offspring count
+# ceil(n_max * f * r) is far beyond the budget
+@example(
+    case=(
+        make_function("rastrigin", 5),
+        PpaConfig(budget=300, n_max=2**63 - 1, schedule=SteepeningSchedule.linear(100.0)),
+        11,
+    )
+)
+@example(case=(make_function("easom"), PpaConfig(budget=300, n_max=2**63 - 1), 12))
 # steep at n = 30: many offspring beat the worst parent, so selection sorts
 # many candidates per generation
 @example(
@@ -726,6 +737,11 @@ def sanitizer_cases():
         fid = FUNCTION_IDS[name]
         cases += [(fid, 2, -5.0, 5.0, 30, 5, 300, 1e-300, 8),
                   (fid, 2, -5.0, 5.0, 30, 5, 600, 2e-300, 9)]
+    # the largest n_max PpaConfig admits, at the edge of the offspring
+    # count's (int64_t)ceil((double)n_max * f * r) cast
+    for name, dim in (("sphere", 2), ("rastrigin", 5), ("easom", 2)):
+        for factor in (100.0, math.inf):
+            cases.append((FUNCTION_IDS[name], dim, -5.0, 5.0, 30, 2**63 - 1, 600, factor, 10))
     return cases
 
 
